@@ -59,18 +59,44 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+# The JSON types a --config file may give each option; other keys are ignored.
+_CONFIG_TYPES = {
+    "f": (str,),
+    "order": (int,),
+    "depth": (int,),
+    "json": (bool,),
+    "out": (str,),
+    "alpha": (str, int),
+    "n_max": (int,),
+}
+
+
 def _apply_config(args: argparse.Namespace, argv: list) -> argparse.Namespace:
     if not args.config:
         return args
     with open(args.config) as fh:
         conf = json.load(fh)
+    if not isinstance(conf, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object")
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
                 for a in argv if a.startswith("--")}
     for key, value in conf.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in explicit:
-            setattr(args, attr, value)
+        kinds = _CONFIG_TYPES.get(attr)
+        if kinds is None or not hasattr(args, attr) or attr in explicit:
+            continue
+        if type(value) not in kinds:
+            names = " or ".join(k.__name__ for k in kinds)
+            raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
+        setattr(args, attr, value)
     return args
+
+
+def _check_sizes(args: argparse.Namespace) -> None:
+    for name in ("order", "depth"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{name} must be >= 0, got {value}")
 
 
 def _emit(payload, args) -> None:
@@ -284,6 +310,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config(args, argv)
+        _check_sizes(args)
         return COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,11 +9,17 @@ producing zero.
 Coefficient domains: ``fractions.Fraction``, ``ParamPoly``, ``Poly`` and
 nested ``PowerSeries`` (for bivariate work) all satisfy the small protocol
 used here (ring operators plus ``is_zero``/``inv``).
+
+Products and compositions whose coefficients are all ``Fraction`` run on
+integer numerators over one common denominator instead of one normalising
+``Fraction`` operation per term; they return the same rationals as the
+generic loops, which every other domain still uses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .parampoly import ParamPoly
 from .polys import Poly
@@ -91,6 +97,61 @@ def _widen_zero(z1, z2):
     raise TypeError(
         f"incompatible coefficient domains {type(z1).__name__} / {type(z2).__name__}"
     )
+
+
+# -- integer kernel for the Fraction domain -------------------------------------
+
+
+def _rational(coeffs) -> bool:
+    return all(type(c) is Fraction for c in coeffs)
+
+
+def _lift(coeffs) -> tuple:
+    """Integer numerators over the lcm of the denominators of ``coeffs``."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _conv(a, b, n: int) -> list:
+    """Schoolbook product of two integer vectors, truncated at degree n."""
+    out = [0] * (n + 1)
+    b_nonzero = [(j, y) for j, y in enumerate(b[: n + 1]) if y]
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            room = n - i
+            for j, y in b_nonzero:
+                if j > room:
+                    break
+                out[i + j] += x * y
+    return out
+
+
+def _compose_rational(outer, inner, n: int) -> list:
+    """Horner evaluation of outer(inner) to order n in integers.
+
+    The accumulator is one integer vector over a single denominator, kept
+    reduced.  ``inner`` has zero constant term, so ``outer[k]`` reaches the
+    result only through ``inner**k``: terms past ``n`` are skipped, and after
+    the step that adds ``outer[k]`` only the first ``n - k + 1`` coefficients
+    of the accumulator are kept.
+    """
+    b, d = _lift(inner[: n + 1])
+    acc, den = [0], 1
+    for k in range(n, -1, -1):
+        acc = _conv(acc, b, n - k)
+        den *= d
+        c = outer[k]
+        common = lcm(den, c.denominator)
+        if common != den:
+            up = common // den
+            acc = [x * up for x in acc]
+            den = common
+        acc[0] += c.numerator * (den // c.denominator)
+        g = gcd(den, *acc)
+        if g != 1:
+            acc = [x // g for x in acc]
+            den //= g
+    return [Fraction(x, den) for x in acc]
 
 
 class PowerSeries:
@@ -183,7 +244,11 @@ class PowerSeries:
         )
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        # __eq__ holds across coefficient domains (Fraction 1 equals
+        # ParamPoly 1), whose hashes differ: hash only the variable, the
+        # order and which coefficients vanish.
+        support = tuple(k for k, c in enumerate(self.coeffs) if not cis_zero(c))
+        return hash((self.var, self.order, support))
 
     def prefix_equal(self, other: "PowerSeries", upto: int | None = None) -> bool:
         """Equality of the shared (or requested) prefix of coefficients."""
@@ -245,6 +310,13 @@ class PowerSeries:
         self._check_var(other)
         n = min(self.order, other.order)
         zero = _widen_zero(self.czero, other.czero)
+        lhs, rhs = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        if type(zero) is Fraction and _rational(lhs) and _rational(rhs):
+            (an, da), (bn, db) = _lift(lhs), _lift(rhs)
+            den = da * db
+            return PowerSeries(
+                self.var, [Fraction(c, den) for c in _conv(an, bn, n)], zero
+            )
         out = [zero] * (n + 1)
         for i in range(n + 1):
             a = self.coeffs[i]
@@ -319,6 +391,16 @@ class PowerSeries:
                 "composition requires inner constant term zero"
             )
         n = min(self.order, inner.order)
+        if (
+            type(inner.czero) is Fraction
+            and _rational(self.coeffs)
+            and _rational(inner.coeffs[: n + 1])
+        ):
+            return PowerSeries(
+                inner.var,
+                _compose_rational(self.coeffs, inner.coeffs, n),
+                inner.czero,
+            )
         zero = _widen_zero(czero_of(self.coeffs[0] * inner.coeffs[0]), inner.czero)
         acc = PowerSeries.zero(inner.var, n, zero)
         trunc_inner = inner.truncate(n)
@@ -465,46 +547,3 @@ class PowerSeries:
                 break
         body = " + ".join(bits) if bits else "0"
         return f"<{body} + O({self.var}^{self.order + 1})>"
-
-
-# -- free functions mirroring the operation table -----------------------------
-
-
-def arith(a: PowerSeries, b: PowerSeries, op: str) -> PowerSeries:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
-    return outer.compose(inner)
-
-
-def revert(u: PowerSeries) -> PowerSeries:
-    return u.revert()
-
-
-def exp_log(u: PowerSeries, which: str) -> PowerSeries:
-    if which == "exp":
-        return u.exp()
-    if which == "log":
-        return u.log()
-    raise ValueError(f"unknown op {which!r}")
-
-
-def pow_param(u: PowerSeries, e) -> PowerSeries:
-    return u.pow_param(e)
-
-
-def calculus(u: PowerSeries, which: str) -> PowerSeries:
-    if which == "derive":
-        return u.derive()
-    if which == "integrate":
-        return u.integrate()
-    raise ValueError(f"unknown op {which!r}")

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, gcd, lcm
 
 from .asymptotic import AsymptoticSeries, LinForm
 from .parampoly import ParamPoly, binom_poly
 from .polys import Poly
-from .series import OrderError, PowerSeries, SeriesError
+from .series import OrderError, PowerSeries, SeriesError, _lift
 
 S = ParamPoly.symbol("s")
 H = ParamPoly.symbol("H")
@@ -116,23 +116,33 @@ def p_seq(fam: BinomialFamily, N: int) -> PSequence:
     """Binomial-type sequence from sum p_n(a) x^n / n! = exp(a*phi(x)).
 
     Computed through the equivalent convolution recurrence obtained by
-    differentiating the generating identity in x.
+    differentiating the generating identity in x,
+
+        p_{n+1} = x * sum_k C(n, k) d_{n-k} p_k,   d_j = j! [x^j] phi',
+
+    with each p_k held as integer numerators over one reduced denominator.
     """
     if fam.phi.order < N:
         raise OrderError(f"family order {fam.order} too small for p_{N}")
     phip = fam.phi.derive()
-    d = [factorial(j) * phip.coefficient(j) for j in range(N)]
-    polys = [Poly.const(1)]
-    from math import comb
-
+    d, d_den = _lift([factorial(j) * phip.coefficient(j) for j in range(N)])
+    nums, dens = [[1]], [1]
     for n in range(N):
-        acc = Poly()
+        common = lcm(*dens)
+        acc = [0] * (n + 1)
         for k in range(n + 1):
             c = comb(n, k) * d[n - k]
             if c:
-                acc = acc + polys[k] * c
-        polys.append(acc.mul_x())
-    return PSequence(polys)
+                c *= common // dens[k]
+                for i, x in enumerate(nums[k]):
+                    acc[i] += c * x
+        den = common * d_den
+        g = gcd(den, *acc)
+        nums.append([0] + [x // g for x in acc])
+        dens.append(den // g)
+    return PSequence(
+        Poly([Fraction(x, den) for x in p]) for p, den in zip(nums, dens)
+    )
 
 
 # -- q coefficients ------------------------------------------------------------

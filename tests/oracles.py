@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths it is used to check:
 Bernoulli numbers come from the defining recurrence, reversion coefficients
 from the coefficient-extraction inversion formula, exponentials from raw
-partial sums.
+partial sums.  ``naive_mul``, ``naive_compose``, ``naive_revert`` and
+``naive_p_seq`` are the term-by-term loops the integer kernels replaced,
+kept to check that the kernels return the same rationals.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from umbralog.polys import Poly
 from umbralog.presets import family
 from umbralog.series import PowerSeries
 from umbralog.umbral import BinomialFamily
@@ -59,8 +62,6 @@ def exp_by_partial_sums(u: PowerSeries) -> PowerSeries:
 
 def falling_factorial_poly(n: int):
     """alpha (alpha-1) ... (alpha-n+1) as an exact polynomial."""
-    from umbralog.polys import Poly
-
     p = Poly.const(1)
     for j in range(n):
         p = p * Poly([-Fraction(j), Fraction(1)])
@@ -69,11 +70,64 @@ def falling_factorial_poly(n: int):
 
 def abel_poly(n: int, a: Fraction):
     """alpha (alpha + a n)^{n-1}, the sequence attached to x e^{-a x}."""
-    from umbralog.polys import Poly
-
     if n == 0:
         return Poly.const(1)
     p = Poly.const(1)
     for _ in range(n - 1):
         p = p * Poly([a * n, Fraction(1)])
     return p.mul_x()
+
+
+def naive_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    """Truncated product, one ring operation per term."""
+    n = min(a.order, b.order)
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        x = a.coeffs[i]
+        if x == 0:
+            continue
+        for j in range(n + 1 - i):
+            y = b.coeffs[j]
+            if y == 0:
+                continue
+            out[i + j] = out[i + j] + x * y
+    return PowerSeries(a.var, out, a.czero)
+
+
+def naive_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
+    """outer(inner) by Horner's rule over ``naive_mul``."""
+    n = min(outer.order, inner.order)
+    inner = inner.truncate(n)
+    acc = PowerSeries.zero(inner.var, n)
+    for k in range(outer.order, -1, -1):
+        acc = naive_mul(acc, inner) + outer.coeffs[k]
+    return acc
+
+
+def naive_revert(u: PowerSeries) -> PowerSeries:
+    """Functional inverse by Newton iteration over ``naive_compose``."""
+    v = PowerSeries.identity(u.var, 1)
+    while v.order < u.order:
+        k = v.order
+        m = min(2 * k + 1, u.order)
+        w = u.truncate(m)
+        v = PowerSeries(u.var, v.coeffs + (Fraction(0),) * (m - k))
+        err = naive_compose(w, v) - PowerSeries.identity(u.var, m)
+        denom = naive_compose(w.derive(), v.truncate(m - 1))
+        v = v - (err.div_var(k + 1) / denom).mul_var(k + 1)
+    return v
+
+
+def naive_p_seq(fam: BinomialFamily, N: int) -> list:
+    """p_0..p_N from the convolution recurrence in Fraction arithmetic."""
+    phip = fam.phi.derive()
+    d = [factorial(j) * phip.coefficient(j) for j in range(N)]
+    polys = [Poly.const(1)]
+    for n in range(N):
+        acc = Poly()
+        for k in range(n + 1):
+            c = comb(n, k) * d[n - k]
+            if c:
+                acc = acc + polys[k] * c
+        polys.append(acc.mul_x())
+    return polys

@@ -132,3 +132,23 @@ def test_verify_accepts_small_order_and_depth_flags(capsys):
     code, out = run_cli(capsys, "verify", "umbral", "--order", "10", "--depth", "6")
     assert code == 0
     assert "exact checks: all passed" in out
+
+
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"order": "7"}))
+    code = main(["--config", str(conf), "pseq"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "'order'" in captured.err
+
+
+def test_negative_order_and_depth_rejected(capsys):
+    for flag in ("--order", "--depth"):
+        code = main(["pseq", flag, "-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= 0, got -3\n"

@@ -1,0 +1,140 @@
+"""The integer kernels of the Fraction domain against the term-by-term loops.
+
+``PowerSeries.__mul__``, ``PowerSeries.compose`` (and through it
+``revert``) and ``umbral.p_seq`` compute on integer numerators over a common
+denominator when every coefficient is a ``Fraction``; they must return the
+very rationals of the loops in ``oracles.py``, as ``Fraction`` objects.
+"""
+
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import cached_family, naive_compose, naive_mul, naive_p_seq, naive_revert
+from umbralog.parampoly import ParamPoly
+from umbralog.series import PowerSeries
+from umbralog.umbral import p_seq
+
+S = ParamPoly.symbol("s")
+
+
+def assert_same_rationals(got: PowerSeries, want: PowerSeries):
+    assert got.var == want.var
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is Q for c in got.coeffs)
+    assert type(got.czero) is Q
+
+
+@st.composite
+def rational_series(draw, min_order=0, max_order=18):
+    """Random heights up to 10**6, integer-only or not, with zero runs."""
+    n = draw(st.integers(min_value=min_order, max_value=max_order))
+    h = draw(st.sampled_from([1, 10, 10**3, 10**6]))
+    if draw(st.booleans()):
+        coeff = st.integers(min_value=-h, max_value=h).map(Q)
+    else:
+        coeff = st.fractions(min_value=-h, max_value=h, max_denominator=h)
+    coeffs = [draw(coeff) for _ in range(n + 1)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lo = draw(st.integers(min_value=0, max_value=n))
+        hi = draw(st.integers(min_value=lo, max_value=n + 1))
+        coeffs[lo:hi] = [Q(0)] * (hi - lo)
+    return PowerSeries("x", coeffs)
+
+
+def vanishing_constant(u: PowerSeries) -> PowerSeries:
+    return PowerSeries(u.var, (Q(0),) + u.coeffs[1:])
+
+
+class TestProperties:
+    @given(rational_series(), rational_series())
+    @settings(max_examples=150, deadline=None)
+    def test_mul_matches_oracle(self, a, b):
+        got = a * b
+        assert got.order == min(a.order, b.order)
+        assert_same_rationals(got, naive_mul(a, b))
+
+    @given(rational_series(), rational_series())
+    @settings(max_examples=100, deadline=None)
+    def test_compose_matches_oracle(self, outer, inner):
+        inner = vanishing_constant(inner)
+        got = outer.compose(inner)
+        assert got.order == min(outer.order, inner.order)
+        assert_same_rationals(got, naive_compose(outer, inner))
+
+    @given(rational_series(min_order=2, max_order=12),
+           st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_revert_matches_oracle(self, u, c1):
+        coeffs = list(u.coeffs)
+        coeffs[0], coeffs[1] = Q(0), Q(1)
+        u = PowerSeries("x", coeffs)
+        assert_same_rationals(u.revert(), naive_revert(u))
+        if c1:
+            # normalize=True composes with a scaled identity
+            w = u.scale(c1)
+            assert_same_rationals(
+                naive_compose(w, w.revert(normalize=True)),
+                PowerSeries.identity("x", u.order),
+            )
+
+
+SPECS = ("exp1", "geom", "nu", "poly:1,1/2,-1/3,1/5,-1/6", "poly:1,0,0,-7/3,0,1000000")
+
+
+@pytest.mark.parametrize("spec", SPECS)
+class TestFixedCases:
+    ORDER = 24
+
+    def fam(self, spec):
+        return cached_family(spec, self.ORDER)
+
+    def test_mul(self, spec):
+        fam = self.fam(spec)
+        for a, b in ((fam.f, fam.phi), (fam.tau_f, fam.omega), (fam.fprime, fam.fprime)):
+            assert_same_rationals(a * b, naive_mul(a, b))
+
+    def test_compose(self, spec):
+        fam = self.fam(spec)
+        for outer, inner in ((fam.f, fam.phi), (fam.tau_f, fam.omega),
+                             (fam.fprime, fam.omega), (fam.omega, fam.f)):
+            assert_same_rationals(outer.compose(inner), naive_compose(outer, inner))
+
+    def test_revert(self, spec):
+        fam = self.fam(spec)
+        assert_same_rationals(fam.phi, naive_revert(fam.f))
+        assert_same_rationals(fam.omega, naive_revert(fam.tau_f))
+
+    def test_p_seq(self, spec):
+        fam = self.fam(spec)
+        got = p_seq(fam, self.ORDER)
+        want = naive_p_seq(fam, self.ORDER)
+        assert [p.coeffs for p in got.polys] == [p.coeffs for p in want]
+        assert all(type(c) is Q for p in got.polys for c in p.coeffs)
+
+
+class TestOtherDomainsStayGeneric:
+    def test_fraction_times_parampoly_domain(self):
+        a = PowerSeries("x", [Q(1), Q(2, 3), Q(0), Q(-5)])
+        b = PowerSeries("x", [ParamPoly.const(1), S, ParamPoly(), S * S], ParamPoly())
+        for got in (a * b, b * a):
+            assert isinstance(got.czero, ParamPoly)
+            assert got == naive_mul(a, b)
+        assert (a * b).coefficient(1) == S + Q(2, 3)
+
+    def test_parampoly_coefficient_over_fraction_zero(self):
+        a = PowerSeries("x", [Q(1), S, Q(2)])
+        b = PowerSeries("x", [Q(0), Q(1, 2), Q(3)])
+        assert type(a.czero) is Q
+        for got in (a * b, b * a):
+            assert got == naive_mul(a, b)
+            assert got.coefficient(2) == S * Q(1, 2) + Q(3)
+        comp = a.compose(b)
+        assert comp == naive_compose(a, b)
+        assert comp.coefficient(2) == S * Q(3) + Q(1, 2)
+        inner = PowerSeries("x", [Q(0), S, Q(1)])
+        comp = b.compose(inner)
+        assert comp == naive_compose(b, inner)
+        assert comp.coefficient(2) == S * S * Q(3) + Q(1, 2)

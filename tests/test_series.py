@@ -244,3 +244,18 @@ class TestProperties:
     def test_derive_integrate_identity(self, u):
         u = u - u.coefficient(0)
         assert u.integrate().derive().prefix_equal(u)
+
+
+class TestHash:
+    def test_equal_series_hash_equal_across_domains(self):
+        pzero = ParamPoly()
+        pairs = [
+            (series([0, 1]), PowerSeries("x", [pzero, ParamPoly.const(1)], pzero)),
+            (series([2, 0, Q(1, 3)]),
+             PowerSeries("x", [ParamPoly.const(2), pzero, ParamPoly.const(Q(1, 3))], pzero)),
+            (series([1, 2]), PowerSeries("x", [Q(1), Q(2)], pzero)),
+        ]
+        for a, b in pairs:
+            assert a == b
+            assert hash(a) == hash(b)
+        assert len({a for a, _ in pairs} | {b for _, b in pairs}) == len(pairs)
