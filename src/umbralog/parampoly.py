@@ -4,11 +4,16 @@ Coefficient domain for symbolic expansions: every coefficient is a
 ``fractions.Fraction`` and the symbol set is fixed, so terms are keyed by a
 dense multi-degree tuple ``(deg_s, deg_H, deg_A)``.  Adding a symbol is a
 code-level change by design.
+
+Products of two polynomials, and evaluation at rational points, run on
+integer numerators over one common denominator and return the same
+rationals as the term-by-term ``Fraction`` loops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 SYMBOLS = ("s", "H", "A")
 
@@ -24,6 +29,12 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
+def _lift(coeffs) -> tuple:
+    """Integer numerators over the lcm of the denominators of ``coeffs``."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 class ParamPoly:
     """Polynomial in s, H, A with Fraction coefficients, no stored zeros."""
 
@@ -34,6 +45,13 @@ class ParamPoly:
             self.terms = {k: v for k, v in terms.items() if v}
         else:
             self.terms = {}
+
+    @staticmethod
+    def _make(terms: dict) -> "ParamPoly":
+        """Wrap a dict the caller guarantees holds no zero values."""
+        p = object.__new__(ParamPoly)
+        p.terms = terms
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -85,7 +103,7 @@ class ParamPoly:
                 out[k] = w
             else:
                 out.pop(k, None)
-        return ParamPoly(out)
+        return ParamPoly._make(out)
 
     __radd__ = __add__
 
@@ -103,19 +121,23 @@ class ParamPoly:
             c = _as_fraction(other)
             if not c:
                 return ParamPoly()
-            return ParamPoly({k: v * c for k, v in self.terms.items()})
+            return ParamPoly._make({k: v * c for k, v in self.terms.items()})
         if not isinstance(other, ParamPoly):
             return NotImplemented
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return ParamPoly()
+        na, da = _lift(a.values())
+        nb, db = _lift(b.values())
+        nb = list(zip(b, nb))
         out: dict = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                w = out.get(k, _ZERO) + v1 * v2
-                if w:
-                    out[k] = w
-                else:
-                    out.pop(k, None)
-        return ParamPoly(out)
+        get = out.get
+        for (i, j, l), x in zip(a, na):
+            for (i2, j2, l2), y in nb:
+                k = (i + i2, j + j2, l + l2)
+                out[k] = get(k, 0) + x * y
+        den = da * db
+        return ParamPoly._make({k: Fraction(c, den) for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -143,6 +165,9 @@ class ParamPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its rational value, so it must hash like it
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash(frozenset(self.terms.items()))
 
     # -- substitution / evaluation --------------------------------------
@@ -163,19 +188,30 @@ class ParamPoly:
 
     def eval(self, **values) -> Fraction:
         """Evaluate with rational values for every symbol that occurs."""
-        acc = _ZERO
         vals = [
             _as_fraction(values[n]) if n in values else None for n in SYMBOLS
         ]
-        for k, v in self.terms.items():
-            term = v
-            for i, d in enumerate(k):
-                if d:
-                    if vals[i] is None:
-                        raise ValueError(f"no value given for {SYMBOLS[i]}")
-                    term *= vals[i] ** d
-            acc += term
-        return acc
+        if not self.terms:
+            return _ZERO
+        nums, den = _lift(self.terms.values())
+        # x_i = p_i / q_i; scale every term by q_i^maxdeg_i so that
+        # p_i^d q_i^(maxdeg_i - d) are integers
+        tables = []
+        for i, x in enumerate(vals):
+            top = max(k[i] for k in self.terms)
+            if not top:
+                tables.append((1,))
+                continue
+            if x is None:
+                raise ValueError(f"no value given for {SYMBOLS[i]}")
+            p, q = x.numerator, x.denominator
+            tables.append([p**d * q ** (top - d) for d in range(top + 1)])
+            den *= q**top
+        t0, t1, t2 = tables
+        acc = 0
+        for (i, j, l), c in zip(self.terms, nums):
+            acc += c * t0[i] * t1[j] * t2[l]
+        return Fraction(acc, den)
 
     def derive(self, name: str) -> "ParamPoly":
         """Partial derivative with respect to one symbol."""

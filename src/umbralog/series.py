@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .parampoly import ParamPoly
+from .parampoly import ParamPoly, _lift
 from .polys import Poly
 
 
@@ -104,12 +104,6 @@ def _widen_zero(z1, z2):
 
 def _rational(coeffs) -> bool:
     return all(type(c) is Fraction for c in coeffs)
-
-
-def _lift(coeffs) -> tuple:
-    """Integer numerators over the lcm of the denominators of ``coeffs``."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _conv(a, b, n: int) -> list:

@@ -17,7 +17,7 @@ from .grading import (
 )
 from .ncwords import head_word_poly, nu_bar_step
 from .operators import DiffOperator, ncpoly_to_diffop
-from .parampoly import ParamPoly, binom_poly, falling
+from .parampoly import ParamPoly
 from .polys import Poly
 from .series import OrderError, PowerSeries, SeriesError
 from .umbral import BinomialFamily, build_family, q_zero_table, rename
@@ -63,22 +63,25 @@ def tau_seq(fam: BinomialFamily, ell: PowerSeries, N: int) -> ShefferFamily:
 
     # symbolic: coefficient of alpha^{s-j} is
     #   sum_{k+m=j} binom(s-1,k) q_k(s) ell_m (s-k)(s-k-1)...(s-k-m+1)
+    # with binom(s-1,k) and the falling factorial each grown by one factor
+    # per step, so O(depth^2) products in all
     depth = N
     q = q_zero_table(fam, depth)
     if ell.order < depth:
         raise OrderError("ell truncation too small for the symbolic tau")
-    coeffs = []
-    for j in range(depth + 1):
-        acc = ParamPoly()
-        for k in range(j + 1):
-            m = j - k
-            acc = acc + (
-                binom_poly(S - 1, k)
-                * q[k]
-                * ell.coefficient(m)
-                * falling(S - Fraction(k), m)
-            )
-        coeffs.append(acc)
+    ells = [ell.coefficient(m) for m in range(depth + 1)]
+    coeffs = [ParamPoly() for _ in range(depth + 1)]
+    binom = ParamPoly.const(1)
+    for k in range(depth + 1):
+        if k:
+            binom = binom * (S - k) / k
+        lead = binom * q[k]
+        fall = ParamPoly.const(1)
+        for m in range(depth + 1 - k):
+            if m:
+                fall = fall * (S - (k + m - 1))
+            if ells[m]:
+                coeffs[k + m] = coeffs[k + m] + lead * fall * ells[m]
     tau_symbolic = AsymptoticSeries(LinForm.S, coeffs)
 
     sf = ShefferFamily(fam, ell, polys, tau_symbolic)

@@ -336,6 +336,8 @@ def limit_check(
     rational point 1/alpha, which must lie well inside the truncation's
     safe range (small rational alpha^{-1})."""
     alpha = Fraction(alpha)
+    if not alpha:
+        raise StirlingError("alpha = 0 has no evaluation point 1/alpha")
     point = 1 / alpha
     if abs(point) >= 1:
         raise StirlingError(

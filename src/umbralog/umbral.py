@@ -13,9 +13,9 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 from .asymptotic import AsymptoticSeries, LinForm
-from .parampoly import ParamPoly, binom_poly
+from .parampoly import ParamPoly, _lift, binom_poly
 from .polys import Poly
-from .series import OrderError, PowerSeries, SeriesError, _lift
+from .series import OrderError, PowerSeries, SeriesError
 
 S = ParamPoly.symbol("s")
 H = ParamPoly.symbol("H")

@@ -3,9 +3,11 @@
 Everything here deliberately avoids the code paths it is used to check:
 Bernoulli numbers come from the defining recurrence, reversion coefficients
 from the coefficient-extraction inversion formula, exponentials from raw
-partial sums.  ``naive_mul``, ``naive_compose``, ``naive_revert`` and
-``naive_p_seq`` are the term-by-term loops the integer kernels replaced,
-kept to check that the kernels return the same rationals.
+partial sums.  ``naive_mul``, ``naive_compose``, ``naive_revert``,
+``naive_p_seq``, ``naive_parampoly_mul``, ``naive_parampoly_eval`` and
+``naive_tau_symbolic`` are the term-by-term loops the integer kernels (and the
+O(depth^2) symbolic continuation of ``tau_seq``) replaced, kept to check that
+the fast paths return the same rationals.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from umbralog.parampoly import SYMBOLS, ParamPoly, binom_poly, falling
 from umbralog.polys import Poly
 from umbralog.presets import family
 from umbralog.series import PowerSeries
-from umbralog.umbral import BinomialFamily
+from umbralog.umbral import BinomialFamily, q_zero_table
 
 
 @lru_cache(maxsize=None)
@@ -131,3 +134,54 @@ def naive_p_seq(fam: BinomialFamily, N: int) -> list:
                 acc = acc + polys[k] * c
         polys.append(acc.mul_x())
     return polys
+
+
+def naive_parampoly_mul(a: ParamPoly, b: ParamPoly) -> ParamPoly:
+    """Product with one Fraction multiply and add per pair of terms."""
+    out: dict = {}
+    for k1, v1 in a.terms.items():
+        for k2, v2 in b.terms.items():
+            k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
+            w = out.get(k, Fraction(0)) + v1 * v2
+            if w:
+                out[k] = w
+            else:
+                out.pop(k, None)
+    return ParamPoly(out)
+
+
+def naive_parampoly_eval(p: ParamPoly, **values) -> Fraction:
+    """Sum of the terms, each evaluated in Fraction arithmetic."""
+    acc = Fraction(0)
+    for k, v in p.terms.items():
+        term = v
+        for name, d in zip(SYMBOLS, k):
+            if d:
+                term *= Fraction(values[name]) ** d
+        acc += term
+    return acc
+
+
+def naive_tau_symbolic(fam: BinomialFamily, ell: PowerSeries, depth: int) -> list:
+    """Coefficients of alpha^{s-j}, j <= depth, of the symbolic tau:
+
+        sum_{k+m=j} binom(s-1,k) q_k(s) ell_m (s-k)(s-k-1)...(s-k-m+1)
+
+    with every binomial and falling factorial rebuilt from scratch.  Its
+    products go through ``ParamPoly.__mul__``, which is checked on its own
+    against ``naive_parampoly_mul``."""
+    S = ParamPoly.symbol("s")
+    q = q_zero_table(fam, depth)
+    coeffs = []
+    for j in range(depth + 1):
+        acc = ParamPoly()
+        for k in range(j + 1):
+            m = j - k
+            acc = acc + (
+                binom_poly(S - 1, k)
+                * q[k]
+                * ell.coefficient(m)
+                * falling(S - Fraction(k), m)
+            )
+        coeffs.append(acc)
+    return coeffs

@@ -1,9 +1,12 @@
 """Command-line surface: output shapes, config handling, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import umbralog
 from umbralog.cli import main
 from umbralog.report import CheckRecord, Report
 
@@ -117,10 +120,14 @@ def test_verify_reports_failures_with_nonzero_exit(capsys, monkeypatch):
 
 
 def test_console_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(umbralog.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "umbralog.cli", "pseq", "--f", "id", "--order", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "p_2(a) = a^2" in proc.stdout
@@ -152,3 +159,11 @@ def test_negative_order_and_depth_rejected(capsys):
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {flag} must be >= 0, got -3\n"
+
+
+def test_limits_zero_alpha_rejected(capsys):
+    code = main(["limits", "--alpha", "0", "--n-max", "8", "--order", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: alpha = 0 has no evaluation point 1/alpha\n"

@@ -225,6 +225,12 @@ class TestLimits:
         with pytest.raises(StirlingError):
             limit_check(cached_family("exp1", 20), "conclusion", Q(1, 2), 8)
 
+    def test_zero_alpha_rejected(self):
+        from umbralog.stirling import StirlingError
+
+        with pytest.raises(StirlingError, match="alpha = 0"):
+            limit_check(cached_family("exp1", 20), "conclusion", Q(0), 8)
+
     def test_n_max_below_first_sample_rejected(self):
         from umbralog.stirling import StirlingError
 
