@@ -9,7 +9,7 @@ all of these against independent brute-force oracles.
 
 __version__ = "0.1.0"
 
-from .asymptotic import AsymptoticSeries, LinForm, asym_ops
+from .asymptotic import AsymptoticSeries, LinForm
 from .parampoly import ParamPoly
 from .polys import Poly
 from .presets import build_f, family
@@ -25,7 +25,6 @@ __all__ = [
     "Poly",
     "PowerSeries",
     "SeriesError",
-    "asym_ops",
     "build_f",
     "build_family",
     "family",

@@ -15,10 +15,6 @@ from .polys import Poly
 from .series import OrderError, SeriesError
 
 
-def as_pp(c) -> ParamPoly:
-    return ParamPoly.coerce(c)
-
-
 class LinForm:
     """const + cs*s + cH*H with Fraction coefficients."""
 
@@ -57,6 +53,9 @@ class LinForm:
         )
 
     def __hash__(self):
+        # a constant equals its rational value, so it must hash like it
+        if not (self.cs or self.cH):
+            return hash(self.const)
         return hash((self.const, self.cs, self.cH))
 
     def is_zero(self) -> bool:
@@ -96,7 +95,7 @@ LinForm.H = LinForm(0, 0, 1)
 
 
 def _lc_trim(parts) -> tuple:
-    parts = [as_pp(p) for p in parts]
+    parts = [ParamPoly.coerce(p) for p in parts]
     while len(parts) > 1 and parts[-1].is_zero():
         parts.pop()
     return tuple(parts)
@@ -150,7 +149,7 @@ class AsymptoticSeries:
 
     @staticmethod
     def from_plain(exponent: LinForm, plain_coeffs) -> "AsymptoticSeries":
-        return AsymptoticSeries(exponent, [as_pp(c) for c in plain_coeffs])
+        return AsymptoticSeries(exponent, [ParamPoly.coerce(c) for c in plain_coeffs])
 
     @staticmethod
     def from_alpha_poly(p: Poly, depth: int | None = None) -> "AsymptoticSeries":
@@ -244,7 +243,7 @@ class AsymptoticSeries:
 
     def scale(self, c) -> "AsymptoticSeries":
         return AsymptoticSeries(
-            self.exponent, [_lc_scale(x, as_pp(c)) for x in self.coeffs]
+            self.exponent, [_lc_scale(x, ParamPoly.coerce(c)) for x in self.coeffs]
         )
 
     def shift_exponent(self, delta) -> "AsymptoticSeries":
@@ -417,18 +416,3 @@ class AsymptoticSeries:
         if self.depth >= 8:
             bits.append("...")
         return " + ".join(bits) if bits else "0"
-
-
-def asym_ops(a: AsymptoticSeries, b: AsymptoticSeries | None, op: str) -> AsymptoticSeries:
-    """Free-function surface over the graded-expansion arithmetic."""
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "log":
-        return a.log()
-    if op == "d/dalpha":
-        return a.derive_alpha()
-    if op == "d/ds":
-        return a.derive_s()
-    raise ValueError(f"unknown op {op!r}")

@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .ncwords import head_word_poly
 from .operators import build_Tn
-from .presets import family
+from .presets import family, parse_rational
 from .report import fmt_q, series_obj
 from .sheffer import bernoulli_log_experiment, tau_seq, theta_check
 from .stirling import limit_check, stirling_terms
@@ -220,7 +219,7 @@ def cmd_stirling(args) -> int:
 def cmd_limits(args) -> int:
     n_max = args.n_max
     fam = family(args.f, max(args.order, n_max + 2))
-    alpha = Fraction(args.alpha)
+    alpha = parse_rational(args.alpha)
     payload = {}
     for which in ("conclusion", "first", "second"):
         lr = limit_check(fam, which, alpha, n_max)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .asymptotic import AsymptoticSeries, LinForm, as_pp
+from .asymptotic import AsymptoticSeries, LinForm
 from .grading import (
     GradedSeries,
     geometric_sum,
@@ -86,7 +86,7 @@ class ConjugationContext:
         if length - 1 > back.order:
             raise OrderError("series too short to read the requested column")
         return [
-            as_pp(back.coefficient(n)) * Fraction(factorial(n))
+            ParamPoly.coerce(back.coefficient(n)) * Fraction(factorial(n))
             if isinstance(self.s_val, ParamPoly)
             else back.coefficient(n) * Fraction(factorial(n))
             for n in range(length)
@@ -163,7 +163,11 @@ def ell_s(fam: BinomialFamily, g: PowerSeries, depth: int, s_val=S):
     if g.order < depth:
         raise OrderError("g truncated below the requested depth")
     col0 = [
-        (as_pp(g.coefficient(n)) if isinstance(s_val, ParamPoly) else g.coefficient(n))
+        (
+            ParamPoly.coerce(g.coefficient(n))
+            if isinstance(s_val, ParamPoly)
+            else g.coefficient(n)
+        )
         * Fraction(factorial(n))
         for n in range(depth + 1)
     ]
@@ -181,19 +185,19 @@ def ell_s(fam: BinomialFamily, g: PowerSeries, depth: int, s_val=S):
         )
 
     num = AsymptoticSeries(
-        LinForm.ZERO, [as_pp(bin_sn(n) * col0[n]) for n in range(depth + 1)]
+        LinForm.ZERO, [ParamPoly.coerce(bin_sn(n) * col0[n]) for n in range(depth + 1)]
     )
     den = AsymptoticSeries(
-        LinForm.ZERO, [as_pp(bin_sn(k) * q[k]) for k in range(depth + 1)]
+        LinForm.ZERO, [ParamPoly.coerce(bin_sn(k) * q[k]) for k in range(depth + 1)]
     )
     alt = num / den
     pipeline_ok = all(
-        alt.coefficient(k) == as_pp(series[k]) for k in range(depth + 1)
+        alt.coefficient(k) == ParamPoly.coerce(series[k]) for k in range(depth + 1)
     )
 
     # product consistency: ell_s * sum binom(s-1,k) q_k a^{-k}
     #                      = sum binom(s-1,k) g_k^0 a^{-k}
-    lhs = AsymptoticSeries(LinForm.ZERO, [as_pp(c) for c in series]) * den
+    lhs = AsymptoticSeries(LinForm.ZERO, [ParamPoly.coerce(c) for c in series]) * den
     consistency_ok = all(
         lhs.coefficient(k) == num.coefficient(k) for k in range(depth + 1)
     )

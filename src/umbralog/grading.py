@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .asymptotic import AsymptoticSeries, LinForm, as_pp
+from .asymptotic import AsymptoticSeries, LinForm
 from .parampoly import ParamPoly
 from .series import OrderError, PowerSeries, SeriesError
 from .umbral import BinomialFamily, q_table, rename
@@ -48,7 +48,9 @@ class GradedSeries:
         coeffs = []
         for n in range(depth + 1):
             p = self.parts.get(n)
-            coeffs.append(as_pp(p.coefficient(0)) if p is not None else ParamPoly())
+            coeffs.append(
+                ParamPoly.coerce(p.coefficient(0)) if p is not None else ParamPoly()
+            )
         return AsymptoticSeries(self.base, coeffs)
 
     def at_s_over_alpha(self, depth: int) -> AsymptoticSeries:
@@ -64,7 +66,7 @@ class GradedSeries:
                 )
             for k in range(depth - n + 1):
                 c = p.coefficient(k)
-                coeffs[n + k] = coeffs[n + k] + as_pp(c) * S**k
+                coeffs[n + k] = coeffs[n + k] + ParamPoly.coerce(c) * S**k
         return AsymptoticSeries(self.base, coeffs)
 
 

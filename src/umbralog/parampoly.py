@@ -74,6 +74,9 @@ class ParamPoly:
 
     # -- predicates ----------------------------------------------------
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -144,6 +147,9 @@ class ParamPoly:
     def __truediv__(self, other):
         c = _as_fraction(other)
         return ParamPoly({k: v / c for k, v in self.terms.items()})
+
+    def __rtruediv__(self, other):
+        return ParamPoly.const(_as_fraction(other) / self.constant_value())
 
     def __pow__(self, n: int):
         if n < 0:
@@ -234,9 +240,6 @@ class ParamPoly:
         return ParamPoly(out)
 
     # -- misc ------------------------------------------------------------
-
-    def inv(self):
-        return ParamPoly.const(1 / self.constant_value())
 
     def __repr__(self):
         if not self.terms:

@@ -38,6 +38,9 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -90,6 +93,11 @@ class Poly:
     def __truediv__(self, other):
         return Poly([c / other for c in self.coeffs])
 
+    def __rtruediv__(self, other):
+        if self.degree() != 0:
+            raise ValueError("only degree-0 polynomials are invertible")
+        return Poly.const(other / self.coeffs[0])
+
     def __pow__(self, n: int):
         out = Poly.const(1)
         base = self
@@ -108,6 +116,9 @@ class Poly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its rational value, so it must hash like it
+        if self.degree() <= 0:
+            return hash(self.coefficient(0))
         return hash(self.coeffs)
 
     def mul_x(self, k: int = 1) -> "Poly":
@@ -123,11 +134,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x0 + c
         return acc
-
-    def inv(self):
-        if self.degree() != 0:
-            raise ValueError("only degree-0 polynomials are invertible")
-        return Poly.const(1 / self.coeffs[0])
 
     def __repr__(self):
         if not self.coeffs:
@@ -235,12 +241,6 @@ class BiPoly:
                 out[j] = out.get(j, _ZERO) + v
         n = max(out) + 1 if out else 0
         return Poly([out.get(k, _ZERO) for k in range(n)])
-
-    def subs_values(self, x0, p0) -> Fraction:
-        acc = _ZERO
-        for (i, j), v in self.terms.items():
-            acc += v * x0**i * p0**j
-        return acc
 
     def __repr__(self):
         if not self.terms:

@@ -67,6 +67,14 @@ def f_random(degree: int, seed: int, order: int, height: int = 10) -> PowerSerie
     return f_poly(coeffs, order)
 
 
+def parse_rational(text) -> Fraction:
+    """A rational given by the user; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def build_f(spec: str, order: int) -> PowerSeries:
     spec = spec.strip()
     if spec == "id":
@@ -80,7 +88,7 @@ def build_f(spec: str, order: int) -> PowerSeries:
     if spec.startswith("poly:"):
         spec = spec[len("poly:") :]
     if "," in spec or "/" in spec or spec.lstrip("-").isdigit():
-        return f_poly([Fraction(c.strip()) for c in spec.split(",")], order)
+        return f_poly([parse_rational(c.strip()) for c in spec.split(",")], order)
     raise SeriesError(
         f"unknown family spec {spec!r} (presets: {', '.join(PRESET_NAMES)}, "
         "or poly:c1,c2,...)"

@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .parampoly import ParamPoly
 from .series import PowerSeries
 
 
@@ -19,16 +18,10 @@ def fmt_q(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_q(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def series_obj(u: PowerSeries) -> dict:
     def enc(c):
         if isinstance(c, Fraction):
             return fmt_q(c)
-        if isinstance(c, ParamPoly):
-            return repr(c)
         if isinstance(c, PowerSeries):
             return series_obj(c)
         return str(c)

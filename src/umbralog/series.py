@@ -7,8 +7,10 @@ coefficient past that order raises ``OrderError`` instead of silently
 producing zero.
 
 Coefficient domains: ``fractions.Fraction``, ``ParamPoly``, ``Poly`` and
-nested ``PowerSeries`` (for bivariate work) all satisfy the small protocol
-used here (ring operators plus ``is_zero``/``inv``).
+nested ``PowerSeries`` (for bivariate work).  Each is reached only through
+Python's numeric operators, with ``Fraction``'s meaning: ``not c`` tests for
+zero, ``c * 0`` and ``z + 1`` give the domain's zero and one, and
+``Fraction(1) / c`` inverts a unit.  Mixing two domains keeps the wider one.
 
 Products and compositions whose coefficients are all ``Fraction`` run on
 integer numerators over one common denominator instead of one normalising
@@ -21,8 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .parampoly import ParamPoly, _lift
-from .polys import Poly
+from .parampoly import _lift
 
 
 class SeriesError(ValueError):
@@ -37,66 +38,15 @@ _QZERO = Fraction(0)
 _QONE = Fraction(1)
 
 
-def czero_of(c):
-    if isinstance(c, Fraction):
-        return _QZERO
-    if isinstance(c, ParamPoly):
-        return ParamPoly()
-    if isinstance(c, Poly):
-        return Poly()
-    if isinstance(c, PowerSeries):
-        return c.zero_like()
-    if isinstance(c, int):
-        return _QZERO
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
-
-
-def cone_of(zero):
-    if isinstance(zero, Fraction):
-        return _QONE
-    if isinstance(zero, ParamPoly):
-        return ParamPoly.const(1)
-    if isinstance(zero, Poly):
-        return Poly.const(1)
-    if isinstance(zero, PowerSeries):
-        return zero.one_like()
-    raise TypeError(f"unsupported coefficient type {type(zero).__name__}")
-
-
-def cis_zero(c) -> bool:
-    if isinstance(c, Fraction):
-        return c == 0
-    return c.is_zero()
-
-
-def cinv(c):
-    """Multiplicative inverse of a coefficient; raises if not a unit."""
-    if isinstance(c, Fraction):
-        if c == 0:
-            raise SeriesError("division by zero coefficient")
-        return 1 / c
-    return c.inv()
-
-
-def _widen_zero(z1, z2):
-    if type(z1) is type(z2):
-        if isinstance(z1, PowerSeries):
-            z1._check_var(z2)
-            inner = _widen_zero(z1.czero, z2.czero)
-            short = z1 if z1.order <= z2.order else z2
-            return PowerSeries.zero(short.var, short.order, inner)
-        return z1
-    if isinstance(z1, Fraction):
-        return z2
-    if isinstance(z2, Fraction):
-        return z1
-    if isinstance(z1, PowerSeries):
-        return PowerSeries.zero(z1.var, z1.order, _widen_zero(z1.czero, z2))
-    if isinstance(z2, PowerSeries):
-        return PowerSeries.zero(z2.var, z2.order, _widen_zero(z2.czero, z1))
-    raise TypeError(
-        f"incompatible coefficient domains {type(z1).__name__} / {type(z2).__name__}"
-    )
+def _join_zero(zero, c):
+    """The zero of the domain that holds both ``zero``'s domain and ``c``."""
+    if type(zero) is type(c) is not PowerSeries:
+        return zero
+    nested1, nested2 = isinstance(zero, PowerSeries), isinstance(c, PowerSeries)
+    if nested1 != nested2:
+        z, x = (zero, c) if nested1 else (c, zero)
+        return PowerSeries.zero(z.var, z.order, _join_zero(z.czero, x))
+    return zero + c * 0
 
 
 # -- integer kernel for the Fraction domain -------------------------------------
@@ -170,16 +120,15 @@ class PowerSeries:
     @staticmethod
     def one(var: str, order: int, czero=_QZERO) -> "PowerSeries":
         return PowerSeries(
-            var, (cone_of(czero),) + (czero,) * order, czero
+            var, (czero + 1,) + (czero,) * order, czero
         )
 
     @staticmethod
     def identity(var: str, order: int, czero=_QZERO) -> "PowerSeries":
         if order < 1:
             raise SeriesError("identity needs order >= 1")
-        one = cone_of(czero)
         return PowerSeries(
-            var, (czero, one) + (czero,) * (order - 1), czero
+            var, (czero, czero + 1) + (czero,) * (order - 1), czero
         )
 
     def zero_like(self) -> "PowerSeries":
@@ -204,9 +153,6 @@ class PowerSeries:
             )
         return self.coeffs[k]
 
-    def constant(self):
-        return self.coeffs[0]
-
     def truncate(self, n: int) -> "PowerSeries":
         if n > self.order:
             raise OrderError(
@@ -216,8 +162,11 @@ class PowerSeries:
             return self
         return PowerSeries(self.var, self.coeffs[: n + 1], self.czero)
 
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
     def is_zero(self) -> bool:
-        return all(cis_zero(c) for c in self.coeffs)
+        return not self
 
     def _check_var(self, other: "PowerSeries"):
         if self.var != other.var:
@@ -232,16 +181,16 @@ class PowerSeries:
             self.var == other.var
             and self.order == other.order
             and all(
-                a == b or (cis_zero(a) and cis_zero(b))
+                a == b or (not a and not b)
                 for a, b in zip(self.coeffs, other.coeffs)
             )
         )
 
     def __hash__(self):
-        # __eq__ holds across coefficient domains (Fraction 1 equals
-        # ParamPoly 1), whose hashes differ: hash only the variable, the
+        # __eq__ equates zeros of different domains (a Fraction 0 and a zero
+        # nested series), whose hashes differ: hash only the variable, the
         # order and which coefficients vanish.
-        support = tuple(k for k, c in enumerate(self.coeffs) if not cis_zero(c))
+        support = tuple(k for k, c in enumerate(self.coeffs) if c)
         return hash((self.var, self.order, support))
 
     def prefix_equal(self, other: "PowerSeries", upto: int | None = None) -> bool:
@@ -271,7 +220,7 @@ class PowerSeries:
         return PowerSeries(
             self.var,
             [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)],
-            _widen_zero(self.czero, other.czero),
+            _join_zero(self.czero, other.czero),
         )
 
     def _add_scalar(self, c):
@@ -293,7 +242,7 @@ class PowerSeries:
         return (-self)._add_scalar(other)
 
     def scale(self, c) -> "PowerSeries":
-        zero = _widen_zero(self.czero, czero_of(c))
+        zero = _join_zero(self.czero, c)
         return PowerSeries(self.var, [x * c for x in self.coeffs], zero)
 
     # -- multiplication / division --------------------------------------------
@@ -303,7 +252,7 @@ class PowerSeries:
             return self.scale(other)
         self._check_var(other)
         n = min(self.order, other.order)
-        zero = _widen_zero(self.czero, other.czero)
+        zero = _join_zero(self.czero, other.czero)
         lhs, rhs = self.coeffs[: n + 1], other.coeffs[: n + 1]
         if type(zero) is Fraction and _rational(lhs) and _rational(rhs):
             (an, da), (bn, db) = _lift(lhs), _lift(rhs)
@@ -314,11 +263,11 @@ class PowerSeries:
         out = [zero] * (n + 1)
         for i in range(n + 1):
             a = self.coeffs[i]
-            if cis_zero(a):
+            if not a:
                 continue
             for j in range(n + 1 - i):
                 b = other.coeffs[j]
-                if cis_zero(b):
+                if not b:
                     continue
                 out[i + j] = out[i + j] + a * b
         return PowerSeries(self.var, out, zero)
@@ -327,15 +276,15 @@ class PowerSeries:
 
     def __truediv__(self, other):
         if not isinstance(other, PowerSeries):
-            return self.scale(cinv(other) if not isinstance(other, (int, Fraction)) else Fraction(1) / other)
+            return self.scale(_QONE / other)
         self._check_var(other)
-        if cis_zero(other.coeffs[0]):
+        if not other.coeffs[0]:
             raise SeriesError(
                 "division by a series with zero constant term"
             )
-        inv0 = cinv(other.coeffs[0])
+        inv0 = _QONE / other.coeffs[0]
         n = min(self.order, other.order)
-        zero = _widen_zero(self.czero, other.czero)
+        zero = _join_zero(self.czero, other.czero)
         out: list = []
         for k in range(n + 1):
             acc = self.coeffs[k]
@@ -343,6 +292,9 @@ class PowerSeries:
                 acc = acc - out[j] * other.coeffs[k - j]
             out.append(acc * inv0)
         return PowerSeries(self.var, out, zero)
+
+    def __rtruediv__(self, c):
+        return self.inv().scale(c)
 
     def inv(self) -> "PowerSeries":
         return self.one_like() / self
@@ -370,7 +322,7 @@ class PowerSeries:
     def div_var(self, k: int = 1) -> "PowerSeries":
         """Divide by var^k; the first k coefficients must vanish."""
         for j in range(k):
-            if not cis_zero(self.coeffs[j]):
+            if self.coeffs[j]:
                 raise SeriesError(
                     f"series not divisible by {self.var}^{k}"
                 )
@@ -380,7 +332,7 @@ class PowerSeries:
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """self(inner); requires inner constant term zero."""
-        if not cis_zero(inner.coeffs[0]):
+        if inner.coeffs[0]:
             raise SeriesError(
                 "composition requires inner constant term zero"
             )
@@ -395,7 +347,7 @@ class PowerSeries:
                 _compose_rational(self.coeffs, inner.coeffs, n),
                 inner.czero,
             )
-        zero = _widen_zero(czero_of(self.coeffs[0] * inner.coeffs[0]), inner.czero)
+        zero = _join_zero(inner.czero, self.coeffs[0] * inner.coeffs[0])
         acc = PowerSeries.zero(inner.var, n, zero)
         trunc_inner = inner.truncate(n)
         for k in range(self.order, -1, -1):
@@ -411,18 +363,17 @@ class PowerSeries:
         """
         if self.order < 1:
             raise OrderError("reversion needs order >= 1")
-        if not cis_zero(self.coeffs[0]):
+        if self.coeffs[0]:
             raise SeriesError("reversion requires zero constant term")
         c1 = self.coeffs[1]
-        if cis_zero(c1):
+        if not c1:
             raise SeriesError("reversion requires a unit linear coefficient")
-        one = cone_of(self.czero)
-        if c1 != one:
+        if c1 != self.czero + 1:
             if not normalize:
                 raise SeriesError(
                     "linear coefficient is not 1 (pass normalize=True)"
                 )
-            u = cinv(c1)
+            u = _QONE / c1
             # (c*w(x))^inv = w^inv(x/c)
             scaled = self.scale(u)
             inner = PowerSeries.identity(self.var, self.order, self.czero).scale(u)
@@ -471,13 +422,14 @@ class PowerSeries:
         c0 = self.coeffs[0]
         if isinstance(c0, PowerSeries):
             e0 = c0.exp()
-        elif cis_zero(c0):
-            e0 = cone_of(self.czero)
+        elif not c0:
+            e0 = self.czero + 1
         else:
             raise SeriesError("exp requires a zero constant term")
+        zero = e0 * _QZERO
         out = [e0]
         for n in range(1, self.order + 1):
-            acc = czero_of(e0)
+            acc = zero
             for k in range(1, n + 1):
                 acc = acc + (k * self.coeffs[k]) * out[n - k]
             out.append(acc / Fraction(n))
@@ -487,8 +439,8 @@ class PowerSeries:
         c0 = self.coeffs[0]
         if isinstance(c0, PowerSeries):
             l0 = c0.log()
-        elif c0 == cone_of(self.czero):
-            l0 = czero_of(self.coeffs[0])
+        elif c0 == self.czero + 1:
+            l0 = c0 * _QZERO
         else:
             raise SeriesError("log requires constant term 1")
         if self.order == 0:
@@ -504,10 +456,7 @@ class PowerSeries:
             inner_one = inner_one.coeffs[0]
         if inner_one != _QONE:
             raise SeriesError("symbolic powers need constant term 1")
-        lg = self.log()
-        if isinstance(e, int):
-            e = Fraction(e)
-        return lg.scale(e).exp()
+        return self.log().scale(e).exp()
 
     # -- evaluation / reshaping -------------------------------------------------------
 
@@ -523,13 +472,13 @@ class PowerSeries:
     def map_coeffs(self, fn, czero=None) -> "PowerSeries":
         coeffs = [fn(c) for c in self.coeffs]
         return PowerSeries(
-            self.var, coeffs, czero if czero is not None else czero_of(coeffs[0])
+            self.var, coeffs, czero if czero is not None else coeffs[0] * _QZERO
         )
 
     def __repr__(self):
         bits = []
         for k, c in enumerate(self.coeffs):
-            if cis_zero(c):
+            if not c:
                 continue
             if k == 0:
                 bits.append(f"{c}")

@@ -78,13 +78,8 @@ def test_equal_to_depth_handles_exponent_offsets():
     assert AsymptoticSeries.equal_to_depth(a, b, 1)
 
 
-def test_asym_ops_surface():
-    from umbralog.asymptotic import asym_ops
-
+def test_div_log_derive_alpha_methods():
     p = AsymptoticSeries.from_plain(LinForm.S, [Q(1), S])
-    assert asym_ops(p, p, "div").coefficient(0) == ParamPoly.const(1)
-    assert asym_ops(p, None, "d/dalpha").exponent == LinForm.S - 1
-    lg = asym_ops(p, None, "log")
-    assert lg.coefficient(1) == S
-    with pytest.raises(ValueError):
-        asym_ops(p, p, "qux")
+    assert (p / p).coefficient(0) == ParamPoly.const(1)
+    assert p.derive_alpha().exponent == LinForm.S - 1
+    assert p.log().coefficient(1) == S

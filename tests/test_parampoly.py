@@ -21,6 +21,7 @@ from oracles import (
 )
 from umbralog.asymptotic import AsymptoticSeries, LinForm
 from umbralog.parampoly import SYMBOLS, ParamPoly
+from umbralog.polys import Poly
 from umbralog.series import PowerSeries
 from umbralog.sheffer import tau_seq
 
@@ -128,6 +129,16 @@ class TestHash:
         assert table[(S + Q(1, 2)) - S] == "half"
         assert table[S - S] == "zero"
         assert len({Q(3), ParamPoly.const(3), S * 0 + 3}) == 1
+
+    def test_poly_and_linform_constants_hash_as_rationals(self):
+        for x in (Q(0), Q(2), Q(-7, 3)):
+            for c in (Poly.const(x), LinForm(x)):
+                assert c == x and hash(c) == hash(x)
+        assert Poly() == 0 and hash(Poly()) == hash(0)
+        assert {Poly.const(2): 1}.get(Q(2)) == 1
+        assert {LinForm(2): 1}.get(Q(2)) == 1
+        assert hash(Poly([Q(1), Q(2)])) == hash(Poly([1, 2]))
+        assert hash(LinForm.S + 1) == hash(LinForm(1, 1, 0))
 
     @given(param_polys(), param_polys())
     @settings(max_examples=50, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import bernoulli_numbers, exp_by_partial_sums, lagrange_inverse_coefficients
 from umbralog.parampoly import ParamPoly
+from umbralog.polys import Poly
 from umbralog.series import OrderError, PowerSeries, SeriesError
 
 S = ParamPoly.symbol("s")
@@ -259,3 +260,43 @@ class TestHash:
             assert a == b
             assert hash(a) == hash(b)
         assert len({a for a, _ in pairs} | {b for _, b in pairs}) == len(pairs)
+
+
+class TestCoefficientProtocol:
+    """Every coefficient domain answers Fraction's operators."""
+
+    def test_bool_means_nonzero(self):
+        values = [
+            ParamPoly(), ParamPoly.const(0), ParamPoly.const(3), S - S, S,
+            Poly(), Poly.const(0), Poly.const(Q(1, 2)), Poly.x(),
+            series([0, 0]), series([0, 1]),
+            PowerSeries("t", [series([0, 0]), series([0, 0])], series([0, 0])),
+            PowerSeries("t", [series([0, 0]), series([0, 2])], series([0, 0])),
+        ]
+        for c in values:
+            assert bool(c) == (not c.is_zero())
+        assert not ParamPoly() and not Poly() and not series([0, 0])
+
+    def test_rational_over_constant(self):
+        assert Q(1) / ParamPoly.const(Q(-2, 3)) == ParamPoly.const(Q(-3, 2))
+        assert Q(1) / Poly.const(4) == Poly.const(Q(1, 4))
+        with pytest.raises(ValueError):
+            Q(1) / S
+        with pytest.raises(ValueError):
+            Q(1) / Poly.x()
+        u = series([2, 4, 6]) / ParamPoly.const(2)
+        assert u.coeffs == (ParamPoly.const(1), ParamPoly.const(2), ParamPoly.const(3))
+
+    def test_bivariate_series_widened_by_parampoly(self):
+        inner = series([0, 0], "y")
+        b = PowerSeries("x", [series([1, 1], "y"), series([0, 1], "y")], inner)
+        w = b.scale(S)
+        assert isinstance(w.czero, PowerSeries)
+        assert isinstance(w.czero.czero, ParamPoly)
+        for c in w.coeffs:
+            assert type(c.czero) is ParamPoly
+            assert all(type(x) is ParamPoly for x in c.coeffs)
+        assert w.coefficient(1).coefficient(1) == S
+        p = b.pow_param(S + 1)
+        assert isinstance(p.czero.czero, ParamPoly)
+        assert p.coefficient(0).coefficient(1) == S + 1
