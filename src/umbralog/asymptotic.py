@@ -1,18 +1,18 @@
 """Asymptotic series alpha^e * sum c_k alpha^{-k} with symbolic exponents.
 
-The exponent is an exact linear form in the parameters s and H; the
-coefficients are ``ParamPoly`` values, optionally carrying powers of a formal
-``ln(alpha)`` adjunct (introduced only by differentiation in s, or by taking
-the logarithm itself).
+The exponent is an exact linear form in the parameters s and H; the sum is a
+``PowerSeries`` in the variable ``1/a`` (alpha^{-1}) whose coefficients are
+``ParamPoly`` values.  ln(alpha) is the ``ParamPoly`` symbol ``L``: it enters
+only by differentiation in s, or by taking the logarithm itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .parampoly import ParamPoly
+from .parampoly import L, ParamPoly
 from .polys import Poly
-from .series import OrderError, SeriesError
+from .series import OrderError, PowerSeries, SeriesError
 
 
 class LinForm:
@@ -94,62 +94,31 @@ LinForm.S = LinForm(0, 1, 0)
 LinForm.H = LinForm(0, 0, 1)
 
 
-def _lc_trim(parts) -> tuple:
-    parts = [ParamPoly.coerce(p) for p in parts]
-    while len(parts) > 1 and parts[-1].is_zero():
-        parts.pop()
-    return tuple(parts)
-
-
-def _lc_add(a, b):
-    n = max(len(a), len(b))
-    return _lc_trim(
-        [
-            (a[i] if i < len(a) else ParamPoly())
-            + (b[i] if i < len(b) else ParamPoly())
-            for i in range(n)
-        ]
-    )
-
-
-def _lc_mul(a, b):
-    out = [ParamPoly() for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _lc_trim(out)
-
-
-def _lc_scale(a, c):
-    return _lc_trim([x * c for x in a])
-
-
-def _lc_is_zero(a) -> bool:
-    return all(x.is_zero() for x in a)
+_VAR = "1/a"
+_ZERO = ParamPoly()
+_ONE = ParamPoly.const(1)
 
 
 class AsymptoticSeries:
     """alpha^exponent * (c_0 + c_1 alpha^{-1} + ... + c_depth alpha^{-depth})."""
 
-    __slots__ = ("exponent", "coeffs")
+    __slots__ = ("exponent", "body")
 
     def __init__(self, exponent: LinForm, coeffs):
-        norm = []
-        for c in coeffs:
-            if isinstance(c, tuple):
-                norm.append(_lc_trim(c))
-            else:
-                norm.append(_lc_trim([c]))
-        if not norm:
+        coeffs = [ParamPoly.coerce(c) for c in coeffs]
+        if not coeffs:
             raise SeriesError("an asymptotic series needs a leading coefficient")
         self.exponent = exponent
-        self.coeffs = tuple(norm)
-
-    # -- constructors -----------------------------------------------------
+        self.body = PowerSeries(_VAR, coeffs, _ZERO)
 
     @staticmethod
-    def from_plain(exponent: LinForm, plain_coeffs) -> "AsymptoticSeries":
-        return AsymptoticSeries(exponent, [ParamPoly.coerce(c) for c in plain_coeffs])
+    def _of(exponent: LinForm, body: PowerSeries) -> "AsymptoticSeries":
+        out = object.__new__(AsymptoticSeries)
+        out.exponent = exponent
+        out.body = body
+        return out
+
+    # -- constructors -----------------------------------------------------
 
     @staticmethod
     def from_alpha_poly(p: Poly, depth: int | None = None) -> "AsymptoticSeries":
@@ -163,11 +132,11 @@ class AsymptoticSeries:
             p.coefficient(d - k) if k <= d else Fraction(0)
             for k in range(depth + 1)
         ]
-        return AsymptoticSeries.from_plain(LinForm(d), coeffs)
+        return AsymptoticSeries(LinForm(d), coeffs)
 
     @staticmethod
     def zero(exponent: LinForm, depth: int) -> "AsymptoticSeries":
-        return AsymptoticSeries(exponent, [ParamPoly()] * (depth + 1))
+        return AsymptoticSeries._of(exponent, PowerSeries.zero(_VAR, depth, _ZERO))
 
     @staticmethod
     def from_poly_ratio(num: Poly, den: Poly, depth: int) -> "AsymptoticSeries":
@@ -182,160 +151,93 @@ class AsymptoticSeries:
 
     @property
     def depth(self) -> int:
-        return len(self.coeffs) - 1
+        return self.body.order
+
+    @property
+    def coeffs(self) -> tuple:
+        return self.body.coeffs
 
     def coefficient(self, k: int) -> ParamPoly:
-        """The lnalpha-free part of c_k (errors if a log term is present)."""
-        c = self.log_coefficient(k)
-        if len(c) > 1:
+        """c_k, which must be free of ln(alpha)."""
+        c = self.body.coefficient(k)
+        if c.degree("L") > 0:
             raise SeriesError(f"coefficient {k} carries ln(alpha) terms")
-        return c[0]
-
-    def log_coefficient(self, k: int) -> tuple:
-        if k < 0:
-            raise SeriesError("negative depth index")
-        if k > self.depth:
-            raise OrderError(
-                f"coefficient {k} of an expansion valid to depth {self.depth}"
-            )
-        return self.coeffs[k]
-
-    def has_log_terms(self) -> bool:
-        return any(len(c) > 1 for c in self.coeffs)
+        return c
 
     def truncate(self, depth: int) -> "AsymptoticSeries":
-        if depth > self.depth:
-            raise OrderError("cannot extend an asymptotic expansion")
-        return AsymptoticSeries(self.exponent, self.coeffs[: depth + 1])
+        return AsymptoticSeries._of(self.exponent, self.body.truncate(depth))
 
     def is_zero(self) -> bool:
-        return all(_lc_is_zero(c) for c in self.coeffs)
+        return self.body.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, AsymptoticSeries):
             return NotImplemented
         if self.is_zero() and other.is_zero():
             return True
-        return (
-            self.exponent == other.exponent
-            and self.depth == other.depth
-            and self.coeffs == other.coeffs
-        )
+        return self.exponent == other.exponent and self.body == other.body
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "AsymptoticSeries"):
         if self.exponent != other.exponent:
             raise SeriesError("cannot add expansions with different exponents")
-        n = min(self.depth, other.depth)
-        return AsymptoticSeries(
-            self.exponent,
-            [_lc_add(self.coeffs[k], other.coeffs[k]) for k in range(n + 1)],
-        )
+        return AsymptoticSeries._of(self.exponent, self.body + other.body)
 
     def __neg__(self):
-        return AsymptoticSeries(
-            self.exponent, [_lc_scale(c, Fraction(-1)) for c in self.coeffs]
-        )
+        return AsymptoticSeries._of(self.exponent, -self.body)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "AsymptoticSeries":
-        return AsymptoticSeries(
-            self.exponent, [_lc_scale(x, ParamPoly.coerce(c)) for x in self.coeffs]
-        )
-
-    def shift_exponent(self, delta) -> "AsymptoticSeries":
-        if isinstance(delta, (int, Fraction)):
-            delta = LinForm(delta)
-        return AsymptoticSeries(self.exponent + delta, self.coeffs)
+        return AsymptoticSeries._of(self.exponent, self.body.scale(c))
 
     def __mul__(self, other):
         if not isinstance(other, AsymptoticSeries):
             return self.scale(other)
-        n = min(self.depth, other.depth)
-        out = [(ParamPoly(),) for _ in range(n + 1)]
-        for i in range(n + 1):
-            if _lc_is_zero(self.coeffs[i]):
-                continue
-            for j in range(n + 1 - i):
-                if _lc_is_zero(other.coeffs[j]):
-                    continue
-                out[i + j] = _lc_add(
-                    out[i + j], _lc_mul(self.coeffs[i], other.coeffs[j])
-                )
-        return AsymptoticSeries(self.exponent + other.exponent, out)
+        return AsymptoticSeries._of(
+            self.exponent + other.exponent, self.body * other.body
+        )
 
     __rmul__ = scale
 
     def __truediv__(self, other: "AsymptoticSeries"):
         lead = other.coeffs[0]
-        if len(lead) > 1 or lead[0] != ParamPoly.const(1):
+        if lead != _ONE:
             raise SeriesError(
-                "division needs a unit leading coefficient (got "
-                f"{lead})"
+                f"division needs a unit leading coefficient (got {lead})"
             )
-        n = min(self.depth, other.depth)
-        out: list = []
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for j in range(k):
-                acc = _lc_add(
-                    acc, _lc_scale(_lc_mul(out[j], other.coeffs[k - j]), Fraction(-1))
-                )
-            out.append(acc)
-        return AsymptoticSeries(self.exponent - other.exponent, out)
+        return AsymptoticSeries._of(
+            self.exponent - other.exponent, self.body / other.body
+        )
 
     def log(self) -> "AsymptoticSeries":
         """ln(self) = exponent*ln(alpha) + log of the regular part.
 
         Requires a unit leading coefficient; the exponent*ln(alpha) term is
-        stored as the ln-degree-1 part of the constant coefficient.
+        the ``L`` part of the constant coefficient.
         """
-        lead = self.coeffs[0]
-        if len(lead) > 1 or lead[0] != ParamPoly.const(1):
+        if self.coeffs[0] != _ONE:
             raise SeriesError("log needs a unit leading coefficient")
-        n = self.depth
-        # u = self/alpha^e - 1, then log(1+u) = sum (-1)^{j+1} u^j / j
-        u = AsymptoticSeries(
-            LinForm.ZERO, ((ParamPoly(),),) + self.coeffs[1:]
+        return AsymptoticSeries._of(
+            LinForm.ZERO, self.body.log() + self.exponent.as_parampoly() * L
         )
-        acc = AsymptoticSeries(LinForm.ZERO, [(ParamPoly(),)] * (n + 1))
-        power = None
-        for j in range(1, n + 1):
-            power = u if power is None else power * u
-            acc = acc + power.scale(Fraction((-1) ** (j + 1), j))
-        head = _lc_add(
-            acc.coeffs[0], (ParamPoly(), self.exponent.as_parampoly())
-        )
-        return AsymptoticSeries(LinForm.ZERO, (head,) + acc.coeffs[1:])
 
     def derive_alpha(self) -> "AsymptoticSeries":
-        """d/dalpha, lowering the exponent by one."""
-        out = []
-        for k, c in enumerate(self.coeffs):
-            factor = (self.exponent - k).as_parampoly()
-            parts = [factor * p for p in c]
-            # d/dalpha ln^j alpha = j ln^{j-1} alpha / alpha
-            for j in range(1, len(c)):
-                parts[j - 1] = parts[j - 1] + c[j] * j
-            out.append(_lc_trim(parts))
-        return AsymptoticSeries(self.exponent - 1, out)
+        """d/dalpha, lowering the exponent by one (d/dalpha L = 1/alpha)."""
+        return AsymptoticSeries(
+            self.exponent - 1,
+            [
+                (self.exponent - k).as_parampoly() * c + c.derive("L")
+                for k, c in enumerate(self.coeffs)
+            ],
+        )
 
     def derive_s(self) -> "AsymptoticSeries":
-        """d/ds; produces one extra ln(alpha) power from alpha^{e(s)}."""
-        es = self.exponent.cs
-        out = []
-        for c in self.coeffs:
-            parts = [p.derive("s") for p in c]
-            if es:
-                parts = _lc_add(
-                    _lc_trim(parts) if parts else (ParamPoly(),),
-                    (ParamPoly(),) + tuple(p * es for p in c),
-                )
-            out.append(_lc_trim(parts) if parts else (ParamPoly(),))
-        return AsymptoticSeries(self.exponent, out)
+        """d/ds; alpha^{e(s)} contributes a factor d e/ds * L."""
+        es_log = L * self.exponent.cs
+        return self.map_coeffs(lambda c: c.derive("s") + es_log * c)
 
     # -- specialization ----------------------------------------------------------
 
@@ -352,9 +254,9 @@ class AsymptoticSeries:
             vals["H"] = Fraction(H)
         out = [Fraction(0)] * (e + 1)
         for k, c in enumerate(self.coeffs):
-            if len(c) > 1 and not all(p.is_zero() for p in c[1:]):
+            if c.degree("L") > 0:
                 raise SeriesError("cannot specialize ln(alpha) terms to a polynomial")
-            v = c[0].eval(**vals)
+            v = c.eval(**vals)
             if k > e:
                 if v:
                     raise SeriesError(
@@ -367,9 +269,7 @@ class AsymptoticSeries:
         return Poly(out)
 
     def map_coeffs(self, fn) -> "AsymptoticSeries":
-        return AsymptoticSeries(
-            self.exponent, [tuple(fn(p) for p in c) for c in self.coeffs]
-        )
+        return AsymptoticSeries(self.exponent, [fn(c) for c in self.coeffs])
 
     def align_to(self, exponent: LinForm) -> "AsymptoticSeries":
         """Rewrite with a larger exponent by shifting in leading zeros."""
@@ -378,9 +278,7 @@ class AsymptoticSeries:
             raise SeriesError(
                 f"cannot align exponent {self.exponent} to {exponent}"
             )
-        shift = int(-d.const)
-        coeffs = ((ParamPoly(),),) * shift + self.coeffs
-        return AsymptoticSeries(exponent, coeffs)
+        return AsymptoticSeries._of(exponent, self.body.mul_var(int(-d.const)))
 
     @staticmethod
     def equal_to_depth(a: "AsymptoticSeries", b: "AsymptoticSeries", depth: int) -> bool:
@@ -398,21 +296,14 @@ class AsymptoticSeries:
             b = b.align_to(a.exponent)
         elif d.const < 0:
             a = a.align_to(b.exponent)
-        n = min(a.depth, b.depth)
-        return all(a.log_coefficient(k) == b.log_coefficient(k) for k in range(n + 1))
+        return a.body.prefix_equal(b.body)
 
     def __repr__(self):
-        bits = []
-        for k, c in enumerate(self.coeffs[:8]):
-            if _lc_is_zero(c):
-                continue
-            parts = []
-            for j, p in enumerate(c):
-                if p.is_zero():
-                    continue
-                ln = "" if j == 0 else ("*ln(a)" if j == 1 else f"*ln(a)^{j}")
-                parts.append(f"({p}){ln}")
-            bits.append(f"[{' + '.join(parts)}]*a^({self.exponent} - {k})")
+        bits = [
+            f"[({c})]*a^({self.exponent} - {k})"
+            for k, c in enumerate(self.coeffs[:8])
+            if c
+        ]
         if self.depth >= 8:
             bits.append("...")
         return " + ".join(bits) if bits else "0"

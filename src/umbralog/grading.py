@@ -258,21 +258,6 @@ def target_conjugated(fam: BinomialFamily, T: list, x_order: int) -> GradedSerie
     return GradedSeries(LinForm(base), parts)
 
 
-def graded_resolvent(
-    op: GradedOp,
-    target: GradedSeries,
-    depth: int,
-    eval_at: str = "x0",
-) -> AsymptoticSeries:
-    """(1 - op)^{-1} target, evaluated: at x = 0, or at x = s/alpha."""
-    total = geometric_sum(op, target, depth)
-    if eval_at == "x0":
-        return total.at_x0(depth)
-    if eval_at == "s_over_alpha":
-        return total.at_s_over_alpha(depth)
-    raise ValueError(f"unknown evaluation point {eval_at!r}")
-
-
 # -- assembled ratio checks ------------------------------------------------------------
 
 

@@ -102,9 +102,6 @@ class NCPoly:
                     out.pop(w, None)
         return NCPoly(out)
 
-    def concat_word(self, w: tuple, c=Fraction(1)) -> "NCPoly":
-        return self.concat(NCPoly.monomial(w, c))
-
     def __eq__(self, other):
         return isinstance(other, NCPoly) and self.terms == other.terms
 
@@ -116,16 +113,6 @@ class NCPoly:
             if i == 0:
                 out[prefix] = c
         return NCPoly(out)
-
-    def coefficient_vector(self) -> list:
-        """All a_i as E-free polynomials, index = trailing D count."""
-        top = -1
-        rows: dict = {}
-        for w, c in self.terms.items():
-            prefix, i = split_canonical(w)
-            top = max(top, i)
-            rows.setdefault(i, {})[prefix] = c
-        return [NCPoly(rows.get(i, {})) for i in range(top + 1)]
 
     def strip_lambda(self) -> "NCPoly":
         """Erase lam / lam_inv letters and recombine (the lam == 1 reduction)."""

@@ -19,7 +19,6 @@ from .ncwords import (
     SIGMA,
     NCPoly,
     head_word_poly,
-    head_word_poly_matrix,
 )
 from .polys import BiPoly, Poly, divided_difference
 from .series import OrderError, PowerSeries, SeriesError
@@ -38,9 +37,6 @@ class DiffOperator:
     @staticmethod
     def identity(var: str, order: int) -> "DiffOperator":
         return DiffOperator(var, {0: PowerSeries.one(var, order)})
-
-    def max_derivative(self) -> int:
-        return max(self.terms, default=0)
 
     def apply(self, g: PowerSeries) -> PowerSeries:
         """sum_j c_j * g^{(j)}; the result order reflects derivative losses."""
@@ -120,39 +116,15 @@ def ncpoly_to_diffop(
     return out
 
 
-def build_Tn(
-    fam: BinomialFamily,
-    n: int,
-    route: str = "nu",
-    var: str = "s",
-    order: int | None = None,
-) -> DiffOperator:
+def build_Tn(fam: BinomialFamily, n: int, var: str = "s") -> DiffOperator:
     """The grade-n operator of the conjugation expansion, in (v, d/dv).
 
-    Both routes build the same head word polynomial -- ``nu`` by iterating
-    the rewrite on E, ``matrix`` by the successive row-times-matrix scheme --
-    then substitute sigma -> v/omega'(v).
+    Builds the head word polynomial by iterating the rewrite on E, then
+    substitutes sigma -> v/omega'(v).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if route == "nu":
-        words = head_word_poly(n)
-    elif route == "matrix":
-        words = head_word_poly_matrix(n)
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    sigma = fam.sigma(var)
-    if order is not None:
-        if order > sigma.order:
-            raise OrderError(
-                f"family truncation gives sigma only to order {sigma.order}"
-            )
-        sigma = sigma.truncate(order)
-    return ncpoly_to_diffop(words, sigma)
-
-
-def apply_Tn(T: DiffOperator, g: PowerSeries) -> PowerSeries:
-    return T.apply(g)
+    return ncpoly_to_diffop(head_word_poly(n), fam.sigma(var))
 
 
 # -- the divided-difference / shift commutator identity -------------------------

@@ -1,9 +1,10 @@
-"""Exact polynomials in the fixed parameter symbols ``s``, ``H``, ``A``.
+"""Exact polynomials in the fixed parameter symbols ``s``, ``H``, ``L``.
 
 Coefficient domain for symbolic expansions: every coefficient is a
 ``fractions.Fraction`` and the symbol set is fixed, so terms are keyed by a
-dense multi-degree tuple ``(deg_s, deg_H, deg_A)``.  Adding a symbol is a
-code-level change by design.
+dense multi-degree tuple ``(deg_s, deg_H, deg_L)``.  ``L`` stands for
+ln(alpha) in asymptotic alpha-expansions.  Adding a symbol is a code-level
+change by design.
 
 Products of two polynomials, and evaluation at rational points, run on
 integer numerators over one common denominator and return the same
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-SYMBOLS = ("s", "H", "A")
+SYMBOLS = ("s", "H", "L")
 
 _ZERO = Fraction(0)
 _CONST_KEY = (0, 0, 0)
@@ -36,7 +37,7 @@ def _lift(coeffs) -> tuple:
 
 
 class ParamPoly:
-    """Polynomial in s, H, A with Fraction coefficients, no stored zeros."""
+    """Polynomial in s, H, L with Fraction coefficients, no stored zeros."""
 
     __slots__ = ("terms",)
 
@@ -278,4 +279,4 @@ def binom_poly(base: ParamPoly, k: int) -> ParamPoly:
 
 S = ParamPoly.symbol("s")
 H = ParamPoly.symbol("H")
-A = ParamPoly.symbol("A")
+L = ParamPoly.symbol("L")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from .asymptotic import AsymptoticSeries, LinForm
-from .operators import apply_Tn, build_Tn
+from .operators import build_Tn
 from .parampoly import ParamPoly
 from .series import OrderError, PowerSeries, SeriesError
 from .umbral import BinomialFamily, build_family, p_seq, p_symbolic, rename
@@ -43,14 +43,8 @@ def t_n_omega(fam: BinomialFamily, n_max: int) -> list:
     out = [om]
     for n in range(1, n_max + 1):
         T = build_Tn(fam, n, var=ALPHA)
-        out.append(apply_Tn(T, om))
+        out.append(T.apply(om))
     return out
-
-
-def log_deriv_expansion(fam: BinomialFamily, n_max: int) -> list:
-    """Graded terms (-s)^{1-n} alpha^{n-2} (T_n omega)(alpha), returned as
-    the list of T_n omega series, ready for termwise integration."""
-    return t_n_omega(fam, n_max)
 
 
 def f_prime_at_omega_alpha(fam: BinomialFamily, order: int) -> PowerSeries:
@@ -443,7 +437,7 @@ def ratio_two_orders(fam: BinomialFamily, order: int):
     # alpha^{H-1} coefficient from the operator machinery:
     #   H q_1 G - s^{-1} T_1 (s G)
     T1 = build_Tn(fam, 1, var="s")
-    t_part = apply_Tn(T1, G.mul_var(1)).div_var(1)
+    t_part = T1.apply(G.mul_var(1)).div_var(1)
     machinery = q1.truncate(t_part.order) * G.truncate(t_part.order) * Hp - t_part
 
     w2 = w1.derive()

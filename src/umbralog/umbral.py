@@ -38,13 +38,6 @@ class BinomialFamily:
     omega: PowerSeries        # functional inverse of f/f'
     order: int
 
-    @property
-    def omega_order(self) -> int:
-        return self.omega.order
-
-    def omega_prime(self) -> PowerSeries:
-        return self.omega.derive()
-
     def inv_omega_prime(self) -> PowerSeries:
         return self.omega.derive().inv()
 
@@ -201,11 +194,6 @@ def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> list:
     return out
 
 
-def q_coeffs(fam: BinomialFamily, n_x: int, n_t: int, exponent=S) -> list:
-    """Alias for the bivariate table keyed by the two truncation depths."""
-    return q_table(fam, n_x, n_t, exponent)
-
-
 def q_at_omega(fam: BinomialFamily, n_max: int, x_order: int, exponent=S) -> list:
     """q_n^{omega(x)} as series in x (t substituted by omega)."""
     table = q_table(fam, n_max, x_order, exponent)
@@ -298,10 +286,3 @@ def ratio_P_symbolic(fam: BinomialFamily, N: int, x_order: int | None = None) ->
         out.append(acc)
     return out
 
-
-def ratio_P(fam: BinomialFamily, mode: str, N: int, s: int | None = None, h: int | None = None):
-    if mode == "direct":
-        return ratio_P_direct(fam, s, h, N)
-    if mode == "symbolic":
-        return ratio_P_symbolic(fam, N)
-    raise ValueError(f"unknown mode {mode!r}")

@@ -7,7 +7,12 @@ partial sums.  ``naive_mul``, ``naive_compose``, ``naive_revert``,
 ``naive_p_seq``, ``naive_parampoly_mul``, ``naive_parampoly_eval`` and
 ``naive_tau_symbolic`` are the term-by-term loops the integer kernels (and the
 O(depth^2) symbolic continuation of ``tau_seq``) replaced, kept to check that
-the fast paths return the same rationals.
+the fast paths return the same rationals.  ``naive_asym_mul``,
+``naive_asym_div`` and ``naive_asym_log`` are the alpha-expansion loops that
+``AsymptoticSeries`` replaced by ``PowerSeries`` operations: they keep ln(alpha)
+out of ``ParamPoly`` and carry each coefficient as a tuple of its
+ln(alpha)^0, ln(alpha)^1, ... parts, with the logarithm as the power sum
+sum (-1)^{j+1} u^j / j.
 """
 
 from __future__ import annotations
@@ -37,6 +42,25 @@ def bernoulli_numbers(n_max: int) -> list:
             acc += comb(n + 1, k) * b[k]
         b.append(-acc / (n + 1))
     return b
+
+
+def stirling_term_closed_form(spec: str, k: int, order: int) -> PowerSeries:
+    """g_k(alpha), k >= 3, in closed form, for the families "id" and "exp1".
+
+    For f = x every g_k vanishes.  For f = e^x - 1, g_k = 0 for even k and
+
+        g_{2m+1} = B_{2m} / (2m (2m-1)) alpha^{2m-1} (1 - (1-alpha)^{1-2m}),
+
+    where 1 - (1-alpha)^{1-2m} = -sum_{j>=1} binom(2m-2+j, j) alpha^j."""
+    coeffs = [Fraction(0)] * (order + 1)
+    if spec == "exp1" and k % 2:
+        m = (k - 1) // 2
+        c = bernoulli_numbers(2 * m)[2 * m] / (2 * m * (2 * m - 1))
+        for j in range(1, order - 2 * m + 2):
+            coeffs[2 * m - 1 + j] = -c * comb(2 * m - 2 + j, j)
+    elif spec != "id" and spec != "exp1":
+        raise ValueError(f"no closed form for {spec!r}")
+    return PowerSeries("a", coeffs)
 
 
 def lagrange_inverse_coefficients(u: PowerSeries, n_max: int) -> list:
@@ -185,3 +209,92 @@ def naive_tau_symbolic(fam: BinomialFamily, ell: PowerSeries, depth: int) -> lis
             )
         coeffs.append(acc)
     return coeffs
+
+
+# -- alpha-expansions with ln(alpha) as a tuple index ------------------------------
+
+
+def _ln_trim(parts) -> tuple:
+    parts = [ParamPoly.coerce(p) for p in parts]
+    while len(parts) > 1 and parts[-1].is_zero():
+        parts.pop()
+    return tuple(parts)
+
+
+def _ln_add(a, b) -> tuple:
+    n = max(len(a), len(b))
+    zero = ParamPoly()
+    return _ln_trim(
+        [(a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero) for i in range(n)]
+    )
+
+
+def _ln_mul(a, b) -> tuple:
+    out = [ParamPoly() for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _ln_trim(out)
+
+
+def _ln_scale(a, c) -> tuple:
+    return _ln_trim([x * c for x in a])
+
+
+def _ln_is_zero(a) -> bool:
+    return all(x.is_zero() for x in a)
+
+
+def ln_split(p: ParamPoly) -> tuple:
+    """p as the tuple of its L^0, L^1, ... parts, each free of L."""
+    i = SYMBOLS.index("L")
+    parts: dict = {}
+    for k, v in p.terms.items():
+        rest = k[:i] + (0,) + k[i + 1:]
+        parts.setdefault(k[i], {})[rest] = v
+    top = max(parts, default=0)
+    return _ln_trim([ParamPoly(parts.get(d, {})) for d in range(top + 1)])
+
+
+def naive_asym_mul(a: list, b: list) -> list:
+    """Product of two lists of ln-tuples, to the smaller depth."""
+    n = min(len(a), len(b)) - 1
+    out = [(ParamPoly(),) for _ in range(n + 1)]
+    for i in range(n + 1):
+        if _ln_is_zero(a[i]):
+            continue
+        for j in range(n + 1 - i):
+            if _ln_is_zero(b[j]):
+                continue
+            out[i + j] = _ln_add(out[i + j], _ln_mul(a[i], b[j]))
+    return out
+
+
+def naive_asym_div(a: list, b: list) -> list:
+    """Long division by a list of ln-tuples that leads with 1."""
+    assert b[0] == (ParamPoly.const(1),)
+    n = min(len(a), len(b)) - 1
+    out: list = []
+    for k in range(n + 1):
+        acc = a[k]
+        for j in range(k):
+            acc = _ln_add(acc, _ln_scale(_ln_mul(out[j], b[k - j]), Fraction(-1)))
+        out.append(acc)
+    return out
+
+
+def naive_asym_log(a: list, exponent: ParamPoly) -> list:
+    """ln(alpha^exponent * sum a_k alpha^{-k}) for a list leading with 1:
+    exponent in the ln(alpha)^1 slot of the constant term, plus the power
+    sum of u = sum_{k >= 1} a_k alpha^{-k}."""
+    assert a[0] == (ParamPoly.const(1),)
+    n = len(a) - 1
+    u = [(ParamPoly(),)] + list(a[1:])
+    acc = [(ParamPoly(),)] * (n + 1)
+    power = None
+    for j in range(1, n + 1):
+        power = u if power is None else naive_asym_mul(power, u)
+        c = Fraction((-1) ** (j + 1), j)
+        acc = [_ln_add(x, _ln_scale(y, c)) for x, y in zip(acc, power)]
+    acc[0] = _ln_add(acc[0], (ParamPoly(), exponent))
+    return acc

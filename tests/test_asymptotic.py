@@ -1,19 +1,23 @@
-"""Graded alpha-expansions: arithmetic, logs, and the ln(alpha) adjunct."""
+"""Graded alpha-expansions: arithmetic, logs, and ln(alpha) as the symbol L."""
 
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import ln_split, naive_asym_div, naive_asym_log, naive_asym_mul
 from umbralog.asymptotic import AsymptoticSeries, LinForm
-from umbralog.parampoly import ParamPoly
+from umbralog.parampoly import L, ParamPoly
 from umbralog.polys import Poly
 from umbralog.series import OrderError, SeriesError
 
 S = ParamPoly.symbol("s")
+H = ParamPoly.symbol("H")
 
 
 def test_self_division_is_one():
-    p = AsymptoticSeries.from_plain(LinForm.S, [Q(1), S * 2, S * S - 1, Q(5)])
+    p = AsymptoticSeries(LinForm.S, [Q(1), S * 2, S * S - 1, Q(5)])
     r = p / p
     assert r.exponent == LinForm.ZERO
     assert r.coefficient(0) == ParamPoly.const(1)
@@ -22,28 +26,33 @@ def test_self_division_is_one():
 
 def test_log_of_shifted_unit():
     c1 = ParamPoly.const(Q(3, 2))
-    p = AsymptoticSeries.from_plain(LinForm.S, [Q(1), c1, Q(0), Q(0)])
+    p = AsymptoticSeries(LinForm.S, [Q(1), c1, Q(0), Q(0)])
     lg = p.log()
-    head = lg.log_coefficient(0)
-    assert head[0].is_zero() and head[1] == S  # s * ln(alpha)
+    assert lg.coeffs[0] == S * L  # s * ln(alpha)
     assert lg.coefficient(1) == c1
     assert lg.coefficient(2) == c1 * c1 * Q(-1, 2)
     assert lg.coefficient(3) == c1 * c1 * c1 * Q(1, 3)
 
 
 def test_derive_s_introduces_log_adjunct():
-    p = AsymptoticSeries.from_plain(LinForm.S, [Q(1), Q(0)])
-    d = p.derive_s()
-    c = d.log_coefficient(0)
-    assert c[0].is_zero() and c[1] == ParamPoly.const(1)
+    p = AsymptoticSeries(LinForm.S, [Q(1), Q(0)])
+    assert p.derive_s().coeffs[0] == L
 
 
 def test_derive_alpha_shifts_exponent():
-    p = AsymptoticSeries.from_plain(LinForm.S, [Q(1), Q(2)])
+    p = AsymptoticSeries(LinForm.S, [Q(1), Q(2)])
     d = p.derive_alpha()
     assert d.exponent == LinForm.S - 1
     assert d.coefficient(0) == S
     assert d.coefficient(1) == (S - 1) * 2
+
+
+def test_derive_alpha_of_log_term():
+    # d/dalpha (s ln(alpha) + 3 alpha^{-1}) = s alpha^{-1} - 3 alpha^{-2}
+    p = AsymptoticSeries(LinForm.ZERO, [S * L, Q(3), Q(0)])
+    d = p.derive_alpha()
+    assert d.exponent == LinForm(-1)
+    assert [d.coefficient(k) for k in range(3)] == [S, ParamPoly.const(-3), ParamPoly()]
 
 
 def test_poly_ratio_expansion():
@@ -55,15 +64,31 @@ def test_poly_ratio_expansion():
 
 
 def test_division_requires_unit_leading():
-    p = AsymptoticSeries.from_plain(LinForm.ZERO, [Q(2), Q(1)])
+    p = AsymptoticSeries(LinForm.ZERO, [Q(2), Q(1)])
     with pytest.raises(SeriesError):
         p / p
+    with pytest.raises(SeriesError):
+        p.log()
 
 
 def test_depth_read_guard():
-    p = AsymptoticSeries.from_plain(LinForm.ZERO, [Q(1), Q(1)])
+    p = AsymptoticSeries(LinForm.ZERO, [Q(1), Q(1)])
     with pytest.raises(OrderError):
         p.coefficient(2)
+    with pytest.raises(OrderError):
+        p.truncate(2)
+    with pytest.raises(OrderError):
+        (p * AsymptoticSeries(LinForm.S, [Q(1), S, S])).coefficient(2)
+
+
+def test_log_terms_do_not_read_as_plain_coefficients():
+    p = AsymptoticSeries(LinForm.S, [Q(1), Q(0), Q(0)]).log()
+    with pytest.raises(SeriesError, match="ln"):
+        p.coefficient(0)
+    assert p.coefficient(1).is_zero()
+    q = AsymptoticSeries(LinForm(1), [Q(1), L])
+    with pytest.raises(SeriesError, match="ln"):
+        q.specialize_to_poly()
 
 
 def test_specialize_to_poly():
@@ -73,13 +98,85 @@ def test_specialize_to_poly():
 
 
 def test_equal_to_depth_handles_exponent_offsets():
-    a = AsymptoticSeries.from_plain(LinForm(2), [Q(0), Q(1), Q(5)])
-    b = AsymptoticSeries.from_plain(LinForm(1), [Q(1), Q(5), Q(0)])
+    a = AsymptoticSeries(LinForm(2), [Q(0), Q(1), Q(5)])
+    b = AsymptoticSeries(LinForm(1), [Q(1), Q(5), Q(0)])
     assert AsymptoticSeries.equal_to_depth(a, b, 1)
 
 
 def test_div_log_derive_alpha_methods():
-    p = AsymptoticSeries.from_plain(LinForm.S, [Q(1), S])
+    p = AsymptoticSeries(LinForm.S, [Q(1), S])
     assert (p / p).coefficient(0) == ParamPoly.const(1)
     assert p.derive_alpha().exponent == LinForm.S - 1
     assert p.log().coefficient(1) == S
+
+
+def test_coefficients_are_parampolys():
+    p = AsymptoticSeries(LinForm.S, [1, Q(1, 2), S])
+    assert all(type(c) is ParamPoly for c in p.coeffs)
+    assert all(type(c) is ParamPoly for c in p.log().coeffs)
+    with pytest.raises(TypeError):
+        AsymptoticSeries(LinForm.S, [(ParamPoly.const(1),)])
+
+
+# -- the PowerSeries route against the ln-tuple loops ---------------------------
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def coefficients(draw):
+    """A ParamPoly in s, H and L; zero about a third of the time."""
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        return ParamPoly()
+    keys = st.tuples(
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=0, max_value=2),
+    )
+    return ParamPoly(draw(st.dictionaries(keys, small, max_size=3)))
+
+
+@st.composite
+def expansions(draw, unit=False):
+    depth = draw(st.integers(min_value=0, max_value=6))
+    coeffs = draw(st.lists(coefficients(), min_size=depth + 1, max_size=depth + 1))
+    if unit:
+        coeffs[0] = ParamPoly.const(1)
+    exponent = LinForm(draw(small), draw(st.integers(-2, 2)), draw(st.integers(-1, 1)))
+    return AsymptoticSeries(exponent, coeffs)
+
+
+def split(a: AsymptoticSeries) -> list:
+    return [ln_split(c) for c in a.coeffs]
+
+
+def test_ln_split_reads_the_symbol_degree():
+    assert ln_split(S + L * L * H) == (S, ParamPoly(), H)
+    assert ln_split(ParamPoly()) == (ParamPoly(),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(expansions(), expansions())
+def test_mul_matches_tuple_oracle(a, b):
+    got = a * b
+    assert got.exponent == a.exponent + b.exponent
+    assert split(got) == naive_asym_mul(split(a), split(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(expansions(), expansions(unit=True))
+def test_div_matches_tuple_oracle(a, b):
+    got = a / b
+    assert got.exponent == a.exponent - b.exponent
+    want = naive_asym_div(split(a), split(b))
+    assert split(got) == want
+    assert got.depth == len(want) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(expansions(unit=True))
+def test_log_matches_tuple_oracle(a):
+    got = a.log()
+    assert got.exponent == LinForm.ZERO
+    assert got.depth == a.depth
+    assert split(got) == naive_asym_log(split(a), a.exponent.as_parampoly())

@@ -10,8 +10,10 @@ from umbralog.grading import (
     GradedOp,
     GradedSeries,
     geometric_sum,
+    op_ratio_split,
     ratio_resolvent,
     target_conjugated,
+    target_powers_image_shifted,
 )
 from umbralog.series import PowerSeries, SeriesError
 from umbralog.umbral import p_seq
@@ -58,16 +60,11 @@ def test_conjugated_target_eigenvalue_reading():
     assert t.parts[0].prefix_equal(fam.omega.truncate(8))
 
 
-def test_graded_resolvent_entry_point():
-    from umbralog.grading import graded_resolvent, op_ratio_split, target_powers_image_shifted
-    from umbralog.umbral import p_seq as pseq
-
+def test_graded_resolvent_at_x0():
     fam = cached_family("exp1", 14)
     op = op_ratio_split(fam, Q(2))
     target = target_powers_image_shifted(fam, 1, 4, 8)
-    out = graded_resolvent(op, target, 4, "x0")
-    seq = pseq(fam, 3)
+    out = geometric_sum(op, target, 4).at_x0(4)
+    seq = p_seq(fam, 3)
     direct = AsymptoticSeries.from_poly_ratio(seq[3], seq[2], 4)
     assert AsymptoticSeries.equal_to_depth(out, direct, 4)
-    with pytest.raises(ValueError):
-        graded_resolvent(op, target, 4, "nowhere")

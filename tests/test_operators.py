@@ -21,7 +21,6 @@ from umbralog.ncwords import (
     split_canonical,
 )
 from umbralog.operators import (
-    apply_Tn,
     build_Tn,
     divided_difference_shift_check,
     tn_via_integral,
@@ -97,7 +96,7 @@ class TestDiffOperators:
         fam = cached_family("exp1", 12)
         T0 = build_Tn(fam, 0)
         g = monomial_s(3)
-        assert apply_Tn(T0, g).prefix_equal(g)
+        assert T0.apply(g).prefix_equal(g)
 
     def test_T1_shape(self):
         fam = cached_family("exp1", 12)
@@ -109,13 +108,13 @@ class TestDiffOperators:
     def test_T1_on_cube_for_trivial_family(self):
         fam = cached_family("id", 10)
         T1 = build_Tn(fam, 1)
-        out = apply_Tn(T1, monomial_s(3))
+        out = T1.apply(monomial_s(3))
         # sigma = s here, so T1 s^3 = (1/2) s * 6s = 3 s^2
         assert out.prefix_equal(monomial_s(2, 8).scale(Q(3)))
 
     def test_T1_on_square_exp1(self):
         fam = cached_family("exp1", 12)
-        out = apply_Tn(build_Tn(fam, 1), monomial_s(2))
+        out = build_Tn(fam, 1).apply(monomial_s(2))
         expected = PowerSeries("s", [Q(0), Q(1), Q(-1)] + [Q(0)] * 6)
         assert out.prefix_equal(expected)
 
@@ -123,12 +122,7 @@ class TestDiffOperators:
         fam = cached_family("geom", 12)
         const = PowerSeries.one("s", 8)
         for n in (1, 2, 3):
-            assert apply_Tn(build_Tn(fam, n), const).is_zero()
-
-    def test_routes_agree_as_operators(self):
-        fam = cached_family("geom", 14)
-        for n in range(4):
-            assert build_Tn(fam, n, "nu") == build_Tn(fam, n, "matrix")
+            assert build_Tn(fam, n).apply(const).is_zero()
 
 
 class TestDividedDifferenceShift:
@@ -157,7 +151,7 @@ class TestIntegralForm:
         fam = cached_family("id", 12)
         g = monomial_s(4)
         a = tn_via_integral(fam, 2, g)
-        b = apply_Tn(build_Tn(fam, 2), g)
+        b = build_Tn(fam, 2).apply(g)
         n = min(a.order, b.order)
         assert a.truncate(n).prefix_equal(b.truncate(n))
 
@@ -168,7 +162,7 @@ class TestIntegralForm:
                 for m in range(7):
                     g = monomial_s(m, 11)
                     a = tn_via_integral(fam, n, g)
-                    b = apply_Tn(build_Tn(fam, n), g)
+                    b = build_Tn(fam, n).apply(g)
                     w = min(a.order, b.order)
                     assert a.truncate(w).prefix_equal(b.truncate(w)), (name, n, m)
 

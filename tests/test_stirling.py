@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from oracles import cached_family
+from oracles import cached_family, stirling_term_closed_form
 from umbralog.asymptotic import AsymptoticSeries, LinForm
 from umbralog.parampoly import ParamPoly
 from umbralog.presets import f_random
@@ -49,6 +49,13 @@ class TestStirlingTerms:
         # derivative (hence the whole 1/s^2 term) is exactly zero
         st = stirling_terms(cached_family("exp1", 16), 4)
         assert st.g[4].is_zero()
+
+    @pytest.mark.parametrize("name,order,N", [("exp1", 16, 6), ("id", 12, 6)])
+    def test_terms_match_bernoulli_closed_form(self, name, order, N):
+        st = stirling_terms(cached_family(name, order), N)
+        for k in range(3, N + 1):
+            g = st.g[k]
+            assert g.prefix_equal(stirling_term_closed_form(name, k, g.order)), k
 
     @pytest.mark.parametrize("name", ["exp1", "geom", "nu"])
     def test_displayed_closed_forms(self, name):
@@ -188,13 +195,13 @@ class TestRatioTwoOrders:
         ok, det = ratio_two_orders(fam, 6)
         assert ok
         # omega' = 1 and omega'' = 0, so the alpha^{H-1} bracket is zero
-        from umbralog.operators import apply_Tn, build_Tn
+        from umbralog.operators import build_Tn
         from umbralog.umbral import rename
 
         g = rename(fam.fprime, "s").truncate(8).pow_param(
             -ParamPoly.symbol("H")
         )
-        t_part = apply_Tn(build_Tn(fam, 1, var="s"), g.mul_var(1)).div_var(1)
+        t_part = build_Tn(fam, 1, var="s").apply(g.mul_var(1)).div_var(1)
         assert t_part.is_zero()
 
 
@@ -259,14 +266,3 @@ class TestLimits:
         rep = SUITES["limits"](order=34, n_max=32)
         assert rep.checks
         assert all(c.status == "pass" for c in rep.checks)
-
-
-def test_log_deriv_expansion_surface():
-    from umbralog.stirling import log_deriv_expansion
-
-    fam = cached_family("exp1", 14)
-    terms = log_deriv_expansion(fam, 2)
-    direct = t_n_omega(fam, 2)
-    assert len(terms) == 3
-    for a, b in zip(terms, direct):
-        assert a.prefix_equal(b)

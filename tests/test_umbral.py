@@ -19,7 +19,6 @@ from umbralog.umbral import (
     p_symbolic,
     q_table,
     q_zero_table,
-    ratio_P,
     ratio_P_direct,
     ratio_P_symbolic,
     tau_inverse,
@@ -200,10 +199,10 @@ class TestRatio:
     def test_modes_agree(self):
         for name in ("exp1", "geom"):
             fam = cached_family(name, 14)
-            sym = ratio_P(fam, "symbolic", 5)
+            sym = ratio_P_symbolic(fam, 5)
             for s in range(4):
                 for h in range(3):
-                    direct = ratio_P(fam, "direct", 5, s=s, h=h)
+                    direct = ratio_P_direct(fam, s, h, 5)
                     assert [
                         p.eval(s=Q(s), H=Q(h)) for p in sym
                     ] == direct
