@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .parampoly import L, ParamPoly
+from .parampoly import H, L, S, ParamPoly
 from .polys import Poly
 from .series import OrderError, PowerSeries, SeriesError
 
@@ -64,8 +64,8 @@ class LinForm:
     def as_parampoly(self) -> ParamPoly:
         return (
             ParamPoly.const(self.const)
-            + ParamPoly.symbol("s") * self.cs
-            + ParamPoly.symbol("H") * self.cH
+            + S * self.cs
+            + H * self.cH
         )
 
     def subs(self, s=None, H=None) -> Fraction:
@@ -282,16 +282,18 @@ class AsymptoticSeries:
 
     @staticmethod
     def equal_to_depth(a: "AsymptoticSeries", b: "AsymptoticSeries", depth: int) -> bool:
-        """Equality to the given depth, tolerating integer exponent offsets."""
+        """Equality to the given depth, tolerating integer exponent offsets.
+
+        The higher window decides: a series that is zero on it equals one
+        whose terms all lie below it.
+        """
         if min(a.depth, b.depth) < depth:
             raise OrderError("comparison depth exceeds a valid expansion depth")
         a = a.truncate(depth)
         b = b.truncate(depth)
-        if a.is_zero() or b.is_zero():
-            return a.is_zero() and b.is_zero()
         d = a.exponent - b.exponent
         if d.cs or d.cH or d.const.denominator != 1:
-            return False
+            return a.is_zero() and b.is_zero()
         if d.const > 0:
             b = b.align_to(a.exponent)
         elif d.const < 0:

@@ -16,10 +16,15 @@ from .ncwords import head_word_poly
 from .operators import build_Tn
 from .presets import family, parse_rational
 from .report import fmt_q, series_obj
-from .sheffer import bernoulli_log_experiment, tau_seq, theta_check
+from .sheffer import (
+    bernoulli_log_experiment,
+    bernoulli_weight,
+    tau_seq,
+    theta_check,
+)
 from .stirling import limit_check, stirling_terms
 from .umbral import p_seq, q_table
-from .verify import SUITES, _bernoulli_ell, run_suites
+from .verify import SUITES, run_suites
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -99,12 +104,11 @@ def _check_sizes(args: argparse.Namespace) -> None:
 
 
 def _emit(payload, args) -> None:
-    if getattr(args, "json", False):
-        text = json.dumps(payload, indent=2, sort_keys=True)
+    """Write text as is, anything else as strict JSON (no NaN or Infinity)."""
+    if isinstance(payload, str):
+        text = payload
     else:
-        text = payload if isinstance(payload, str) else json.dumps(
-            payload, indent=2, sort_keys=True
-        )
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -247,7 +251,7 @@ def cmd_limits(args) -> int:
 
 def cmd_sheffer(args) -> int:
     fam = family(args.f, args.order)
-    ell = _bernoulli_ell(fam.order)
+    ell = bernoulli_weight(fam.order)
     sf = tau_seq(fam, ell, min(args.depth + 4, fam.order - 2))
     ok, det = theta_check(sf, min(8, len(sf.tau_polys) - 1))
     payload = {
@@ -278,16 +282,10 @@ def cmd_verify(args) -> int:
     reports = run_suites(names, args.order, args.depth)
     ok = all(r.exact_ok for r in reports)
     if args.json:
-        payload = {"reports": [r.to_dict() for r in reports], "exact_ok": ok}
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        _emit({"reports": [r.to_dict() for r in reports], "exact_ok": ok}, args)
     else:
         text = "\n".join(r.render_text() for r in reports)
-        text += f"\n\nexact checks: {'all passed' if ok else 'FAILURES'}"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        _emit(text + f"\n\nexact checks: {'all passed' if ok else 'FAILURES'}", args)
     return 0 if ok else 1
 
 

@@ -21,12 +21,10 @@ from .grading import (
     op_shifted_eval,
     target_conjugated,
 )
-from .parampoly import ParamPoly, binom_poly
+from .parampoly import S, ParamPoly, binom_poly
 from .polys import Poly
 from .series import OrderError, PowerSeries, SeriesError
 from .umbral import BinomialFamily, p_seq, q_zero_table
-
-S = ParamPoly.symbol("s")
 
 
 def _coerce_exponent(s_val):
@@ -61,7 +59,6 @@ class ConjugationContext:
         self.conj = ratio.pow_param(self.s_val).truncate(self.x_order)
         self.conj_inv = ratio.pow_param(-self.s_val).truncate(self.x_order)
         self.omega = om.truncate(self.x_order + 1)
-        self.inv_wp = fam.inv_omega_prime().truncate(self.x_order)
         self.tau = fam.tau_f.truncate(self.x_order + 1)
         self.omega_pows = [PowerSeries.one(fam.f.var, self.x_order)]
         for _ in range(depth):
@@ -95,8 +92,7 @@ class ConjugationContext:
     def apply_direct(self, col: list) -> list:
         """(omega/f(omega))^s (sL - d/domega) (f(omega)/omega)^s on a column."""
         u = self.column_to_series(col) * self.conj
-        ell = (u - u.coefficient(0)).div_var(1)
-        v = ell.scale(self.s_val) - u.derive() * self.inv_wp.truncate(u.order - 1)
+        v = self.fam.x_op(u, self.s_val)
         w = v * self.conj_inv.truncate(v.order)
         return self.series_to_column(w, len(col) - 1)
 
@@ -177,19 +173,9 @@ def ell_s(fam: BinomialFamily, g: PowerSeries, depth: int, s_val=S):
     q = q_zero_table(fam, depth, exponent=s_val)
     # g(D) alpha^{s-1} = sum_n g_n binom(s-1, n) alpha^{s-1-n}; dividing by
     # p_s/alpha leaves series in alpha^{-1} with polynomial coefficients
-    def bin_sn(n):
-        if isinstance(s_val, ParamPoly):
-            return binom_poly(s_val - 1, n)
-        return Fraction(
-            _falling_frac(s_val - 1, n), factorial(n)
-        )
-
-    num = AsymptoticSeries(
-        LinForm.ZERO, [ParamPoly.coerce(bin_sn(n) * col0[n]) for n in range(depth + 1)]
-    )
-    den = AsymptoticSeries(
-        LinForm.ZERO, [ParamPoly.coerce(bin_sn(k) * q[k]) for k in range(depth + 1)]
-    )
+    bins = [binom_poly(ParamPoly.coerce(s_val) - 1, n) for n in range(depth + 1)]
+    num = AsymptoticSeries(LinForm.ZERO, [b * c for b, c in zip(bins, col0)])
+    den = AsymptoticSeries(LinForm.ZERO, [b * c for b, c in zip(bins, q)])
     alt = num / den
     pipeline_ok = all(
         alt.coefficient(k) == ParamPoly.coerce(series[k]) for k in range(depth + 1)
@@ -205,13 +191,6 @@ def ell_s(fam: BinomialFamily, g: PowerSeries, depth: int, s_val=S):
         "pipeline_ok": pipeline_ok,
         "consistency_ok": consistency_ok,
     }
-
-
-def _falling_frac(x: Fraction, n: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(n):
-        out *= x - j
-    return out
 
 
 # -- the closed-form resolvent ---------------------------------------------------------

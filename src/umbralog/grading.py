@@ -3,19 +3,20 @@
 A ``GradedSeries`` is sum_n alpha^{base-n} * part_n(x).  A ``GradedOp`` is a
 sum of pieces, each raising the alpha^{-1} grade by at least one, so that
 (1 - X)^{-1} = sum X^k terminates grade by grade; this is the engine behind
-every resolvent identity in the package.
+every resolvent identity in the package.  The pieces are assembled from the
+omega-side operators of ``BinomialFamily`` (d/domega, the step
+s L - d/domega, f'(omega(x))) and the 0-derivative ``umbral.op_L``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .asymptotic import AsymptoticSeries, LinForm
-from .parampoly import ParamPoly
+from .parampoly import S, ParamPoly
 from .series import OrderError, PowerSeries, SeriesError
-from .umbral import BinomialFamily, q_table, rename
-
-S = ParamPoly.symbol("s")
+from .umbral import BinomialFamily, op_L, q_at_omega
 
 
 class GradedSeries:
@@ -106,31 +107,12 @@ def geometric_sum(op: GradedOp, target: GradedSeries, depth: int) -> GradedSerie
         total = total.add(frontier)
 
 
-# -- elementary x-operators -----------------------------------------------------
-
-
-def op_L(g: PowerSeries) -> PowerSeries:
-    """0-derivative: (g(x) - g(0)) / x."""
-    return (g - g.coefficient(0)).div_var(1)
-
-
-def make_ddw(fam: BinomialFamily, var: str = "x"):
-    """d/domega = (1/omega'(x)) d/dx as a closure."""
-    inv_wp = rename(fam.inv_omega_prime(), var)
-
-    def ddw(g: PowerSeries) -> PowerSeries:
-        return g.derive() * inv_wp
-
-    return ddw
-
-
 # -- resolvent operators ----------------------------------------------------------
 
 
 def op_ratio_nested(fam: BinomialFamily, s_val, depth: int) -> GradedOp:
     """X = (s/alpha) (1 + alpha^{-1} d/domega)^{-1} L, with the inner
     geometric series expanded and fused into the grade table."""
-    ddw = make_ddw(fam)
 
     def piece(m: int):
         sign = Fraction((-1) ** m)
@@ -138,7 +120,7 @@ def op_ratio_nested(fam: BinomialFamily, s_val, depth: int) -> GradedOp:
         def fn(g: PowerSeries) -> PowerSeries:
             h = op_L(g)
             for _ in range(m):
-                h = ddw(h)
+                h = fam.d_domega(h)
             return h.scale(sign).scale(s_val)
 
         return (1 + m, fn)
@@ -148,25 +130,18 @@ def op_ratio_nested(fam: BinomialFamily, s_val, depth: int) -> GradedOp:
 
 def op_ratio_split(fam: BinomialFamily, s_val) -> GradedOp:
     """X = s alpha^{-1} L - alpha^{-1} d/domega."""
-    ddw = make_ddw(fam)
-    return GradedOp(
-        [
-            (1, lambda g: op_L(g).scale(s_val)),
-            (1, lambda g: -ddw(g)),
-        ]
-    )
+    return GradedOp([(1, lambda g: fam.x_op(g, s_val))])
 
 
 def op_shifted_eval(fam: BinomialFamily, s_val, depth: int) -> GradedOp:
     """X = -alpha^{-1} (d/domega) (1 - s alpha^{-1} L)^{-1}, fused."""
-    ddw = make_ddw(fam)
 
     def piece(j: int):
         def fn(g: PowerSeries) -> PowerSeries:
             h = g
             for _ in range(j):
                 h = op_L(h).scale(s_val)
-            return -ddw(h)
+            return -fam.d_domega(h)
 
         return (1 + j, fn)
 
@@ -175,13 +150,12 @@ def op_shifted_eval(fam: BinomialFamily, s_val, depth: int) -> GradedOp:
 
 def op_sheffer(fam: BinomialFamily, ell_omega: PowerSeries, s_val) -> GradedOp:
     """X = s alpha^{-1} ell(omega) L ell(omega)^{-1} - alpha^{-1} d/domega."""
-    ddw = make_ddw(fam)
     inv_ell = ell_omega.inv()
 
     return GradedOp(
         [
             (1, lambda g: (ell_omega * op_L(g * inv_ell)).scale(s_val)),
-            (1, lambda g: -ddw(g)),
+            (1, lambda g: -fam.d_domega(g)),
         ]
     )
 
@@ -189,30 +163,13 @@ def op_sheffer(fam: BinomialFamily, ell_omega: PowerSeries, s_val) -> GradedOp:
 # -- graded targets -----------------------------------------------------------------
 
 
-def f_prime_at_omega(fam: BinomialFamily, x_order: int) -> PowerSeries:
-    if fam.fprime.order < x_order + 1 or fam.omega.order < x_order + 1:
-        raise OrderError("family truncation too small for f'(omega(x))")
-    return fam.fprime.truncate(x_order + 1).compose(
-        fam.omega.truncate(x_order + 1)
-    ).truncate(x_order)
-
-
-def q_at_omega_int(fam: BinomialFamily, n_max: int, x_order: int, e) -> list:
-    """q_n^{omega(x)} at a concrete rational exponent e."""
-    table = q_table(fam, n_max, x_order, exponent=Fraction(e))
-    om = fam.omega.truncate(x_order)
-    return [rename(q, fam.f.var).compose(om) for q in table]
-
-
 def target_powers_image(fam: BinomialFamily, h: int, depth: int, x_order: int) -> GradedSeries:
     """p_H^{omega(x)}(alpha) f'(omega(x))^{-H} for an integer H >= 0."""
     if h < 0:
         raise SeriesError("integer grading needs H >= 0")
     n_top = min(depth, h - 1) if h >= 1 else depth
-    qv = q_at_omega_int(fam, max(n_top, 0), x_order, h)
-    fw = f_prime_at_omega(fam, x_order).pow_int(-h)
-    from math import comb
-
+    qv = q_at_omega(fam, max(n_top, 0), x_order, Fraction(h))
+    fw = fam.fprime_at_omega(x_order).pow_int(-h)
     parts = {}
     for n in range(depth + 1):
         if h >= 1:
@@ -232,11 +189,9 @@ def target_powers_image_shifted(
     fam: BinomialFamily, h: int, depth: int, x_order: int
 ) -> GradedSeries:
     """p_{H+1}^{omega(x)}(alpha)/alpha * f'(omega(x))^{-H}, integer H >= 0."""
-    from math import comb
-
     n_top = min(depth, h)
-    qv = q_at_omega_int(fam, n_top, x_order, h + 1)
-    fw = f_prime_at_omega(fam, x_order).pow_int(-h)
+    qv = q_at_omega(fam, n_top, x_order, Fraction(h + 1))
+    fw = fam.fprime_at_omega(x_order).pow_int(-h)
     parts = {}
     for n in range(n_top + 1):
         parts[n] = qv[n].scale(Fraction(comb(h, n))) * fw

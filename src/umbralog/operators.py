@@ -20,7 +20,7 @@ from .ncwords import (
     NCPoly,
     head_word_poly,
 )
-from .polys import BiPoly, Poly, divided_difference
+from .polys import Poly, divided_difference
 from .series import OrderError, PowerSeries, SeriesError
 from .umbral import BinomialFamily, rename
 
@@ -139,14 +139,15 @@ def divided_difference_shift_check(n: int, m: int):
 
     applied to x^m with p symbolic, compared exactly as polynomials in p.
     The left side uses the explicit rational action
-    (1 - p L)^{-1} f = (x f(x) - p f(p)) / (x - p).
+    (1 - p L)^{-1} f = (x f(x) - p f(p)) / (x - p), held in Q[x][p], where
+    eval_0 shift_p is the substitution x := p.
     """
     g = Poly([Fraction(0)] * m + [Fraction(1)])  # x^m
     lg = Poly(g.coeffs[1:])  # L x^m
-    lhs = divided_difference(lg).d_dp(n).shift_x_by_p().at_x0()
+    lhs = divided_difference(lg).derive(n).eval(Poly.x())
 
-    shifted = BiPoly({(m, 0): Fraction(1)}).shift_x_by_p()
-    rhs = (shifted.d_dp(n + 1).at_x0()) / Fraction(n + 1)
+    shifted = g.taylor().derive(n + 1)  # d^{n+1}/dp^{n+1} (x + p)^m
+    rhs = Poly([c.coefficient(0) for c in shifted.coeffs]) / Fraction(n + 1)
     # the reversed-order term shift_p d^{n+1}/dp^{n+1} x^m vanishes (x^m is
     # p-free), so it contributes nothing to either side
     ok = lhs == rhs

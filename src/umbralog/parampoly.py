@@ -179,20 +179,6 @@ class ParamPoly:
 
     # -- substitution / evaluation --------------------------------------
 
-    def subs(self, name: str, value) -> "ParamPoly":
-        """Substitute ``value`` (rational or ParamPoly) for one symbol."""
-        i = SYMBOLS.index(name)
-        value = ParamPoly.coerce(value)
-        out = ParamPoly()
-        pows = {0: ParamPoly.const(1)}
-        for k, v in self.terms.items():
-            d = k[i]
-            if d not in pows:
-                pows[d] = value ** d
-            rest = tuple(0 if j == i else k[j] for j in range(3))
-            out = out + pows[d] * ParamPoly({rest: v})
-        return out
-
     def eval(self, **values) -> Fraction:
         """Evaluate with rational values for every symbol that occurs."""
         vals = [

@@ -1,8 +1,10 @@
-"""Dense exact polynomials: univariate (in alpha) and bivariate helpers.
+"""Dense exact polynomials.
 
 ``Poly`` is the workhorse for genuine polynomial data (binomial-type and
 Sheffer sequences, direct ratio oracles).  Unlike truncated power series it
-has no order bookkeeping: what you see is the whole polynomial.
+has no order bookkeeping: what you see is the whole polynomial.  Its
+coefficients may themselves be ``Poly`` objects, so polynomials in two
+variables live in Q[x][y]: ``taylor`` and ``divided_difference`` build them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ def _trim(coeffs):
 
 
 class Poly:
-    """Univariate polynomial over Fraction, ascending coefficients."""
+    """Univariate polynomial, ascending coefficients; the coefficients are
+    Fractions, or Polys for a polynomial in two variables."""
 
     __slots__ = ("coeffs",)
 
@@ -126,14 +129,27 @@ class Poly:
             return self
         return Poly((_ZERO,) * k + self.coeffs)
 
-    def derive(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+    def derive(self, n: int = 1) -> "Poly":
+        out = self
+        for _ in range(n):
+            out = Poly([i * c for i, c in enumerate(out.coeffs)][1:])
+        return out
 
-    def eval(self, x0) -> Fraction:
-        acc = _ZERO
+    def eval(self, x0):
+        """Value at x0 (a rational, or a Poly to substitute)."""
+        acc = _ZERO * x0
         for c in reversed(self.coeffs):
             acc = acc * x0 + c
         return acc
+
+    def taylor(self) -> "Poly":
+        """p(x + y) in Q[x][y]: the y^j coefficient is p^{(j)}(x)/j!."""
+        out = []
+        d = self
+        for j in range(1, len(self.coeffs) + 1):
+            out.append(d)
+            d = d.derive() / j
+        return Poly(out)
 
     def __repr__(self):
         if not self.coeffs:
@@ -155,121 +171,11 @@ class Poly:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-class BiPoly:
-    """Polynomial in two commuting variables (x, p) over Fraction."""
+def divided_difference(g: Poly) -> Poly:
+    """(x*g(x) - p*g(p)) / (x - p) in Q[x][p], exact over Fraction.
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    @staticmethod
-    def const(c) -> "BiPoly":
-        c = Fraction(c) if isinstance(c, int) else c
-        return BiPoly({(0, 0): c}) if c else BiPoly()
-
-    @staticmethod
-    def monomial(i: int, j: int, c=Fraction(1)) -> "BiPoly":
-        return BiPoly({(i, j): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, _ZERO) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return BiPoly(out)
-
-    def __neg__(self):
-        return BiPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiPoly({k: v * other for k, v in self.terms.items()})
-        out: dict = {}
-        for (i1, j1), v1 in self.terms.items():
-            for (i2, j2), v2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                w = out.get(k, _ZERO) + v1 * v2
-                if w:
-                    out[k] = w
-                else:
-                    out.pop(k, None)
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, BiPoly) and self.terms == other.terms
-
-    def d_dp(self, n: int = 1) -> "BiPoly":
-        out = self
-        for _ in range(n):
-            out = BiPoly(
-                {(i, j - 1): v * j for (i, j), v in out.terms.items() if j}
-            )
-        return out
-
-    def shift_x_by_p(self) -> "BiPoly":
-        """x -> x + p (the shift operator exp(p d/dx))."""
-        from math import comb
-
-        out: dict = {}
-        for (i, j), v in self.terms.items():
-            for k in range(i + 1):
-                key = (k, j + i - k)
-                w = out.get(key, _ZERO) + v * comb(i, k)
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
-        return BiPoly(out)
-
-    def at_x0(self) -> "Poly":
-        """Set x = 0; the result is a polynomial in p."""
-        out: dict = {}
-        for (i, j), v in self.terms.items():
-            if i == 0:
-                out[j] = out.get(j, _ZERO) + v
-        n = max(out) + 1 if out else 0
-        return Poly([out.get(k, _ZERO) for k in range(n)])
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (i, j) in sorted(self.terms):
-            v = self.terms[(i, j)]
-            mono = "".join(
-                [
-                    f"x^{i}" if i > 1 else ("x" if i else ""),
-                    f"p^{j}" if j > 1 else ("p" if j else ""),
-                ]
-            )
-            bits.append(f"{v}{'*' + mono if mono else ''}")
-        return " + ".join(bits)
-
-
-def divided_difference(g: Poly) -> BiPoly:
-    """(x*g(x) - p*g(p)) / (x - p), exact over Fraction.
-
-    This is the rational action of the resolvent of the 0-derivative at
-    shift parameter p on the polynomial g.
+    Its p^k coefficient is the tail sum_{j >= k} g_j x^{j-k}.  This is the
+    rational action of the resolvent of the 0-derivative at shift parameter
+    p on the polynomial g.
     """
-    out: dict = {}
-    for j, c in enumerate(g.coeffs):
-        if not c:
-            continue
-        # (x^{j+1} - p^{j+1})/(x - p) = sum_i x^i p^{j-i}
-        for i in range(j + 1):
-            key = (i, j - i)
-            out[key] = out.get(key, _ZERO) + c
-    return BiPoly(out)
+    return Poly([Poly(g.coeffs[k:]) for k in range(len(g.coeffs))])

@@ -2,7 +2,9 @@
 
 Rationals render as decimal-free "num/den" strings; series as ordered
 coefficient arrays with an explicit order field; JSON uses stable key
-order so reports diff cleanly.
+order so reports diff cleanly.  Each check carries the wall-clock seconds
+spent since the previous one (or since the report was created), and the
+report's ``seconds`` is their running total.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from time import perf_counter
 
 from .series import PowerSeries
 
@@ -35,6 +38,7 @@ class CheckRecord:
     status: str            # "pass" | "fail" | "info"
     exact: bool = True     # exact checks drive the process exit status
     details: dict = field(default_factory=dict)
+    seconds: float = 0.0   # wall clock since the previous record
 
     def to_dict(self) -> dict:
         return {
@@ -42,11 +46,14 @@ class CheckRecord:
             "status": self.status,
             "exact": self.exact,
             "details": self.details,
+            "seconds": self.seconds,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "CheckRecord":
-        return CheckRecord(d["name"], d["status"], d["exact"], d["details"])
+        return CheckRecord(
+            d["name"], d["status"], d["exact"], d["details"], d.get("seconds", 0.0)
+        )
 
 
 @dataclass
@@ -54,15 +61,23 @@ class Report:
     suite: str
     checks: list = field(default_factory=list)
     seconds: float = 0.0
+    _mark: float = field(
+        default_factory=perf_counter, init=False, repr=False, compare=False
+    )
+
+    def _add(self, check: CheckRecord) -> None:
+        now = perf_counter()
+        check.seconds = now - self._mark
+        self._mark = now
+        self.seconds += check.seconds
+        self.checks.append(check)
 
     def record(self, name: str, ok: bool, exact: bool = True, **details):
-        self.checks.append(
-            CheckRecord(name, "pass" if ok else "fail", exact, details)
-        )
+        self._add(CheckRecord(name, "pass" if ok else "fail", exact, details))
         return ok
 
     def info(self, name: str, **details):
-        self.checks.append(CheckRecord(name, "info", False, details))
+        self._add(CheckRecord(name, "info", False, details))
 
     @property
     def exact_ok(self) -> bool:

@@ -17,12 +17,10 @@ from .grading import (
 )
 from .ncwords import head_word_poly, nu_bar_step
 from .operators import DiffOperator, ncpoly_to_diffop
-from .parampoly import ParamPoly
+from .parampoly import S, ParamPoly
 from .polys import Poly
 from .series import OrderError, PowerSeries, SeriesError
-from .umbral import BinomialFamily, build_family, q_zero_table, rename
-
-S = ParamPoly.symbol("s")
+from .umbral import BinomialFamily, build_family, op_L, q_zero_table, rename
 
 
 @dataclass(frozen=True)
@@ -167,9 +165,7 @@ def sheffer_resolvent_check(sf: ShefferFamily, T: list, s: int, depth: int):
 
     x_order = depth + 2
     ellw = ell_at_omega(sf, x_order)
-    from .grading import f_prime_at_omega
-
-    fw = f_prime_at_omega(fam, x_order)
+    fw = fam.fprime_at_omega(x_order)
     om = fam.omega.truncate(x_order)
     base = max(a for a, _ in T)
     parts: dict = {}
@@ -244,6 +240,15 @@ def tn_ell_trend_check(
 # -- the Bernoulli-logarithm experiment ------------------------------------------------
 
 
+def bernoulli_weight(order: int) -> PowerSeries:
+    """The Bernoulli weight x/(e^x - 1) to the given order."""
+    expm1 = PowerSeries(
+        "x",
+        [Fraction(0)] + [Fraction(1, factorial(n)) for n in range(1, order + 2)],
+    )
+    return expm1.div_var(1).inv()
+
+
 def bernoulli_operator_log(depth: int) -> list:
     """alpha^{-k} coefficients of the displayed operator logarithm
 
@@ -252,17 +257,13 @@ def bernoulli_operator_log(depth: int) -> list:
 
     taken literally: plain d/dx and multiplication by u, not their
     omega-conjugated counterparts."""
-    order = depth + 2
-    expm1 = PowerSeries(
-        "x", [Fraction(0)] + [Fraction(1, factorial(n)) for n in range(1, order + 2)]
-    )
-    u = expm1.div_var(1).inv()  # x/(e^x-1)
-    uinv = expm1.div_var(1)
+    u = bernoulli_weight(depth + 2)
+    uinv = u.inv()
 
     out = [ParamPoly()]
     g = u
     for k in range(1, depth + 1):
-        lg = ((g * uinv.truncate(g.order)) - (g * uinv.truncate(g.order)).coefficient(0)).div_var(1)
+        lg = op_L(g * uinv)
         g = g.derive() - (u.truncate(lg.order) * lg).scale(S)
         out.append(ParamPoly.coerce(g.coefficient(0)) * Fraction((-1) ** (k - 1), k))
     return out
@@ -279,9 +280,7 @@ def bernoulli_log_experiment(depth: int) -> dict:
     """
     rhs = bernoulli_operator_log(depth)
     order = depth + 4
-    ell = PowerSeries(
-        "x", [Fraction(0)] + [Fraction(1, factorial(n)) for n in range(1, order + 2)]
-    ).div_var(1).inv()
+    ell = bernoulli_weight(order)
 
     from .presets import f_exp1, f_id
 

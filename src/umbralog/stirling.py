@@ -21,11 +21,18 @@ from math import factorial
 
 from .asymptotic import AsymptoticSeries, LinForm
 from .operators import build_Tn
-from .parampoly import ParamPoly
+from .parampoly import H, S, ParamPoly
 from .series import OrderError, PowerSeries, SeriesError
-from .umbral import BinomialFamily, build_family, p_seq, p_symbolic, rename
+from .umbral import (
+    BinomialFamily,
+    build_family,
+    op_L,
+    p_seq,
+    p_symbolic,
+    q_at_omega,
+    rename,
+)
 
-S = ParamPoly.symbol("s")
 ALPHA = "a"
 
 
@@ -45,13 +52,6 @@ def t_n_omega(fam: BinomialFamily, n_max: int) -> list:
         T = build_Tn(fam, n, var=ALPHA)
         out.append(T.apply(om))
     return out
-
-
-def f_prime_at_omega_alpha(fam: BinomialFamily, order: int) -> PowerSeries:
-    if fam.fprime.order < order + 1 or fam.omega.order < order + 1:
-        raise OrderError("family truncation too small for f'(omega)")
-    fw = fam.fprime.truncate(order + 1).compose(fam.omega.truncate(order + 1))
-    return rename(fw.truncate(order), ALPHA)
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def stirling_terms(fam: BinomialFamily, N: int) -> StirlingExpansion:
     s1_regular = reduced.integrate()
 
     # independent route: I(alpha) = int ln f'(omega(t)) dt, R = -I/alpha
-    fw = f_prime_at_omega_alpha(fam, fam.order - 2)
+    fw = rename(fam.fprime_at_omega(fam.order - 2), ALPHA)
     integral_term = fw.log().integrate()
     alt = -integral_term.div_var(1)
     if not s1_regular.prefix_equal(alt):
@@ -167,17 +167,15 @@ def verify_log_identity(fam: BinomialFamily, variant: str, depth: int):
         raise OrderError("family truncation too small for the requested depth")
     rhs = [ParamPoly()]
     if variant == "log":
-        inv_wp = fam.inv_omega_prime().truncate(x_order)
         g = fam.omega.truncate(x_order + 1).div_var(1)
         for k in range(1, depth + 1):
-            ell = (g - g.coefficient(0)).div_var(1)
-            g = ell.scale(S) - g.derive() * inv_wp.truncate(g.order - 1)
+            g = fam.x_op(g, S)
             rhs.append(ParamPoly.coerce(g.coefficient(0)) * Fraction(-1, k))
     elif variant == "exp":
         u = fam.tau_f.truncate(x_order + 1).div_var(1).inv()
         g = u
         for m in range(1, depth + 1):
-            ell = (g - g.coefficient(0)).div_var(1)
+            ell = op_L(g)
             g = g.derive() - (u.truncate(ell.order) * ell).scale(S)
             c_m = ParamPoly.coerce(g.coefficient(0)) / Fraction(factorial(m))
             rhs.append(c_m * Fraction((-1) ** (m - 1) * factorial(m - 1)))
@@ -303,7 +301,8 @@ class LimitReport:
     target: str
     samples: list          # (n, value as str)
     errors: list           # (n, |sample - target| as str)
-    ratios: list           # error(n)/error(2n) as float
+    ratios: list           # error(n)/error(2n) as float; None where
+                           # error(2n) is zero
     monotone: bool
     final_error: str
     extrapolated: str      # 2*x(2n) - x(n), exact for errors of the form C/n;
@@ -356,7 +355,7 @@ def limit_check(
                 val = seq[n].derive().eval(n * alpha) / seq[n].eval(n * alpha)
                 sample_vals.append(to_decimal(val))
         elif which == "first":
-            fw = f_prime_at_omega_alpha(fam, fam.order - 2)
+            fw = fam.fprime_at_omega(fam.order - 2)
             target = to_decimal(alpha / fw.eval_truncated(point))
             quantity = "p_{n+1}(n*alpha)/p_n(n*alpha)/n"
             tstr = "alpha*f'(omega(1/alpha))^{-1}"
@@ -364,7 +363,7 @@ def limit_check(
                 val = seq[n + 1].eval(n * alpha) / seq[n].eval(n * alpha) / n
                 sample_vals.append(to_decimal(val))
         elif which == "second":
-            fw = f_prime_at_omega_alpha(fam, fam.order - 2)
+            fw = fam.fprime_at_omega(fam.order - 2)
             i_val = fw.log().integrate().eval_truncated(point)
             target = ln_decimal(om.derive().eval_truncated(point)) / 2
             quantity = "ln p_n(alpha*n) - n*ln(alpha*n) + n*alpha*I(1/alpha)"
@@ -383,7 +382,7 @@ def limit_check(
         samples = [(n, str(+v.quantize(Decimal("1e-30")))) for n, v in zip(ns, sample_vals)]
         errors = [abs(v - target) for v in sample_vals]
         ratios = [
-            float(errors[i] / errors[i + 1]) if errors[i + 1] != 0 else float("inf")
+            float(errors[i] / errors[i + 1]) if errors[i + 1] else None
             for i in range(len(errors) - 1)
         ]
         monotone = all(errors[i] > errors[i + 1] for i in range(len(errors) - 1))
@@ -411,39 +410,32 @@ def ratio_two_orders(fam: BinomialFamily, order: int):
     """Exact check of the alpha^H and alpha^{H-1} coefficients of
     p_{alpha s + H}(alpha) / p_{alpha s}(alpha) against the displayed
     closed forms, as s-series with polynomial-in-H coefficients."""
-    from .umbral import q_at_omega
-
-    Hp = ParamPoly.symbol("H")
     x_order = order + 4
     if fam.omega.order < x_order + 1:
         raise OrderError("family truncation too small for ratio_two_orders")
 
-    qv = q_at_omega(fam, 1, x_order, exponent=Hp + Fraction(1))
+    qv = q_at_omega(fam, 1, x_order, exponent=H + Fraction(1))
     q1 = rename(qv[1], "s")
-    fw = rename(
-        fam.fprime.truncate(x_order + 1).compose(fam.omega.truncate(x_order + 1)),
-        "s",
-    )
-    G = fw.truncate(x_order).pow_param(-Hp)
+    G = rename(fam.fprime_at_omega(x_order), "s").pow_param(-H)
 
     w1 = rename(fam.omega.derive(), "s")
     # closed form for q_1^{omega(s)}(1+H): (1+H)/2 * (1 - omega'(s))/(s omega'(s))
     one_minus = -(w1.truncate(q1.order + 1) - 1)
     rhs_q1 = (
         one_minus.div_var(1) * w1.truncate(q1.order).inv()
-    ).scale((Hp + 1) / Fraction(2))
+    ).scale((H + 1) / Fraction(2))
     q1_ok = q1.prefix_equal(rhs_q1)
 
     # alpha^{H-1} coefficient from the operator machinery:
     #   H q_1 G - s^{-1} T_1 (s G)
     T1 = build_Tn(fam, 1, var="s")
     t_part = T1.apply(G.mul_var(1)).div_var(1)
-    machinery = q1.truncate(t_part.order) * G.truncate(t_part.order) * Hp - t_part
+    machinery = q1.truncate(t_part.order) * G.truncate(t_part.order) * H - t_part
 
     w2 = w1.derive()
     bracket = (
-        (-(w1 - 1)).div_var(1).truncate(w2.order) * (Hp * Hp) / Fraction(2)
-        + (w2 * w1.truncate(w2.order).inv()) * Hp / Fraction(2)
+        (-(w1 - 1)).div_var(1).truncate(w2.order) * (H * H) / Fraction(2)
+        + (w2 * w1.truncate(w2.order).inv()) * H / Fraction(2)
     )
     closed = bracket.truncate(min(bracket.order, G.order)) * G.truncate(
         min(bracket.order, G.order)

@@ -1,28 +1,33 @@
 """Everything derived directly from a series f in x + x^2 C[[x]]:
 
 the change-of-variable series (f/f', its inverse omega, the functional
-inverse phi), the binomial-type polynomial sequence, the q-coefficient
-tables, the symbolic continuation alpha^s + lower, and the two routes to
-the ratio expansion p_{s+H}/p_s.
+inverse phi), the omega-side operators every resolvent identity is built
+from (f'(omega(x)), d/domega = (1/omega') d/dx and the step
+s L - d/domega, with L the 0-derivative), the binomial-type polynomial
+sequence, the q-coefficient tables, the symbolic continuation
+alpha^s + lower, and the two routes to the ratio expansion p_{s+H}/p_s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial, gcd, lcm
 
 from .asymptotic import AsymptoticSeries, LinForm
-from .parampoly import ParamPoly, _lift, binom_poly
+from .parampoly import H, S, ParamPoly, _lift, binom_poly
 from .polys import Poly
 from .series import OrderError, PowerSeries, SeriesError
-
-S = ParamPoly.symbol("s")
-H = ParamPoly.symbol("H")
 
 
 def rename(u: PowerSeries, var: str) -> PowerSeries:
     return PowerSeries(var, u.coeffs, u.czero)
+
+
+def op_L(g: PowerSeries) -> PowerSeries:
+    """0-derivative: (g(x) - g(0)) / x."""
+    return (g - g.coefficient(0)).div_var(1)
 
 
 class FamilyError(SeriesError):
@@ -38,12 +43,30 @@ class BinomialFamily:
     omega: PowerSeries        # functional inverse of f/f'
     order: int
 
+    @cached_property
     def inv_omega_prime(self) -> PowerSeries:
+        """1/omega'(x), computed once: every d/domega step multiplies by it."""
         return self.omega.derive().inv()
 
     def sigma(self, var: str = "s") -> PowerSeries:
         """The series v/omega'(v) (zero constant, unit linear term)."""
-        return rename(self.inv_omega_prime(), var).mul_var(1)
+        return rename(self.inv_omega_prime, var).mul_var(1)
+
+    def fprime_at_omega(self, order: int) -> PowerSeries:
+        """f'(omega(x)) to the given order."""
+        if self.fprime.order < order + 1 or self.omega.order < order + 1:
+            raise OrderError("family truncation too small for f'(omega(x))")
+        return self.fprime.truncate(order + 1).compose(
+            self.omega.truncate(order + 1)
+        ).truncate(order)
+
+    def d_domega(self, g: PowerSeries) -> PowerSeries:
+        """d/domega = (1/omega'(x)) d/dx, in g's variable."""
+        return g.derive() * rename(self.inv_omega_prime, g.var)
+
+    def x_op(self, g: PowerSeries, s) -> PowerSeries:
+        """The step s L - d/domega."""
+        return op_L(g).scale(s) - self.d_domega(g)
 
 
 def check_admissible(f: PowerSeries):
@@ -74,8 +97,7 @@ def tau_inverse(g: PowerSeries) -> PowerSeries:
     Solves (ln(f/x))' = 1/g - 1/x termwise and exponentiates.
     """
     check_admissible(g)
-    x_over_g = g.div_var(1).inv()          # x/g, constant term 1
-    hprime = (x_over_g - Fraction(1)).div_var(1)
+    hprime = op_L(g.div_var(1).inv())      # x/g has constant term 1
     f = hprime.integrate().exp().mul_var(1)
     return f.truncate(g.order)
 
@@ -169,8 +191,7 @@ def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> list:
     deriv = fam.f
     for j in range(t_order + 1):
         c = Fraction(1, factorial(j))
-        centered = (deriv - deriv.coefficient(0)).scale(c)
-        slices.append(centered.div_var(1).truncate(x_ord))
+        slices.append(op_L(deriv).scale(c).truncate(x_ord))
         if j < t_order:
             deriv = deriv.derive()
 
@@ -263,21 +284,14 @@ def ratio_P_symbolic(fam: BinomialFamily, N: int, x_order: int | None = None) ->
     if x_order is None:
         x_order = N + 2
     qv = q_at_omega(fam, N, x_order, exponent=H + Fraction(1))
-    fpw = fam.fprime.truncate(x_order + 1).compose(fam.omega.truncate(x_order + 1))
-    fpw_mH = fpw.truncate(x_order).pow_param(-H)
-    invop = rename(fam.inv_omega_prime(), fam.f.var)
-
-    def x_op(g: PowerSeries) -> PowerSeries:
-        ell = (g - g.coefficient(0)).div_var(1)
-        return ell.scale(S) - g.derive() * invop
-
+    fpw_mH = fam.fprime_at_omega(x_order).pow_param(-H)
     vals = {}
     for m in range(N + 1):
         g = qv[m] * fpw_mH
         for k in range(N + 1 - m):
             vals[(m, k)] = ParamPoly.coerce(g.coefficient(0))
             if k < N - m:
-                g = x_op(g)
+                g = fam.x_op(g, S)
     out = []
     for n in range(N + 1):
         acc = ParamPoly()

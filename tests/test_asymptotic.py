@@ -103,6 +103,30 @@ def test_equal_to_depth_handles_exponent_offsets():
     assert AsymptoticSeries.equal_to_depth(a, b, 1)
 
 
+def test_zero_window_equals_a_value_below_it():
+    # the graded side of a check can vanish on its whole window
+    # alpha^1..alpha^0 while the direct side starts at alpha^-1
+    zero = AsymptoticSeries(LinForm(1), [Q(0), Q(0)])
+    below = AsymptoticSeries(LinForm(-1), [Q(2), Q(6)])
+    assert AsymptoticSeries.equal_to_depth(below, zero, 1)
+    assert AsymptoticSeries.equal_to_depth(zero, below, 1)
+
+
+def test_zero_window_differs_from_a_value_inside_it():
+    zero = AsymptoticSeries(LinForm(1), [Q(0), Q(0)])
+    inside = AsymptoticSeries(LinForm(0), [Q(3), Q(1)])
+    assert not AsymptoticSeries.equal_to_depth(zero, inside, 1)
+    assert not AsymptoticSeries.equal_to_depth(inside, zero, 1)
+
+
+def test_symbolic_exponent_gap_compares_zeros_only():
+    zero = AsymptoticSeries(LinForm.S, [Q(0), Q(0)])
+    also_zero = AsymptoticSeries(LinForm(0), [Q(0), Q(0)])
+    other = AsymptoticSeries(LinForm(1), [Q(1), Q(0)])
+    assert AsymptoticSeries.equal_to_depth(zero, also_zero, 1)
+    assert not AsymptoticSeries.equal_to_depth(zero, other, 1)
+
+
 def test_div_log_derive_alpha_methods():
     p = AsymptoticSeries(LinForm.S, [Q(1), S])
     assert (p / p).coefficient(0) == ParamPoly.const(1)

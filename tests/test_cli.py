@@ -99,6 +99,35 @@ def test_report_round_trip():
     assert Report.from_json(rep.to_json()) == rep
 
 
+def test_report_times_each_check():
+    rep = Report("demo")
+    rep.record("a", True)
+    rep.info("b", k="1/2")
+    assert [c.seconds >= 0 for c in rep.checks] == [True, True]
+    assert rep.seconds == sum(c.seconds for c in rep.checks)
+    back = Report.from_json(rep.to_json())
+    assert back == rep
+    assert [c.seconds for c in back.checks] == [c.seconds for c in rep.checks]
+
+
+def test_limits_json_is_strict_when_errors_vanish(capsys):
+    # every error of f = x is zero, so no error ratio exists
+    code, out = run_cli(capsys, "limits", "--f", "id", "--order", "18",
+                        "--n-max", "16", "--json")
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    data = json.loads(out, parse_constant=reject)
+    assert data["conclusion"]["ratios"] == [None, None]
+
+
+def test_verify_conjugation_at_small_depth(capsys):
+    code, out = run_cli(capsys, "verify", "conjugation", "--depth", "1")
+    assert code == 0, out
+
+
 def test_verify_series_exit_zero(capsys):
     code, out = run_cli(capsys, "verify", "series")
     assert code == 0

@@ -8,9 +8,9 @@ import pytest
 
 from oracles import abel_poly, cached_family, falling_factorial_poly
 from umbralog.parampoly import ParamPoly
-from umbralog.polys import BiPoly, Poly
+from umbralog.polys import Poly
 from umbralog.presets import f_poly, x_exp_minus_x
-from umbralog.series import PowerSeries
+from umbralog.series import OrderError, PowerSeries
 from umbralog.umbral import (
     FamilyError,
     build_family,
@@ -52,6 +52,44 @@ class TestBuildFamily:
             build_family(PowerSeries("x", [Q(1), Q(1), Q(0)]))
         with pytest.raises(FamilyError):
             build_family(PowerSeries("x", [Q(0), Q(2), Q(0)]))
+
+
+class TestOmegaSideOperators:
+    def test_fprime_at_omega_stops_at_the_family_order(self):
+        fam = cached_family("exp1", 10)
+        fw = fam.fprime_at_omega(fam.order - 2)
+        assert fw.order == fam.order - 2
+        # exp1: f'(omega(x)) = e^{log(1/(1-x))} = 1/(1-x)
+        assert all(fw.coefficient(k) == 1 for k in range(fw.order + 1))
+        with pytest.raises(OrderError):
+            fam.fprime_at_omega(fam.order - 1)
+
+    @pytest.mark.parametrize("name", ["exp1", "geom"])
+    @pytest.mark.parametrize("s", [Q(3, 2), S])
+    def test_step_is_s_L_minus_d_domega(self, name, s):
+        fam = cached_family(name, 12)
+        rng = random.Random(11)
+        g = PowerSeries(
+            "x", [Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(9)]
+        )
+        # s (g - g(0))/x from the coefficient shift, g'/omega' by division
+        ell = PowerSeries("x", [g.coefficient(k + 1) for k in range(g.order)])
+        want = ell.scale(s) - g.derive() / fam.omega.derive()
+        got = fam.x_op(g, s)
+        assert got.order == want.order == g.order - 1
+        for k in range(got.order + 1):
+            assert got.coefficient(k) == want.coefficient(k)
+
+    def test_d_domega_keeps_the_variable(self):
+        fam = cached_family("geom", 10)
+        g = PowerSeries("a", [Q(0), Q(1), Q(2), Q(3)])
+        assert fam.d_domega(g).var == "a"
+
+    def test_inverse_omega_prime_is_computed_once(self):
+        fam = build_family(cached_family("nu", 8).f)
+        assert fam.inv_omega_prime is fam.inv_omega_prime
+        assert fam == cached_family("nu", 8)
+        assert hash(fam) == hash(cached_family("nu", 8))
 
 
 class TestTauInverse:
@@ -100,21 +138,16 @@ class TestPSeq:
             assert seq[n] == abel_poly(n, Q(1))
 
     def test_binomial_convolution_identity(self):
+        # p_n(x + y) = sum_k C(n, k) p_k(x) p_{n-k}(y), in Q[x][y]
         for name in ("exp1", "geom", "nu"):
             seq = p_seq(cached_family(name, 13), 12)
             for n in range(13):
-                lhs = BiPoly({})
-                for i, c in enumerate(seq[n].coeffs):
-                    for k in range(i + 1):
-                        lhs = lhs + BiPoly.monomial(k, i - k, c * comb(i, k))
-                rhs = BiPoly({})
+                rhs = Poly()
                 for k in range(n + 1):
-                    for i, ci in enumerate(seq[k].coeffs):
-                        for j, cj in enumerate(seq[n - k].coeffs):
-                            rhs = rhs + BiPoly.monomial(
-                                i, j, ci * cj * comb(n, k)
-                            )
-                assert lhs == rhs
+                    rhs = rhs + Poly(
+                        [seq[k] * c for c in seq[n - k].coeffs]
+                    ) * comb(n, k)
+                assert seq[n].taylor() == rhs
 
     def test_generating_function_identity(self):
         # sum p_k(a) f(x)^k / k! = exp(a x) through order 12 in x
