@@ -26,6 +26,10 @@ from .stirling import limit_check, stirling_terms
 from .umbral import p_seq, q_table
 from .verify import SUITES, run_suites
 
+# ``tn`` lists the 3^(n-1) head words of every grade n <= --depth; depth 9
+# lists in about 3 s, and each further grade triples the time.
+TN_MAX_DEPTH = 9
+
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -45,7 +49,13 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("pseq", help="binomial-type polynomial sequence"))
     common(sub.add_parser("omega", help="the change-of-variable series"))
     common(sub.add_parser("q", help="q-coefficient table"))
-    common(sub.add_parser("tn", help="graded word operators"), order=14, depth=2)
+    tn = sub.add_parser(
+        "tn",
+        help="graded word operators",
+        description="The head words and the operator of each grade n <= "
+        f"--depth. Grade n has 3^(n-1) words, so --depth is at most {TN_MAX_DEPTH}.",
+    )
+    common(tn, order=14, depth=2)
     common(sub.add_parser("stirling", help="generalized log expansion terms"),
            order=16, depth=4)
     lp = sub.add_parser("limits", help="limit-formula trend tables")
@@ -168,6 +178,11 @@ def cmd_q(args) -> int:
 
 
 def cmd_tn(args) -> int:
+    if args.depth > TN_MAX_DEPTH:
+        raise ValueError(
+            f"tn lists 3^(n-1) words per grade; --depth must be at most "
+            f"{TN_MAX_DEPTH}, got {args.depth}"
+        )
     fam = family(args.f, max(args.order, 4 * args.depth + 4))
     rows = []
     for n in range(args.depth + 1):

@@ -138,26 +138,32 @@ class NCPoly:
 P0 = NCPoly.monomial((E,))
 
 
+def _rewrite(p: NCPoly, images) -> NCPoly:
+    """Sum of prefix·tail·c·weight over the (tail, weight) pairs that
+    ``images(i)`` gives for each canonical word prefix·E·D^i, in one dict."""
+    out: dict = {}
+    for w, c in p.terms.items():
+        prefix, i = split_canonical(w)
+        for tail, weight in images(i):
+            key = prefix + tail
+            out[key] = out.get(key, 0) + c * weight
+    return NCPoly(out)
+
+
 def nu_step(p: NCPoly) -> NCPoly:
     """One grade-raising rewrite E·D^i -> combinations of sigma, D, E words.
 
     E·D^i maps to sigma·D^{i+2}·E/((i+1)(i+2)) - sigma·D·E·D^{i+1}/(i+1)
     + sigma·E·D^{i+2}/(i+2); prefixes ride along unchanged.
     """
-    out = NCPoly()
-    for w, c in p.terms.items():
-        prefix, i = split_canonical(w)
-        a = prefix + (SIGMA,) + (D,) * (i + 2) + (E,)
-        b = prefix + (SIGMA, D, E) + (D,) * (i + 1)
-        d = prefix + (SIGMA, E) + (D,) * (i + 2)
-        out = out + NCPoly(
-            {
-                a: c / Fraction((i + 1) * (i + 2)),
-                b: -c / Fraction(i + 1),
-                d: c / Fraction(i + 2),
-            }
-        )
-    return out
+    return _rewrite(
+        p,
+        lambda i: (
+            ((SIGMA,) + (D,) * (i + 2) + (E,), Fraction(1, (i + 1) * (i + 2))),
+            ((SIGMA, D, E) + (D,) * (i + 1), Fraction(-1, i + 1)),
+            ((SIGMA, E) + (D,) * (i + 2), Fraction(1, i + 2)),
+        ),
+    )
 
 
 def nu_bar_step(p: NCPoly) -> NCPoly:
@@ -166,22 +172,15 @@ def nu_bar_step(p: NCPoly) -> NCPoly:
     E·D^i maps to (sigma·lam_inv·D·lam·D^{i+1}/(i+1) - sigma·D^{i+2}/(i+2))·E
     - sigma·lam_inv·D·lam·E·D^{i+1}/(i+1) + sigma·E·D^{i+2}/(i+2).
     """
-    out = NCPoly()
-    for w, c in p.terms.items():
-        prefix, i = split_canonical(w)
-        a1 = prefix + (SIGMA, LAMINV, D, LAM) + (D,) * (i + 1) + (E,)
-        a2 = prefix + (SIGMA,) + (D,) * (i + 2) + (E,)
-        b = prefix + (SIGMA, LAMINV, D, LAM, E) + (D,) * (i + 1)
-        d = prefix + (SIGMA, E) + (D,) * (i + 2)
-        out = out + NCPoly(
-            {
-                a1: c / Fraction(i + 1),
-                a2: -c / Fraction(i + 2),
-                b: -c / Fraction(i + 1),
-                d: c / Fraction(i + 2),
-            }
-        )
-    return out
+    return _rewrite(
+        p,
+        lambda i: (
+            ((SIGMA, LAMINV, D, LAM) + (D,) * (i + 1) + (E,), Fraction(1, i + 1)),
+            ((SIGMA,) + (D,) * (i + 2) + (E,), Fraction(-1, i + 2)),
+            ((SIGMA, LAMINV, D, LAM, E) + (D,) * (i + 1), Fraction(-1, i + 1)),
+            ((SIGMA, E) + (D,) * (i + 2), Fraction(1, i + 2)),
+        ),
+    )
 
 
 def nu_power(n: int, step=nu_step) -> NCPoly:

@@ -1,10 +1,13 @@
-"""Differential-operator realizations of the word polynomials.
+"""Differential-operator realizations of the grade operators.
 
-A word in {sigma, D, lam, lam_inv} becomes a normal-ordered operator
-sum_j c_j(v) d^j/dv^j by pushing each D right past the multiplication
-letters with the product rule; sigma is multiplication by v/omega'(v) and
-lam by a supplied unit series.  Normal ordering happens lazily here, at
-application time; the word-level data stays free in ncwords.
+The grade-n operator T_n is the head coefficient of the n-th rewrite
+iterate (``ncwords.head_word_poly``), a sum of 3^(n-1) words in {sigma, D}
+(or {sigma, D, lam, lam_inv} for the lam-rewrite).  ``apply_Tn`` never lists
+those words: it runs the linear matrix scheme of
+``ncwords.head_word_poly_matrix`` right to left on a vector whose entries
+are series (giving T_n g) or normal-ordered operators sum_j c_j(v) d^j/dv^j
+(giving T_n itself), in O(n^2) products.  sigma is multiplication by
+v/omega'(v) and lam by a supplied unit series.
 """
 
 from __future__ import annotations
@@ -12,27 +15,28 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .ncwords import (
-    D,
-    LAM,
-    LAMINV,
-    SIGMA,
-    NCPoly,
-    head_word_poly,
-)
+from .ncwords import D, LAM, LAMINV, SIGMA
 from .polys import Poly, divided_difference
 from .series import OrderError, PowerSeries, SeriesError
 from .umbral import BinomialFamily, rename
 
 
 class DiffOperator:
-    """Normal-ordered sum of (series coefficient) * (d/dv)^j terms."""
+    """Normal-ordered sum of (series coefficient) * (d/dv)^j terms.
+
+    A zero coefficient is kept until ``nonzero()`` drops it: it still
+    carries its truncation order, which a later D must respect."""
 
     __slots__ = ("var", "terms")
 
     def __init__(self, var: str, terms):
         self.var = var
-        self.terms = {j: c for j, c in terms.items() if not c.is_zero()}
+        self.terms = dict(terms)
+
+    def nonzero(self) -> "DiffOperator":
+        return DiffOperator(
+            self.var, {j: c for j, c in self.terms.items() if not c.is_zero()}
+        )
 
     @staticmethod
     def identity(var: str, order: int) -> "DiffOperator":
@@ -59,6 +63,21 @@ class DiffOperator:
     def scale(self, c) -> "DiffOperator":
         return DiffOperator(self.var, {j: x.scale(c) for j, x in self.terms.items()})
 
+    def lmul(self, m: PowerSeries) -> "DiffOperator":
+        """m∘A: every coefficient times the series m."""
+        return DiffOperator(self.var, {j: m * c for j, c in self.terms.items()})
+
+    def derive(self) -> "DiffOperator":
+        """D∘A = sum_j c_j' d^j + c_j d^{j+1}, by the product rule."""
+        if any(c.order < 1 for c in self.terms.values()):
+            raise OrderError(
+                "operator coefficient truncated away; increase the family order"
+            )
+        terms = self.terms.items()
+        return DiffOperator(self.var, {j: c.derive() for j, c in terms}) + (
+            DiffOperator(self.var, {j + 1: c for j, c in terms})
+        )
+
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
             return NotImplemented
@@ -79,52 +98,63 @@ class DiffOperator:
 def word_to_diffop(
     w: tuple, sigma: PowerSeries, lam: PowerSeries | None = None
 ) -> DiffOperator:
-    """Realize one E-free word, rightmost letter acting first."""
-    var = sigma.var
-    subs = {SIGMA: sigma}
-    if lam is not None:
-        subs[LAM] = lam
-        subs[LAMINV] = lam.inv()
-    terms = {0: PowerSeries.one(var, sigma.order)}
+    """One E-free word as an operator, rightmost letter acting first.  The
+    grade operators never list words; this realizes a single one."""
+    subs = {SIGMA: sigma, LAM: lam, LAMINV: None if lam is None else lam.inv()}
+    op = DiffOperator.identity(sigma.var, sigma.order)
     for letter in reversed(w):
-        if letter == D:
-            new: dict = {}
-            for j, c in terms.items():
-                if c.order < 1:
-                    raise OrderError(
-                        "operator coefficient truncated away; increase the "
-                        "family order"
-                    )
-                dc = c.derive()
-                new[j] = new[j] + dc if j in new else dc
-                new[j + 1] = new[j + 1] + c if j + 1 in new else c
-            terms = new
-        else:
-            if letter not in subs:
-                raise SeriesError(f"no series substitution for letter {letter!r}")
-            m = subs[letter]
-            terms = {j: m * c for j, c in terms.items()}
-    return DiffOperator(var, terms)
+        if letter != D and subs.get(letter) is None:
+            raise SeriesError(f"no series substitution for letter {letter!r}")
+        op = op.derive() if letter == D else op.lmul(subs[letter])
+    return op.nonzero()
 
 
-def ncpoly_to_diffop(
-    p: NCPoly, sigma: PowerSeries, lam: PowerSeries | None = None
-) -> DiffOperator:
-    out = DiffOperator(sigma.var, {})
-    for w, c in p.terms.items():
-        out = out + word_to_diffop(w, sigma, lam).scale(c)
-    return out
+def apply_Tn(x, n: int, sigma: PowerSeries, lam: PowerSeries | None = None):
+    """T_n x for a series x, or T_n∘x for an operator x, where T_n is the
+    grade-n operator of the plain rewrite, or of the lam-rewrite given lam.
 
-
-def build_Tn(fam: BinomialFamily, n: int, var: str = "s") -> DiffOperator:
-    """The grade-n operator of the conjugation expansion, in (v, d/dv).
-
-    Builds the head word polynomial by iterating the rewrite on E, then
-    substitutes sigma -> v/omega'(v).
+    Runs the matrix scheme of ``ncwords.head_word_poly_matrix`` right to
+    left: x starts alone in column 0, and for k = n .. 1 row i = 0 .. 2k-2
+    of the new vector is sigma (A_i x_0 - B x_{i+1}/(i+1) + x_{i+2}/(i+2)),
+    with B = D and A_i = D^{i+2}/((i+1)(i+2)) for the plain rewrite, and
+    B = lam^{-1} D lam and A_i = B D^{i+1}/(i+1) - D^{i+2}/(i+2) for the
+    lam-rewrite.  Column 0 of the last vector is T_n x.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return ncpoly_to_diffop(head_word_poly(n), fam.sigma(var))
+    on_operators = isinstance(x, DiffOperator)
+    lam_inv = None if lam is None else lam.inv()
+
+    def mul(m, y):  # m∘y
+        return y.lmul(m) if on_operators else m * y
+
+    def B(y):
+        return y.derive() if lam is None else mul(lam_inv, mul(lam, y).derive())
+
+    vec = [x]
+    for k in range(n, 0, -1):
+        d = [vec[0]]  # D^j x_0
+        for _ in range(2 * k):
+            d.append(d[-1].derive())
+        new = []
+        for i in range(2 * k - 1):
+            a, b = Fraction(1, i + 1), Fraction(1, i + 2)
+            if lam is None:
+                row = d[i + 2].scale(a * b)
+            else:
+                row = B(d[i + 1]).scale(a) + d[i + 2].scale(-b)
+            if len(vec) > 1:
+                row = row + B(vec[i + 1]).scale(-a) + vec[i + 2].scale(b)
+            new.append(mul(sigma, row))
+        vec = new
+    return vec[0]
+
+
+def build_Tn(fam: BinomialFamily, n: int, var: str = "s") -> DiffOperator:
+    """The grade-n operator of the conjugation expansion, in (v, d/dv),
+    with sigma -> v/omega'(v)."""
+    sigma = fam.sigma(var)
+    return apply_Tn(DiffOperator.identity(var, sigma.order), n, sigma).nonzero()
 
 
 # -- the divided-difference / shift commutator identity -------------------------

@@ -402,7 +402,7 @@ class PowerSeries:
                 raise OrderError("derivative of an order-0 series")
             out = PowerSeries(
                 out.var,
-                [k * out.coeffs[k] for k in range(1, out.order + 1)],
+                [out.coeffs[k] * k for k in range(1, out.order + 1)],
                 out.czero,
             )
         return out

@@ -15,8 +15,7 @@ from .grading import (
     geometric_sum,
     op_sheffer,
 )
-from .ncwords import head_word_poly, nu_bar_step
-from .operators import DiffOperator, ncpoly_to_diffop
+from .operators import DiffOperator, apply_Tn
 from .parampoly import S, ParamPoly
 from .polys import Poly
 from .series import OrderError, PowerSeries, SeriesError
@@ -188,14 +187,18 @@ def sheffer_resolvent_check(sf: ShefferFamily, T: list, s: int, depth: int):
 # -- lam-conjugated word operators ----------------------------------------------------
 
 
+def _sigma_lam(sf: ShefferFamily, var: str) -> tuple:
+    """sigma = v/omega'(v) and lam = ell(omega(v)), in the variable v."""
+    sigma = sf.fam.sigma(var)
+    return sigma, rename(ell_at_omega(sf, sigma.order), var)
+
+
 def build_Tn_ell(sf: ShefferFamily, n: int, var: str = "a") -> DiffOperator:
     """Head of the n-th lam-rewrite iterate with sigma -> v/omega'(v) and
     lam -> ell(omega(v)) substituted; reduces to the plain operator at ell = 1."""
-    words = head_word_poly(n, step=nu_bar_step)
-    fam = sf.fam
-    sigma = fam.sigma(var)
-    lam = rename(ell_at_omega(sf, sigma.order), var)
-    return ncpoly_to_diffop(words, sigma, lam)
+    sigma, lam = _sigma_lam(sf, var)
+    identity = DiffOperator.identity(var, sigma.order)
+    return apply_Tn(identity, n, sigma, lam).nonzero()
 
 
 def tn_ell_trend_check(
@@ -208,12 +211,9 @@ def tn_ell_trend_check(
 
     after n <= n_terms must shrink like s^{-(n_terms+1)}."""
     alpha = Fraction(alpha)
-    fam = sf.fam
-    om = rename(fam.omega, "a")
-    partial_terms = []
-    for n in range(n_terms + 1):
-        op = build_Tn_ell(sf, n)
-        partial_terms.append(op.apply(om))
+    om = rename(sf.fam.omega, "a")
+    sigma, lam = _sigma_lam(sf, "a")
+    partial_terms = [apply_Tn(om, n, sigma, lam) for n in range(n_terms + 1)]
 
     residuals = []
     for s in s_values:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from .asymptotic import AsymptoticSeries, LinForm
-from .operators import build_Tn
+from .operators import apply_Tn, build_Tn
 from .parampoly import H, S, ParamPoly
 from .series import OrderError, PowerSeries, SeriesError
 from .umbral import (
@@ -47,11 +47,8 @@ def omega_in_alpha(fam: BinomialFamily) -> PowerSeries:
 def t_n_omega(fam: BinomialFamily, n_max: int) -> list:
     """(T_n omega)(alpha) as exact alpha-series, n = 0..n_max."""
     om = omega_in_alpha(fam)
-    out = [om]
-    for n in range(1, n_max + 1):
-        T = build_Tn(fam, n, var=ALPHA)
-        out.append(T.apply(om))
-    return out
+    sigma = fam.sigma(ALPHA)
+    return [apply_Tn(om, n, sigma) for n in range(n_max + 1)]
 
 
 @dataclass(frozen=True)

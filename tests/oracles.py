@@ -12,7 +12,9 @@ the fast paths return the same rationals.  ``naive_asym_mul``,
 ``AsymptoticSeries`` replaced by ``PowerSeries`` operations: they keep ln(alpha)
 out of ``ParamPoly`` and carry each coefficient as a tuple of its
 ln(alpha)^0, ln(alpha)^1, ... parts, with the logarithm as the power sum
-sum (-1)^{j+1} u^j / j.
+sum (-1)^{j+1} u^j / j.  ``word_to_diffop`` and ``ncpoly_to_diffop``
+realize the grade operators word by word from ``ncwords.head_word_poly``,
+the route ``operators.apply_Tn``'s right-to-left matrix scheme replaced.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from umbralog.ncwords import D, LAM, LAMINV, SIGMA, NCPoly, head_word_poly, nu_bar_step
+from umbralog.operators import DiffOperator
 from umbralog.parampoly import SYMBOLS, ParamPoly, binom_poly, falling
 from umbralog.polys import Poly
 from umbralog.presets import family
-from umbralog.series import PowerSeries
+from umbralog.series import OrderError, PowerSeries, SeriesError
 from umbralog.umbral import BinomialFamily, q_zero_table
 
 
@@ -298,3 +302,73 @@ def naive_asym_log(a: list, exponent: ParamPoly) -> list:
         acc = [_ln_add(x, _ln_scale(y, c)) for x, y in zip(acc, power)]
     acc[0] = _ln_add(acc[0], (ParamPoly(), exponent))
     return acc
+
+
+# -- grade operators, word by word ------------------------------------------------
+
+
+def word_to_diffop(
+    w: tuple, sigma: PowerSeries, lam: PowerSeries | None = None
+) -> DiffOperator:
+    """Realize one E-free word, rightmost letter acting first."""
+    var = sigma.var
+    subs = {SIGMA: sigma}
+    if lam is not None:
+        subs[LAM] = lam
+        subs[LAMINV] = lam.inv()
+    terms = {0: PowerSeries.one(var, sigma.order)}
+    for letter in reversed(w):
+        if letter == D:
+            new: dict = {}
+            for j, c in terms.items():
+                if c.order < 1:
+                    raise OrderError(
+                        "operator coefficient truncated away; increase the "
+                        "family order"
+                    )
+                dc = c.derive()
+                new[j] = new[j] + dc if j in new else dc
+                new[j + 1] = new[j + 1] + c if j + 1 in new else c
+            terms = new
+        else:
+            if letter not in subs:
+                raise SeriesError(f"no series substitution for letter {letter!r}")
+            m = subs[letter]
+            terms = {j: m * c for j, c in terms.items()}
+    return DiffOperator(var, terms).nonzero()
+
+
+def ncpoly_to_diffop(
+    p: NCPoly, sigma: PowerSeries, lam: PowerSeries | None = None
+) -> DiffOperator:
+    out = DiffOperator(sigma.var, {})
+    for w, c in p.terms.items():
+        out = (out + word_to_diffop(w, sigma, lam).scale(c)).nonzero()
+    return out
+
+
+def same_series(a: PowerSeries, b: PowerSeries) -> bool:
+    """Equal variable and coefficient tuples, so equal truncation orders."""
+    return a.var == b.var and a.coeffs == b.coeffs
+
+
+def same_operator(a: DiffOperator, b: DiffOperator) -> bool:
+    """The same derivative orders, each with a ``same_series`` coefficient."""
+    return set(a.terms) == set(b.terms) and all(
+        same_series(c, b.terms[j]) for j, c in a.terms.items()
+    )
+
+
+def word_Tn(fam: BinomialFamily, n: int, var: str = "s") -> DiffOperator:
+    """The grade-n operator from the 3^(n-1) head words."""
+    return ncpoly_to_diffop(head_word_poly(n), fam.sigma(var))
+
+
+@lru_cache(maxsize=None)
+def cached_word_Tn(spec: str, order: int, n: int, var: str = "s") -> DiffOperator:
+    return word_Tn(cached_family(spec, order), n, var)
+
+
+def word_Tn_ell(sigma: PowerSeries, lam: PowerSeries, n: int) -> DiffOperator:
+    """The lam-rewrite's grade-n operator from its head words."""
+    return ncpoly_to_diffop(head_word_poly(n, step=nu_bar_step), sigma, lam)

@@ -20,7 +20,7 @@ from math import factorial
 
 import pytest
 
-from oracles import cached_family
+from oracles import cached_family, stirling_term_closed_form
 from umbralog.asymptotic import AsymptoticSeries
 from umbralog.conjugation import (
     binomial_recurrence_check,
@@ -145,6 +145,17 @@ def test_criterion_3_classical_stirling_degeneration():
     assert 6.4 <= ratio <= 9.6
     announce(3, f"exact brackets; error ratio 20->40 = {ratio:.3f}, "
                 "consistent with the vanishing 1/s^2 term (next term 1/s^3)")
+
+
+@pytest.mark.parametrize("name", ["exp1", "id"])
+def test_criterion_3_closed_form_at_depth_16(name):
+    # depth 16 has 3^14 head words in T_15: reachable only without words
+    st = stirling_terms(cached_family(name, 40), 16)
+    for k in range(3, 17):
+        g = st.g[k]
+        assert g.order >= 40 - k - 1, k
+        assert g.prefix_equal(stirling_term_closed_form(name, k, g.order)), k
+    announce(3, f"{name}: g_3..g_16 equal the Bernoulli closed form exactly")
 
 
 @pytest.mark.xfail(

@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import umbralog
-from umbralog.cli import main
+from umbralog.cli import TN_MAX_DEPTH, main
 from umbralog.report import CheckRecord, Report
 
 
@@ -212,3 +214,22 @@ def test_limits_zero_denominator_rejected(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: zero denominator in '1/0'\n"
+
+
+def test_tn_rejects_depth_above_the_cap(capsys):
+    code = main(["tn", "--f", "exp1", "--depth", "40"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: tn lists 3^(n-1) words per grade; --depth must be at most "
+        f"{TN_MAX_DEPTH}, got 40\n"
+    )
+
+
+def test_tn_help_states_the_depth_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tn", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"--depth is at most {TN_MAX_DEPTH}" in out

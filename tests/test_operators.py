@@ -4,7 +4,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from oracles import cached_family
+from oracles import (
+    cached_family,
+    cached_word_Tn,
+    same_operator,
+    same_series,
+    word_Tn,
+)
 from umbralog.ncwords import (
     D,
     E,
@@ -21,11 +27,14 @@ from umbralog.ncwords import (
     split_canonical,
 )
 from umbralog.operators import (
+    DiffOperator,
+    apply_Tn,
     build_Tn,
     divided_difference_shift_check,
     tn_via_integral,
 )
-from umbralog.series import PowerSeries
+from umbralog.series import OrderError, PowerSeries
+from umbralog.stirling import omega_in_alpha, t_n_omega
 
 
 def monomial_s(m, order=10):
@@ -123,6 +132,57 @@ class TestDiffOperators:
         const = PowerSeries.one("s", 8)
         for n in (1, 2, 3):
             assert build_Tn(fam, n).apply(const).is_zero()
+
+
+SPECS = ("id", "exp1", "geom", "nu", "poly:1,1/2,-1/3")
+
+
+class TestSchemeAgainstWords:
+    """The right-to-left matrix scheme reproduces the word-by-word route."""
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_build_Tn_term_for_term(self, spec):
+        fam = cached_family(spec, 14)
+        for n in range(7):
+            assert same_operator(
+                build_Tn(fam, n, "a"), cached_word_Tn(spec, 14, n, "a")
+            ), n
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_t_n_omega_equals_word_operator_on_omega(self, spec):
+        fam = cached_family(spec, 14)
+        om = omega_in_alpha(fam)
+        for n, t in enumerate(t_n_omega(fam, 6)):
+            assert same_series(t, cached_word_Tn(spec, 14, n, "a").apply(om)), n
+
+    # (family order, grade) pairs where a coefficient is truncated away
+    @pytest.mark.parametrize("order,n", [(3, 2), (5, 3), (7, 4), (9, 5)])
+    def test_too_small_an_order_raises_on_both_routes(self, order, n):
+        fam = cached_family("nu", order)
+        om = omega_in_alpha(fam)
+        sigma = fam.sigma("a")
+        with pytest.raises(OrderError):
+            word_Tn(fam, n, "a")
+        with pytest.raises(OrderError):
+            build_Tn(fam, n, "a")
+        with pytest.raises(OrderError):
+            apply_Tn(om, n, sigma)
+        # one grade lower fits the same order on both routes
+        assert same_operator(build_Tn(fam, n - 1, "a"), word_Tn(fam, n - 1, "a"))
+
+    def test_zero_coefficients_keep_their_order(self):
+        # D∘1 keeps the zero coefficient c_0 = 1', known to order 0 only,
+        # so a second D cannot differentiate it; nonzero() drops it
+        d = DiffOperator.identity("a", 1).derive()
+        assert set(d.terms) == {0, 1} and d.terms[0].is_zero()
+        with pytest.raises(OrderError):
+            d.derive()
+        assert set(d.nonzero().terms) == {1}
+
+    def test_rejects_negative_grade(self):
+        fam = cached_family("exp1", 12)
+        with pytest.raises(ValueError):
+            build_Tn(fam, -1)
 
 
 class TestDividedDifferenceShift:

@@ -5,19 +5,27 @@ from math import factorial
 
 import pytest
 
-from oracles import cached_family, exp_by_partial_sums
+from oracles import (
+    cached_family,
+    exp_by_partial_sums,
+    same_operator,
+    same_series,
+    word_Tn_ell,
+)
+from umbralog.operators import DiffOperator, apply_Tn
 from umbralog.parampoly import ParamPoly
 from umbralog.polys import Poly
-from umbralog.series import PowerSeries, SeriesError
+from umbralog.series import OrderError, PowerSeries, SeriesError
 from umbralog.sheffer import (
     bernoulli_log_experiment,
     build_Tn_ell,
+    ell_at_omega,
     sheffer_resolvent_check,
     tau_seq,
     theta_check,
     tn_ell_trend_check,
 )
-from umbralog.umbral import p_seq
+from umbralog.umbral import p_seq, rename
 
 
 def bernoulli_ell(order):
@@ -121,6 +129,45 @@ class TestLamOperators:
         sf = tau_seq(fam, bernoulli_ell(40), 33)
         ok, det = tn_ell_trend_check(sf, Q(1, 3), (16, 32), 1)
         assert ok, det
+
+
+class TestLamSchemeAgainstWords:
+    """The lam-rewrite's right-to-left scheme reproduces its head words."""
+
+    WEIGHTS = {
+        "bernoulli": bernoulli_ell,
+        "poly": lambda order: PowerSeries(
+            "x", [Q(1), Q(1, 3), Q(-2, 5)] + [Q(0)] * (order - 2)
+        ),
+    }
+
+    SPECS = ("id", "exp1", "geom", "nu", "poly:1,1/2,-1/3")
+
+    @pytest.mark.parametrize(
+        "spec,weight", [(s, "bernoulli") for s in SPECS] + [("exp1", "poly")]
+    )
+    def test_operator_and_series_routes(self, spec, weight):
+        fam = cached_family(spec, 12)
+        sf = tau_seq(fam, self.WEIGHTS[weight](12), 4)
+        sigma = fam.sigma("a")
+        lam = rename(ell_at_omega(sf, sigma.order), "a")
+        om = rename(fam.omega, "a")
+        for n in range(5):
+            oracle = word_Tn_ell(sigma, lam, n)
+            assert same_operator(build_Tn_ell(sf, n), oracle), n
+            assert same_series(apply_Tn(om, n, sigma, lam), oracle.apply(om)), n
+
+    @pytest.mark.parametrize("order,n", [(3, 2), (5, 3), (7, 4)])
+    def test_too_small_an_order_raises_on_both_routes(self, order, n):
+        fam = cached_family("nu", order)
+        sigma = fam.sigma("a")
+        lam = PowerSeries("a", [Q(1), Q(1, 3)] + [Q(1, 7)] * (sigma.order - 1))
+        with pytest.raises(OrderError):
+            word_Tn_ell(sigma, lam, n)
+        with pytest.raises(OrderError):
+            apply_Tn(DiffOperator.identity("a", sigma.order), n, sigma, lam)
+        with pytest.raises(OrderError):
+            apply_Tn(rename(fam.omega, "a"), n, sigma, lam)
 
 
 class TestBernoulliExperiment:
