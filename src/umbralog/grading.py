@@ -12,19 +12,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 from .asymptotic import AsymptoticSeries, LinForm
 from .parampoly import S, ParamPoly
 from .series import OrderError, PowerSeries, SeriesError
-from .umbral import BinomialFamily, op_L, q_at_omega
+from .umbral import BinomialFamily, op_L, per_family, q_at_omega
 
 
 class GradedSeries:
+    """sum_n alpha^{base-n} parts[n](x); read-only, since the graded
+    targets are memoized per family and shared."""
+
     __slots__ = ("base", "parts")
 
     def __init__(self, base: LinForm, parts: dict):
         self.base = base
-        self.parts = {n: p for n, p in parts.items() if not p.is_zero()}
+        self.parts = MappingProxyType(
+            {n: p for n, p in parts.items() if not p.is_zero()}
+        )
 
     def is_empty(self) -> bool:
         return not self.parts
@@ -163,6 +169,7 @@ def op_sheffer(fam: BinomialFamily, ell_omega: PowerSeries, s_val) -> GradedOp:
 # -- graded targets -----------------------------------------------------------------
 
 
+@per_family
 def target_powers_image(fam: BinomialFamily, h: int, depth: int, x_order: int) -> GradedSeries:
     """p_H^{omega(x)}(alpha) f'(omega(x))^{-H} for an integer H >= 0."""
     if h < 0:
@@ -185,6 +192,7 @@ def target_powers_image(fam: BinomialFamily, h: int, depth: int, x_order: int) -
     return GradedSeries(LinForm(h), parts)
 
 
+@per_family
 def target_powers_image_shifted(
     fam: BinomialFamily, h: int, depth: int, x_order: int
 ) -> GradedSeries:

@@ -4,18 +4,29 @@ Preset names: id (f = x), exp1 (f = e^x - 1), geom (f = x/(1-x)),
 nu (the series whose f/f' equals x e^{-x}), poly:<coeff list>.
 A bare comma-separated list of rationals is read as the coefficients of
 x^1, x^2, ... and must start with 1.
+
+``family`` keeps the FAMILY_CACHE_SIZE most recently used families, so
+that every caller asking for the same (spec, order) shares one family and
+the tables memoized on it; ``family.cache_clear()`` drops them.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .series import PowerSeries, SeriesError
 from .umbral import BinomialFamily, build_family, tau_inverse
 
 PRESET_NAMES = ("id", "exp1", "geom", "nu")
+
+# Callers reuse a family within one suite or command, so a short history
+# catches almost every repeat (a traced perfbench verify_sweep pass builds
+# 53 families for 49 distinct inputs, and 102 without the cache); the bound
+# keeps a long-running process from holding every family it ever built.
+FAMILY_CACHE_SIZE = 16
 
 
 def f_id(order: int) -> PowerSeries:
@@ -75,8 +86,24 @@ def parse_rational(text) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _coefficient(spec: str, text: str) -> Fraction:
+    """One coefficient of a poly: spec; an empty or non-rational one is
+    reported together with the spec."""
+    text = text.strip()
+    if not text:
+        raise SeriesError(f"empty coefficient in family spec {spec!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise SeriesError(
+            f"coefficient {text!r} in family spec {spec!r} is not a rational"
+        ) from None
+
+
 def build_f(spec: str, order: int) -> PowerSeries:
-    spec = spec.strip()
+    spec = given = spec.strip()
     if spec == "id":
         return f_id(order)
     if spec == "exp1":
@@ -88,7 +115,7 @@ def build_f(spec: str, order: int) -> PowerSeries:
     if spec.startswith("poly:"):
         spec = spec[len("poly:") :]
     if "," in spec or "/" in spec or spec.lstrip("-").isdigit():
-        return f_poly([parse_rational(c.strip()) for c in spec.split(",")], order)
+        return f_poly([_coefficient(given, c) for c in spec.split(",")], order)
     raise SeriesError(
         f"unknown family spec {spec!r} (presets: {', '.join(PRESET_NAMES)}, "
         "or poly:c1,c2,...)"
@@ -96,4 +123,14 @@ def build_f(spec: str, order: int) -> PowerSeries:
 
 
 def family(spec: str, order: int) -> BinomialFamily:
+    """The family of a spec at an order, built once while it stays among the
+    FAMILY_CACHE_SIZE most recently used."""
+    return _cached_family(spec.strip(), order)
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _cached_family(spec: str, order: int) -> BinomialFamily:
     return build_family(build_f(spec, order))
+
+
+family.cache_clear = _cached_family.cache_clear

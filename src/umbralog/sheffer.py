@@ -19,20 +19,21 @@ from .operators import DiffOperator, apply_Tn
 from .parampoly import S, ParamPoly
 from .polys import Poly
 from .series import OrderError, PowerSeries, SeriesError
-from .umbral import BinomialFamily, build_family, op_L, q_zero_table, rename
+from .umbral import BinomialFamily, op_L, per_family, q_zero_table, rename
 
 
 @dataclass(frozen=True)
 class ShefferFamily:
     fam: BinomialFamily
     ell: PowerSeries
-    tau_polys: list
+    tau_polys: tuple
     tau_symbolic: AsymptoticSeries
 
     def __getitem__(self, n: int) -> Poly:
         return self.tau_polys[n]
 
 
+@per_family
 def tau_seq(fam: BinomialFamily, ell: PowerSeries, N: int) -> ShefferFamily:
     """Polynomials from sum tau_n(a) x^n / n! = ell(phi(x)) exp(a phi(x)),
     plus the symbolic continuation ell(d/da) applied to the alpha^s series."""
@@ -81,7 +82,7 @@ def tau_seq(fam: BinomialFamily, ell: PowerSeries, N: int) -> ShefferFamily:
                 coeffs[k + m] = coeffs[k + m] + lead * fall * ells[m]
     tau_symbolic = AsymptoticSeries(LinForm.S, coeffs)
 
-    sf = ShefferFamily(fam, ell, polys, tau_symbolic)
+    sf = ShefferFamily(fam, ell, tuple(polys), tau_symbolic)
     for n in range(min(N, depth) + 1):
         if tau_symbolic.specialize_to_poly(s=n) != polys[n]:
             raise SeriesError(
@@ -282,11 +283,11 @@ def bernoulli_log_experiment(depth: int) -> dict:
     order = depth + 4
     ell = bernoulli_weight(order)
 
-    from .presets import f_exp1, f_id
+    from .presets import family
 
     candidates = {
-        "sheffer-exp1": tau_seq(build_family(f_exp1(order)), ell, depth),
-        "classical": tau_seq(build_family(f_id(order)), ell, depth),
+        "sheffer-exp1": tau_seq(family("exp1", order), ell, depth),
+        "classical": tau_seq(family("id", order), ell, depth),
     }
     report: dict = {"depth": depth, "rhs_times_s": [repr(S * c) for c in rhs],
                     "note": (

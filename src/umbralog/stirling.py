@@ -29,6 +29,7 @@ from .umbral import (
     op_L,
     p_seq,
     p_symbolic,
+    per_family,
     q_at_omega,
     rename,
 )
@@ -137,7 +138,8 @@ def g4_closed_form(fam: BinomialFamily, order: int) -> PowerSeries:
 # -- the two operator-logarithm identities ------------------------------------------
 
 
-def _lhs_log_coeffs(fam: BinomialFamily, depth: int) -> list:
+@per_family
+def _lhs_log_coeffs(fam: BinomialFamily, depth: int) -> tuple:
     """(1/s) ln(alpha^{-s} p_s(alpha)) as Q[s] coefficients of alpha^{-k}."""
     ps = p_symbolic(fam, depth)
     regular = AsymptoticSeries(LinForm.ZERO, ps.coeffs)
@@ -146,7 +148,7 @@ def _lhs_log_coeffs(fam: BinomialFamily, depth: int) -> list:
     for k in range(depth + 1):
         c = lg.coefficient(k)
         out.append(ParamPoly() if c.is_zero() else c.div_exact_symbol("s"))
-    return out
+    return tuple(out)
 
 
 def verify_log_identity(fam: BinomialFamily, variant: str, depth: int):

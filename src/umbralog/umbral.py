@@ -6,13 +6,17 @@ from (f'(omega(x)), d/domega = (1/omega') d/dx and the step
 s L - d/domega, with L the 0-derivative), the binomial-type polynomial
 sequence, the q-coefficient tables, the symbolic continuation
 alpha^s + lower, and the two routes to the ratio expansion p_{s+H}/p_s.
+
+Tables that depend only on a family and a few arguments are memoized on
+the family instance by ``per_family``.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from math import comb, factorial, gcd, lcm
 
 from .asymptotic import AsymptoticSeries, LinForm
@@ -44,6 +48,11 @@ class BinomialFamily:
     order: int
 
     @cached_property
+    def _tables(self) -> dict:
+        """The results ``per_family`` memoizes; they live as long as the family."""
+        return {}
+
+    @cached_property
     def inv_omega_prime(self) -> PowerSeries:
         """1/omega'(x), computed once: every d/domega step multiplies by it."""
         return self.omega.derive().inv()
@@ -67,6 +76,42 @@ class BinomialFamily:
     def x_op(self, g: PowerSeries, s) -> PowerSeries:
         """The step s L - d/domega."""
         return op_L(g).scale(s) - self.d_domega(g)
+
+
+def _exact_key(x):
+    """x together with its exact type, through every level of a series.
+
+    1, Fraction(1) and ParamPoly.const(1) compare equal, but as exponents or
+    coefficients they give results in different coefficient domains."""
+    if isinstance(x, PowerSeries):
+        return (PowerSeries, x.var, _exact_key(x.czero),
+                tuple(_exact_key(c) for c in x.coeffs))
+    return (type(x), x)
+
+
+def per_family(fn):
+    """Memoize ``fn(fam, ...)`` on the family instance, keyed by ``fn`` and
+    its other arguments with their exact types (defaults filled in).
+
+    An entry lives as long as its family; a call that raises stores
+    nothing.  ``fn`` must return an immutable value (a tuple of series, a
+    frozen dataclass), since every caller shares it.  The undecorated
+    function is ``__wrapped__``.
+    """
+    sig = inspect.signature(fn)
+
+    @wraps(fn)
+    def memoized(fam, *args, **kwargs):
+        bound = sig.bind(fam, *args, **kwargs)
+        bound.apply_defaults()
+        _, *args_after_fam = bound.arguments.values()
+        key = (fn, *map(_exact_key, args_after_fam))
+        tables = fam._tables
+        if key not in tables:
+            tables[key] = fn(fam, *args, **kwargs)
+        return tables[key]
+
+    return memoized
 
 
 def check_admissible(f: PowerSeries):
@@ -161,16 +206,20 @@ def p_seq(fam: BinomialFamily, N: int) -> PSequence:
 # -- q coefficients ------------------------------------------------------------
 
 
-def q_zero_table(fam: BinomialFamily, n_max: int, exponent=S) -> list:
+@per_family
+def q_zero_table(fam: BinomialFamily, n_max: int, exponent=S) -> tuple:
     """q_n at t = 0: coefficients of (x/f(x))^exponent, times n!."""
     if fam.f.order < n_max + 1:
         raise OrderError("family order too small for the requested q table")
     x_over_f = fam.f.div_var(1).inv()
     u = x_over_f.pow_param(exponent)
-    return [factorial(n) * ParamPoly.coerce(u.coefficient(n)) for n in range(n_max + 1)]
+    return tuple(
+        factorial(n) * ParamPoly.coerce(u.coefficient(n)) for n in range(n_max + 1)
+    )
 
 
-def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> list:
+@per_family
+def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> tuple:
     """q_n^t as truncated series in t; entry n is n! times the x^n slice of
 
     (x f'(t) / (f(x+t) - f(t)))^exponent
@@ -212,16 +261,17 @@ def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> list:
             for j in range(t_order + 1)
         ]
         out.append(PowerSeries("t", coeffs, pzero).scale(Fraction(factorial(n))))
-    return out
+    return tuple(out)
 
 
-def q_at_omega(fam: BinomialFamily, n_max: int, x_order: int, exponent=S) -> list:
+@per_family
+def q_at_omega(fam: BinomialFamily, n_max: int, x_order: int, exponent=S) -> tuple:
     """q_n^{omega(x)} as series in x (t substituted by omega)."""
     table = q_table(fam, n_max, x_order, exponent)
     if fam.omega.order < x_order:
         raise OrderError("omega truncated below the requested x order")
     om = fam.omega.truncate(x_order)
-    return [rename(q, fam.f.var).compose(om) for q in table]
+    return tuple(rename(q, fam.f.var).compose(om) for q in table)
 
 
 # -- continuations ---------------------------------------------------------------

@@ -355,6 +355,8 @@ def suite_limits(order: int = 66, depth: int = 0, n_max: int = 64) -> Report:
         exact=False,
         samples=lr.samples,
         errors=lr.errors,
+        ratios=lr.ratios,
+        extrapolated=lr.extrapolated,
         target=lr.target,
     )
     lr = limit_check(fam, "first", Fraction(2), n_max)
@@ -363,6 +365,8 @@ def suite_limits(order: int = 66, depth: int = 0, n_max: int = 64) -> Report:
         abs(Fraction(lr.errors[-1][1])) < abs(Fraction(lr.target.split("= ")[1])) / 100,
         exact=False,
         errors=lr.errors,
+        ratios=lr.ratios,
+        extrapolated=lr.extrapolated,
         target=lr.target,
     )
     lr = limit_check(fam, "second", Fraction(2), n_max)
@@ -371,13 +375,16 @@ def suite_limits(order: int = 66, depth: int = 0, n_max: int = 64) -> Report:
         lr.monotone,
         exact=False,
         errors=lr.errors,
+        ratios=lr.ratios,
+        extrapolated=lr.extrapolated,
         target=lr.target,
     )
 
     fam_id = family("id", 18)
     lr = limit_check(fam_id, "conclusion", Fraction(2), 16)
     ok = all(Fraction(e[1]) == 0 for e in lr.errors)
-    rep.record("f = x: the log-derivative limit is exact at every n", ok)
+    rep.record("f = x: the log-derivative limit is exact at every n", ok,
+               errors=lr.errors, ratios=lr.ratios, extrapolated=lr.extrapolated)
 
     return rep
 

@@ -32,11 +32,6 @@ from umbralog.series import OrderError, PowerSeries, SeriesError
 from umbralog.umbral import BinomialFamily, q_zero_table
 
 
-@lru_cache(maxsize=None)
-def cached_family(spec: str, order: int) -> BinomialFamily:
-    return family(spec, order)
-
-
 def bernoulli_numbers(n_max: int) -> list:
     """B_0..B_n from sum_{k<=n} binom(n+1,k) B_k = 0."""
     b = [Fraction(1)]
@@ -366,7 +361,7 @@ def word_Tn(fam: BinomialFamily, n: int, var: str = "s") -> DiffOperator:
 
 @lru_cache(maxsize=None)
 def cached_word_Tn(spec: str, order: int, n: int, var: str = "s") -> DiffOperator:
-    return word_Tn(cached_family(spec, order), n, var)
+    return word_Tn(family(spec, order), n, var)
 
 
 def word_Tn_ell(sigma: PowerSeries, lam: PowerSeries, n: int) -> DiffOperator:

@@ -20,7 +20,7 @@ from math import factorial
 
 import pytest
 
-from oracles import cached_family, stirling_term_closed_form
+from oracles import stirling_term_closed_form
 from umbralog.asymptotic import AsymptoticSeries
 from umbralog.conjugation import (
     binomial_recurrence_check,
@@ -36,7 +36,7 @@ from umbralog.operators import (
     tn_via_integral,
 )
 from umbralog.parampoly import ParamPoly
-from umbralog.presets import f_random
+from umbralog.presets import f_random, family
 from umbralog.series import PowerSeries
 from umbralog.sheffer import (
     bernoulli_log_experiment,
@@ -63,7 +63,7 @@ def announce(n, text):
 
 def test_criterion_1_t_operator_ground_truth():
     t0 = time.time()
-    fam = cached_family("exp1", 14)
+    fam = family("exp1", 14)
     T0 = build_Tn(fam, 0)
     g = PowerSeries("s", [Q(1), Q(2), Q(3)] + [Q(0)] * 6)
     assert T0.apply(g).prefix_equal(g)
@@ -89,9 +89,9 @@ def test_criterion_1_t_operator_ground_truth():
 def test_criterion_2_master_log_identity_depth_8():
     t0 = time.time()
     fams = [
-        cached_family("id", 15),
-        cached_family("exp1", 15),
-        cached_family("geom", 15),
+        family("id", 15),
+        family("exp1", 15),
+        family("geom", 15),
         build_family(f_random(6, 20260810 + 2, 15)),
     ]
     for fam in fams:
@@ -104,7 +104,7 @@ def test_criterion_2_master_log_identity_depth_8():
 
 def _stirling_error_ratio():
     """|ln p_n(2n) - truncation through the 1/(24s) term| at n = 20 and 40."""
-    fam = cached_family("exp1", 50)
+    fam = family("exp1", 50)
     st = stirling_terms(fam, 3)
     alpha = Q(1, 2)
     i_val = st.integral_term.eval_truncated(alpha)
@@ -129,7 +129,7 @@ def _stirling_error_ratio():
 
 
 def test_criterion_3_classical_stirling_degeneration():
-    fam = cached_family("exp1", 16)
+    fam = family("exp1", 16)
     st = stirling_terms(fam, 4)
     # g_2 = -(1/2) ln(1 - a)
     one_minus = PowerSeries("a", [Q(1), Q(-1)] + [Q(0)] * (st.g[2].order - 1))
@@ -150,7 +150,7 @@ def test_criterion_3_classical_stirling_degeneration():
 @pytest.mark.parametrize("name", ["exp1", "id"])
 def test_criterion_3_closed_form_at_depth_16(name):
     # depth 16 has 3^14 head words in T_15: reachable only without words
-    st = stirling_terms(cached_family(name, 40), 16)
+    st = stirling_terms(family(name, 40), 16)
     for k in range(3, 17):
         g = st.g[k]
         assert g.order >= 40 - k - 1, k
@@ -170,7 +170,7 @@ def test_criterion_3_literal_error_band():
 
 
 def test_criterion_4_tree_family_expansion():
-    fam = cached_family("nu", 12)
+    fam = family("nu", 12)
     st = stirling_terms(fam, 2)
     n_ord = 6
     s1_expected = [Q(0)] + [
@@ -192,7 +192,7 @@ def test_criterion_5_commutator_and_integral_forms():
             ok, _ = divided_difference_shift_check(n, m)
             assert ok, (n, m)
     for name in ("id", "exp1", "geom"):
-        fam = cached_family(name, 14)
+        fam = family(name, 14)
         for n in (1, 2):
             for m in range(7):
                 g = PowerSeries("s", [Q(0)] * m + [Q(1)] + [Q(0)] * 6)
@@ -205,7 +205,7 @@ def test_criterion_5_commutator_and_integral_forms():
 
 def test_criterion_6_ratio_identities():
     for name in ("id", "exp1", "geom", "nu"):
-        fam = cached_family(name, 16)
+        fam = family(name, 16)
         seq = p_seq(fam, 7)
         for s in range(4):
             for h in range(4):
@@ -222,7 +222,7 @@ def test_criterion_6_ratio_identities():
 
 
 def test_criterion_7_invariance():
-    fam = cached_family("exp1", 18)
+    fam = family("exp1", 18)
     A = Q(1, 3)
     fam2 = transformed_family(fam, A)
     # omega-tilde check to order 12
@@ -258,7 +258,7 @@ def test_criterion_7_invariance():
     "the 1/(24s) term",
 )
 def test_criterion_7_literal_g2_invariance():
-    fam = cached_family("exp1", 18)
+    fam = family("exp1", 18)
     A = Q(1, 3)
     st1 = stirling_terms(fam, 3)
     st2 = stirling_terms(transformed_family(fam, A), 3)
@@ -271,7 +271,7 @@ def test_criterion_8_conjugation_machinery():
 
     rng = random.Random(4)
     for name in ("id", "exp1", "geom"):
-        fam = cached_family(name, 20)
+        fam = family(name, 20)
         col = [
             ParamPoly.const(Q(rng.randint(-9, 9), rng.randint(1, 9)))
             for _ in range(9)
@@ -279,7 +279,7 @@ def test_criterion_8_conjugation_machinery():
         _, ok = conjugated_step(fam, col, depth=9)
         assert ok, name
 
-    fam = cached_family("exp1", 20)
+    fam = family("exp1", 20)
     col0 = [
         ParamPoly.const(Q(rng.randint(-9, 9), rng.randint(1, 9)))
         for _ in range(10)
@@ -305,7 +305,7 @@ def test_criterion_8_conjugation_machinery():
 
 
 def test_criterion_9_limit_formulas():
-    fam = cached_family("exp1", 66)
+    fam = family("exp1", 66)
     lr = limit_check(fam, "conclusion", Q(2), 64)
     errs = [Q(e) for _, e in lr.errors]
     tail = errs[1:]  # n = 8..64
@@ -317,7 +317,7 @@ def test_criterion_9_limit_formulas():
     assert Decimal(lr.errors[-1][1]) < abs(target_val) / 100
 
     for name in ("exp1", "geom"):
-        ok, det = ratio_two_orders(cached_family(name, 16), 6)
+        ok, det = ratio_two_orders(family(name, 16), 6)
         assert ok, det
     announce(9, "log-derivative limit monotone with final error "
                 f"{float(tail[-1]):.4f} < 0.02; first-limit ratio within 1%; "
@@ -335,10 +335,10 @@ def test_criterion_10_sheffer_suite():
         return expm1.div_var(1).inv()
 
     presets = [
-        (cached_family("exp1", 16), bernoulli_ell(16)),
-        (cached_family("id", 16), bernoulli_ell(16)),
+        (family("exp1", 16), bernoulli_ell(16)),
+        (family("id", 16), bernoulli_ell(16)),
         (
-            cached_family("geom", 16),
+            family("geom", 16),
             PowerSeries("x", [Q(1), Q(1)] + [Q(0)] * 15),
         ),
     ]
@@ -352,7 +352,7 @@ def test_criterion_10_sheffer_suite():
         ok, det = theta_check(sf, 8)
         assert ok, det
 
-    fam = cached_family("exp1", 16)
+    fam = family("exp1", 16)
     sf = tau_seq(fam, bernoulli_ell(16), 10)
     one = PowerSeries.one("x", 10)
     Dh = PowerSeries.identity("x", 10)

@@ -125,6 +125,23 @@ def test_limits_json_is_strict_when_errors_vanish(capsys):
     assert data["conclusion"]["ratios"] == [None, None]
 
 
+def test_verify_limits_json_shows_the_convergence_evidence(capsys):
+    code, out = run_cli(capsys, "verify", "limits", "--json")
+    assert code == 0
+    checks = json.loads(out)["reports"][0]["checks"]
+    assert all({"ratios", "extrapolated"} <= set(c["details"]) for c in checks)
+    # the same evidence `limits` reports for exp1 at the suite's settings
+    code, out = run_cli(
+        capsys, "limits", "--f", "exp1", "--n-max", "64", "--order", "66", "--json"
+    )
+    assert code == 0
+    table = json.loads(out)
+    for check, which in zip(checks, ("conclusion", "first", "second")):
+        assert check["details"]["ratios"] == table[which]["ratios"]
+        assert check["details"]["extrapolated"] == table[which]["extrapolated"]
+    assert checks[3]["details"]["ratios"] == [None, None]
+
+
 def test_verify_conjugation_at_small_depth(capsys):
     code, out = run_cli(capsys, "verify", "conjugation", "--depth", "1")
     assert code == 0, out
@@ -206,6 +223,22 @@ def test_pseq_zero_denominator_rejected(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("poly:1,", "empty coefficient in family spec 'poly:1,'"),
+        ("poly:1,,2", "empty coefficient in family spec 'poly:1,,2'"),
+        ("poly:1,x", "coefficient 'x' in family spec 'poly:1,x' is not a rational"),
+    ],
+)
+def test_bad_spec_coefficient_names_the_spec(capsys, spec, message):
+    code = main(["pseq", "--f", spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_limits_zero_denominator_rejected(capsys):

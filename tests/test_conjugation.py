@@ -5,7 +5,6 @@ from fractions import Fraction as Q
 
 import pytest
 
-from oracles import cached_family
 from umbralog.asymptotic import AsymptoticSeries
 from umbralog.conjugation import (
     binomial_recurrence_check,
@@ -16,6 +15,7 @@ from umbralog.conjugation import (
     resolvent_closed_form,
 )
 from umbralog.parampoly import ParamPoly
+from umbralog.presets import family
 from umbralog.series import PowerSeries, SeriesError
 from umbralog.umbral import p_seq, q_zero_table
 
@@ -31,20 +31,20 @@ def random_column(seed, length, symbolic=True):
 class TestStep:
     @pytest.mark.parametrize("name", ["id", "exp1", "geom"])
     def test_law_equals_series_pipeline(self, name):
-        fam = cached_family(name, 20)
+        fam = family(name, 20)
         col = random_column(31 + len(name), 9)
         _, ok = conjugated_step(fam, col, depth=9)
         assert ok
 
     def test_eigencolumn_maps_to_zero(self):
-        fam = cached_family("exp1", 20)
+        fam = family("exp1", 20)
         q = q_zero_table(fam, 8)
         law, ok = conjugated_step(fam, q[:8], depth=8)
         assert ok
         assert all(c.is_zero() for c in law)
 
     def test_delta_column(self):
-        fam = cached_family("exp1", 20)
+        fam = family("exp1", 20)
         col = [ParamPoly.const(1) if n == 1 else ParamPoly() for n in range(6)]
         law, ok = conjugated_step(fam, col, depth=6)
         assert ok
@@ -52,7 +52,7 @@ class TestStep:
 
     def test_integer_specialization_kills_factor(self):
         # at s = n+1 the (s-n-1) factor annihilates the n-th output entry
-        fam = cached_family("geom", 20)
+        fam = family("geom", 20)
         col = random_column(77, 8)
         q = q_zero_table(fam, 8)
         law = conjugated_step_law(col, q)
@@ -62,14 +62,14 @@ class TestStep:
 
 class TestBinomialRecurrence:
     def test_k_zero_is_a_tautology(self):
-        fam = cached_family("exp1", 16)
+        fam = family("exp1", 16)
         col = random_column(5, 8)
         ok, det = binomial_recurrence_check(fam, col, 4, 0)
         assert ok
 
     @pytest.mark.parametrize("name", ["exp1", "geom"])
     def test_full_grid(self, name):
-        fam = cached_family(name, 16)
+        fam = family(name, 16)
         col = random_column(11, 10)
         ok, det = binomial_recurrence_check(fam, col, 4, 4)
         assert ok, det
@@ -77,14 +77,14 @@ class TestBinomialRecurrence:
 
 class TestExpectationSeries:
     def test_constant_input_trivial_family(self):
-        fam = cached_family("id", 16)
+        fam = family("id", 16)
         series, ok, det = ell_s(fam, PowerSeries.one("x", 12), 6)
         assert ok
         assert series[0] == ParamPoly.const(1)
         assert all(series[k].is_zero() for k in range(1, 7))
 
     def test_linear_input(self):
-        fam = cached_family("exp1", 16)
+        fam = family("exp1", 16)
         series, ok, det = ell_s(fam, PowerSeries.identity("x", 12), 6)
         assert ok, det
         # g(D) a^{s-1} = (s-1) a^{s-2}: the leading entries are 0, s-1
@@ -92,34 +92,34 @@ class TestExpectationSeries:
         assert series[1] == S - 1
 
     def test_rational_exponent(self):
-        fam = cached_family("geom", 16)
+        fam = family("geom", 16)
         series, ok, det = ell_s(fam, PowerSeries.one("x", 12), 6, s_val=Q(1, 2))
         assert ok, det
 
 
 class TestClosedFormResolvent:
     def test_zero_input(self):
-        fam = cached_family("exp1", 20)
+        fam = family("exp1", 20)
         ok, det = resolvent_closed_form(
             fam, PowerSeries.zero("x", 16), Q(1, 2), 4, 4
         )
         assert ok
 
     def test_integer_s_rejected(self):
-        fam = cached_family("exp1", 20)
+        fam = family("exp1", 20)
         with pytest.raises(SeriesError):
             resolvent_closed_form(fam, PowerSeries.one("x", 16), Q(2), 4, 4)
 
     @pytest.mark.parametrize("s_val", [Q(1, 2), Q(3, 2), Q(-1, 2)])
     def test_exp1_depths_six(self, s_val):
-        fam = cached_family("exp1", 20)
+        fam = family("exp1", 20)
         ok, det = resolvent_closed_form(
             fam, PowerSeries.one("x", 16), s_val, 6, 6
         )
         assert ok, det["diffs"]
 
     def test_trivial_family_reduces_to_pure_divided_difference(self):
-        fam = cached_family("id", 20)
+        fam = family("id", 20)
         ok, det = resolvent_closed_form(
             fam, PowerSeries.identity("x", 16), Q(1, 2), 5, 5
         )
@@ -128,14 +128,14 @@ class TestClosedFormResolvent:
 
 class TestConjugatedExpectation:
     def test_identity_operator(self):
-        fam = cached_family("exp1", 18)
+        fam = family("exp1", 18)
         one = PowerSeries.one("x", 8)
         ok, det = conjugated_expectation(fam, [(0, one)], 2, 5)
         assert ok
 
     @pytest.mark.parametrize("s", [2, 3])
     def test_operator_family(self, s):
-        fam = cached_family("exp1", 18)
+        fam = family("exp1", 18)
         one = PowerSeries.one("x", 8)
         Dh = PowerSeries.identity("x", 8)
         D2 = PowerSeries("x", [0, 0, 1] + [0] * 5)
@@ -145,7 +145,7 @@ class TestConjugatedExpectation:
 
     def test_log_derivative_display(self):
         # T = D f'(D)/f(D) acts as (alpha/s) p_s'/p_s on the sequence
-        fam = cached_family("exp1", 18)
+        fam = family("exp1", 18)
         s = 3
         u = fam.tau_f.truncate(9).div_var(1).inv()  # x f'(x)/f(x)
         from umbralog.sheffer import apply_d_series

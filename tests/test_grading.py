@@ -4,7 +4,6 @@ from fractions import Fraction as Q
 
 import pytest
 
-from oracles import cached_family
 from umbralog.asymptotic import AsymptoticSeries, LinForm
 from umbralog.grading import (
     GradedOp,
@@ -15,6 +14,7 @@ from umbralog.grading import (
     target_conjugated,
     target_powers_image_shifted,
 )
+from umbralog.presets import family
 from umbralog.series import PowerSeries, SeriesError
 from umbralog.umbral import p_seq
 
@@ -33,7 +33,7 @@ def test_grade_zero_piece_rejected():
 
 
 def test_s_zero_collapses_to_first_term():
-    fam = cached_family("exp1", 14)
+    fam = family("exp1", 14)
     seq = p_seq(fam, 3)
     for h in range(4):
         res = ratio_resolvent(fam, 0, h, 5, "nested")
@@ -44,7 +44,7 @@ def test_s_zero_collapses_to_first_term():
 @pytest.mark.parametrize("name", ["id", "exp1", "geom", "nu"])
 @pytest.mark.parametrize("form", ["nested", "split"])
 def test_ratio_resolvent_matches_direct_division(name, form):
-    fam = cached_family(name, 16)
+    fam = family(name, 16)
     seq = p_seq(fam, 7)
     for s in range(4):
         for h in range(4):
@@ -55,13 +55,13 @@ def test_ratio_resolvent_matches_direct_division(name, form):
 
 def test_conjugated_target_eigenvalue_reading():
     # exp(-a w) D exp(a w) is multiplication by omega(x)
-    fam = cached_family("exp1", 12)
+    fam = family("exp1", 12)
     t = target_conjugated(fam, [(0, PowerSeries.identity("x", 8))], 8)
     assert t.parts[0].prefix_equal(fam.omega.truncate(8))
 
 
 def test_graded_resolvent_at_x0():
-    fam = cached_family("exp1", 14)
+    fam = family("exp1", 14)
     op = op_ratio_split(fam, Q(2))
     target = target_powers_image_shifted(fam, 1, 4, 8)
     out = geometric_sum(op, target, 4).at_x0(4)

@@ -1,0 +1,137 @@
+"""Memoized families and per-family tables: shared results equal fresh ones."""
+
+from fractions import Fraction as Q
+
+import pytest
+
+from umbralog.grading import GradedSeries, target_powers_image, target_powers_image_shifted
+from umbralog.parampoly import H, ParamPoly
+from umbralog.polys import Poly
+from umbralog.presets import FAMILY_CACHE_SIZE, build_f, family
+from umbralog.series import OrderError, PowerSeries
+from umbralog.sheffer import ShefferFamily, bernoulli_weight, tau_seq
+from umbralog.stirling import _lhs_log_coeffs
+from umbralog.umbral import build_family, q_at_omega, q_table, q_zero_table, rename
+
+SPECS = ["id", "exp1", "geom", "nu", "poly:1,1/2,-1/3"]
+ORDER = 12
+
+# each memoized table with small arguments the order-12 families allow
+CALLS = [
+    (q_zero_table, (6,)),
+    (q_zero_table, (4, Q(2))),
+    (q_table, (3, 4)),
+    (q_at_omega, (3, 4, H + 1)),
+    (target_powers_image, (2, 3, 5)),
+    (target_powers_image_shifted, (2, 3, 5)),
+    (tau_seq, (bernoulli_weight(ORDER), 5)),
+    (_lhs_log_coeffs, (4,)),
+]
+
+
+def exact(x):
+    """x as nested tuples that carry every type, so that == is exact."""
+    if isinstance(x, (tuple, list)):
+        return (type(x), tuple(exact(v) for v in x))
+    if isinstance(x, PowerSeries):
+        return (PowerSeries, x.var, exact(x.czero), exact(x.coeffs))
+    if isinstance(x, Poly):
+        return (Poly, exact(x.coeffs))
+    if isinstance(x, GradedSeries):
+        return (GradedSeries, x.base, tuple((n, exact(x.parts[n])) for n in sorted(x.parts)))
+    if isinstance(x, ShefferFamily):
+        sym = x.tau_symbolic
+        return (ShefferFamily, exact(x.ell), exact(x.tau_polys), sym.exponent, exact(sym.coeffs))
+    return (type(x), x)
+
+
+@pytest.fixture
+def cleared():
+    family.cache_clear()
+    yield
+    family.cache_clear()
+
+
+class TestFamilyCache:
+    def test_second_call_is_the_same_family(self, cleared):
+        fam = family("exp1", ORDER)
+        assert family("exp1", ORDER) is fam
+        assert family("  exp1 ", ORDER) is fam
+        assert family("exp1", ORDER + 1) is not fam
+
+    def test_cache_clear_builds_anew(self, cleared):
+        fam = family("geom", 6)
+        family.cache_clear()
+        again = family("geom", 6)
+        assert again is not fam and again == fam
+
+    def test_bounded_to_the_most_recent_families(self, cleared):
+        first = family("id", 3)
+        for order in range(4, 4 + FAMILY_CACHE_SIZE - 1):
+            family("id", order)
+        assert family("id", 3) is first
+        family("id", 4 + FAMILY_CACHE_SIZE)  # evicts the least recent, order 4
+        assert family("id", 3) is first
+        assert family("id", 4) is not family("id", 4 + FAMILY_CACHE_SIZE)
+
+
+class TestTables:
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_memoized_equals_fresh_undecorated(self, spec):
+        fam = family(spec, ORDER)
+        fresh = build_family(build_f(spec, ORDER))
+        for fn, args in CALLS:
+            got = fn(fam, *args)
+            assert fn(fam, *args) is got, fn.__name__
+            assert exact(got) == exact(fn.__wrapped__(fresh, *args)), fn.__name__
+
+    def test_results_cannot_be_mutated(self):
+        fam = family("exp1", ORDER)
+        for fn, args in CALLS:
+            got = fn(fam, *args)
+            if isinstance(got, GradedSeries):
+                with pytest.raises(TypeError):
+                    got.parts[0] = got.parts[0]
+            elif isinstance(got, ShefferFamily):
+                assert type(got.tau_polys) is tuple
+            else:
+                assert type(got) is tuple, fn.__name__
+
+    def test_defaults_and_keywords_share_an_entry(self):
+        fam = family("geom", ORDER)
+        table = q_table(fam, 3, 4)
+        assert q_table(fam, n_max=3, t_order=4) is table
+        assert q_table(fam, 3, 4, exponent=ParamPoly.symbol("s")) is table
+
+
+class TestExactKeys:
+    def test_equal_exponents_of_different_types_are_separate(self):
+        fam = build_family(build_f("exp1", ORDER))
+        tables = [q_zero_table(fam, 4, e) for e in (2, Q(2), ParamPoly.const(2))]
+        assert tables[0] == tables[1] == tables[2]
+        assert len({id(t) for t in tables}) == 3
+        assert all(q_zero_table(fam, 4, e) is t
+                   for e, t in zip((2, Q(2), ParamPoly.const(2)), tables))
+
+    def test_ell_differing_in_variable_or_domain_is_separate(self):
+        fam = build_family(build_f("exp1", ORDER))
+        ell = bernoulli_weight(ORDER)
+        renamed = rename(ell, "t")
+        # the same Fraction coefficients, with a zero from another domain
+        widened = PowerSeries(ell.var, ell.coeffs, ParamPoly())
+        assert ell == widened and renamed.coeffs == ell.coeffs
+        got = [tau_seq(fam, e, 5) for e in (ell, renamed, widened)]
+        assert len({id(sf) for sf in got}) == 3
+        assert got[1].ell.var == "t" and type(got[2].ell.czero) is ParamPoly
+        assert tau_seq(fam, bernoulli_weight(ORDER), 5) is got[0]
+
+
+class TestErrorsAreNotCached:
+    def test_order_error_raises_again(self):
+        fam = family("nu", 8)
+        for _ in range(2):
+            with pytest.raises(OrderError):
+                q_table(fam, 6, 6)
+        assert exact(q_table(fam, 3, 3)) == exact(
+            q_table.__wrapped__(build_family(build_f("nu", 8)), 3, 3)
+        )

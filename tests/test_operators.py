@@ -5,7 +5,6 @@ from fractions import Fraction as Q
 import pytest
 
 from oracles import (
-    cached_family,
     cached_word_Tn,
     same_operator,
     same_series,
@@ -33,6 +32,7 @@ from umbralog.operators import (
     divided_difference_shift_check,
     tn_via_integral,
 )
+from umbralog.presets import family
 from umbralog.series import OrderError, PowerSeries
 from umbralog.stirling import omega_in_alpha, t_n_omega
 
@@ -102,33 +102,33 @@ class TestRewrites:
 
 class TestDiffOperators:
     def test_T0_is_identity(self):
-        fam = cached_family("exp1", 12)
+        fam = family("exp1", 12)
         T0 = build_Tn(fam, 0)
         g = monomial_s(3)
         assert T0.apply(g).prefix_equal(g)
 
     def test_T1_shape(self):
-        fam = cached_family("exp1", 12)
+        fam = family("exp1", 12)
         T1 = build_Tn(fam, 1)
         assert set(T1.terms) == {2}
         sigma = fam.sigma("s")
         assert T1.terms[2].prefix_equal(sigma.scale(Q(1, 2)))
 
     def test_T1_on_cube_for_trivial_family(self):
-        fam = cached_family("id", 10)
+        fam = family("id", 10)
         T1 = build_Tn(fam, 1)
         out = T1.apply(monomial_s(3))
         # sigma = s here, so T1 s^3 = (1/2) s * 6s = 3 s^2
         assert out.prefix_equal(monomial_s(2, 8).scale(Q(3)))
 
     def test_T1_on_square_exp1(self):
-        fam = cached_family("exp1", 12)
+        fam = family("exp1", 12)
         out = build_Tn(fam, 1).apply(monomial_s(2))
         expected = PowerSeries("s", [Q(0), Q(1), Q(-1)] + [Q(0)] * 6)
         assert out.prefix_equal(expected)
 
     def test_Tn_kills_constants(self):
-        fam = cached_family("geom", 12)
+        fam = family("geom", 12)
         const = PowerSeries.one("s", 8)
         for n in (1, 2, 3):
             assert build_Tn(fam, n).apply(const).is_zero()
@@ -142,7 +142,7 @@ class TestSchemeAgainstWords:
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_build_Tn_term_for_term(self, spec):
-        fam = cached_family(spec, 14)
+        fam = family(spec, 14)
         for n in range(7):
             assert same_operator(
                 build_Tn(fam, n, "a"), cached_word_Tn(spec, 14, n, "a")
@@ -150,7 +150,7 @@ class TestSchemeAgainstWords:
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_t_n_omega_equals_word_operator_on_omega(self, spec):
-        fam = cached_family(spec, 14)
+        fam = family(spec, 14)
         om = omega_in_alpha(fam)
         for n, t in enumerate(t_n_omega(fam, 6)):
             assert same_series(t, cached_word_Tn(spec, 14, n, "a").apply(om)), n
@@ -158,7 +158,7 @@ class TestSchemeAgainstWords:
     # (family order, grade) pairs where a coefficient is truncated away
     @pytest.mark.parametrize("order,n", [(3, 2), (5, 3), (7, 4), (9, 5)])
     def test_too_small_an_order_raises_on_both_routes(self, order, n):
-        fam = cached_family("nu", order)
+        fam = family("nu", order)
         om = omega_in_alpha(fam)
         sigma = fam.sigma("a")
         with pytest.raises(OrderError):
@@ -180,7 +180,7 @@ class TestSchemeAgainstWords:
         assert set(d.nonzero().terms) == {1}
 
     def test_rejects_negative_grade(self):
-        fam = cached_family("exp1", 12)
+        fam = family("exp1", 12)
         with pytest.raises(ValueError):
             build_Tn(fam, -1)
 
@@ -199,16 +199,16 @@ class TestDividedDifferenceShift:
 
 class TestIntegralForm:
     def test_matches_word_route_on_square(self):
-        fam = cached_family("exp1", 12)
+        fam = family("exp1", 12)
         out = tn_via_integral(fam, 1, monomial_s(2))
         assert out.prefix_equal(PowerSeries("s", [Q(0), Q(1), Q(-1)] + [Q(0)] * 5))
 
     def test_constant_maps_to_zero(self):
-        fam = cached_family("exp1", 12)
+        fam = family("exp1", 12)
         assert tn_via_integral(fam, 1, PowerSeries.one("s", 8)).is_zero()
 
     def test_grade_two_trivial_family(self):
-        fam = cached_family("id", 12)
+        fam = family("id", 12)
         g = monomial_s(4)
         a = tn_via_integral(fam, 2, g)
         b = build_Tn(fam, 2).apply(g)
@@ -217,7 +217,7 @@ class TestIntegralForm:
 
     def test_agreement_three_families(self):
         for name in ("id", "exp1", "geom"):
-            fam = cached_family(name, 14)
+            fam = family(name, 14)
             for n in (1, 2):
                 for m in range(7):
                     g = monomial_s(m, 11)
@@ -227,6 +227,6 @@ class TestIntegralForm:
                     assert a.truncate(w).prefix_equal(b.truncate(w)), (name, n, m)
 
     def test_rejects_large_n(self):
-        fam = cached_family("exp1", 12)
+        fam = family("exp1", 12)
         with pytest.raises(ValueError):
             tn_via_integral(fam, 3, monomial_s(2))

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    cached_family,
     naive_parampoly_eval,
     naive_parampoly_mul,
     naive_tau_symbolic,
@@ -22,6 +21,7 @@ from oracles import (
 from umbralog.asymptotic import AsymptoticSeries, LinForm
 from umbralog.parampoly import SYMBOLS, ParamPoly
 from umbralog.polys import Poly
+from umbralog.presets import family
 from umbralog.series import PowerSeries
 from umbralog.sheffer import tau_seq
 
@@ -158,7 +158,7 @@ def bernoulli_ell(order):
     [("exp1", 16, 12), ("id", 16, 12), ("geom", 16, 12), ("exp1", 40, 33)],
 )
 def test_tau_symbolic_matches_oracle(spec, order, N):
-    fam = cached_family(spec, order)
+    fam = family(spec, order)
     ell = bernoulli_ell(order)
     got = tau_seq(fam, ell, N).tau_symbolic
     want = AsymptoticSeries(LinForm.S, naive_tau_symbolic(fam, ell, N))
@@ -169,7 +169,7 @@ def test_tau_symbolic_matches_oracle(spec, order, N):
 
 
 def test_tau_symbolic_with_sparse_ell():
-    fam = cached_family("geom", 16)
+    fam = family("geom", 16)
     ell = PowerSeries("x", [Q(1), Q(0), Q(-2, 3), Q(0), Q(0), Q(10**6, 7)] + [Q(0)] * 11)
     got = tau_seq(fam, ell, 12).tau_symbolic
     want = naive_tau_symbolic(fam, ell, 12)

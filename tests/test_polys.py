@@ -6,8 +6,8 @@ from math import comb
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import cached_family
 from umbralog.polys import Poly, divided_difference
+from umbralog.presets import family
 from umbralog.umbral import p_seq
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -51,7 +51,7 @@ def test_nested_equality_is_not_trivial():
     # p_n(x + y) = p_n(x) p_n(y) fails for exp1 at every n >= 2, so the
     # Q[x][y] comparison can tell different polynomials apart; the true
     # binomial-type convolution holds at the same n
-    seq = p_seq(cached_family("exp1", 9), 8)
+    seq = p_seq(family("exp1", 9), 8)
     for n in range(2, 9):
         product = Poly([seq[n] * c for c in seq[n].coeffs])
         assert seq[n].taylor() != product

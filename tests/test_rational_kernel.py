@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cached_family, naive_compose, naive_mul, naive_p_seq, naive_revert
+from oracles import naive_compose, naive_mul, naive_p_seq, naive_revert
 from umbralog.parampoly import ParamPoly
+from umbralog.presets import family
 from umbralog.series import PowerSeries
 from umbralog.umbral import p_seq
 
@@ -89,7 +90,7 @@ class TestFixedCases:
     ORDER = 24
 
     def fam(self, spec):
-        return cached_family(spec, self.ORDER)
+        return family(spec, self.ORDER)
 
     def test_mul(self, spec):
         fam = self.fam(spec)

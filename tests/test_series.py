@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import bernoulli_numbers, exp_by_partial_sums, lagrange_inverse_coefficients
 from umbralog.parampoly import ParamPoly
 from umbralog.polys import Poly
+from umbralog.presets import family
 from umbralog.series import OrderError, PowerSeries, SeriesError
 
 S = ParamPoly.symbol("s")
@@ -67,9 +68,7 @@ class TestCompose:
         assert outer.compose(inner) == series([0, 0, 1, 2, 1])
 
     def test_omega_composed_with_its_defining_series(self):
-        from oracles import cached_family
-
-        fam = cached_family("exp1", 13)
+        fam = family("exp1", 13)
         ident = PowerSeries.identity("x", 12)
         assert fam.tau_f.compose(fam.omega).prefix_equal(ident)
         assert fam.omega.compose(fam.tau_f.truncate(12)).prefix_equal(ident)
@@ -245,6 +244,84 @@ class TestProperties:
     def test_derive_integrate_identity(self, u):
         u = u - u.coefficient(0)
         assert u.integrate().derive().prefix_equal(u)
+
+
+@st.composite
+def small_param_polys(draw):
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0))
+    return ParamPoly(draw(st.dictionaries(keys, small_rationals, max_size=3)))
+
+
+@st.composite
+def domain_series(draw, head):
+    """A series in x over ParamPoly, or over series in y of one order (the
+    nested domain of ``q_table``), and that inner order (None for
+    ParamPoly).  ``head`` fixes the first coefficients: "tangent" is
+    0 + 1*x + ..., "unit" is 1 + ...."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    if draw(st.booleans()):
+        zero, m = ParamPoly(), None
+        coeff = small_param_polys()
+    else:
+        m = draw(st.integers(min_value=1, max_value=4))
+        zero = PowerSeries.zero("y", m)
+        coeff = st.lists(small_rationals, min_size=m + 1, max_size=m + 1).map(
+            lambda cs: PowerSeries("y", cs)
+        )
+    fixed = [zero, zero + 1] if head == "tangent" else [zero + 1]
+    rest = [draw(coeff) for _ in range(n + 1 - len(fixed))]
+    return PowerSeries("x", fixed + rest, zero), m
+
+
+def assert_order(u, n, m):
+    """u is valid exactly to order n in x (and m in y): reading past raises."""
+    assert u.order == n
+    with pytest.raises(OrderError):
+        u.coefficient(n + 1)
+    if m is not None:
+        assert all(c.order == m for c in u.coeffs)
+        with pytest.raises(OrderError):
+            u.coefficient(n).coefficient(m + 1)
+
+
+class TestDomainProperties:
+    """Round trips and truncation orders over ParamPoly and nested series,
+    the domains of the q tables and continuations."""
+
+    @given(domain_series("tangent"))
+    @settings(max_examples=30, deadline=None)
+    def test_compose_revert_round_trip(self, drawn):
+        u, m = drawn
+        v = u.revert()
+        ident = PowerSeries.identity("x", u.order, u.czero)
+        assert u.compose(v).prefix_equal(ident)
+        assert v.compose(u).prefix_equal(ident)
+        assert_order(v, u.order, m)
+
+    @given(domain_series("unit"), domain_series("tangent"))
+    @settings(max_examples=30, deadline=None)
+    def test_exp_log_round_trip(self, unit, tangent):
+        w, m = unit
+        assert w.log().exp().prefix_equal(w)
+        assert_order(w.log(), w.order, m)
+        v, m = tangent
+        assert v.exp().log().prefix_equal(v)
+        assert_order(v.exp(), v.order, m)
+
+    @given(domain_series("tangent"), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_orders_propagate(self, drawn, data):
+        u, m = drawn
+        k = data.draw(st.integers(min_value=1, max_value=u.order))
+        short = u.truncate(k)
+        assert_order(u * short, k, m)
+        assert_order(u.compose(short), k, m)
+        assert_order(short.compose(u), k, m)
+        assert_order(u.div_var(1) / short.div_var(1), k - 1, m)
+        assert_order(u.derive(), u.order - 1, m)
+        assert_order(u.div_var(1).pow_param(S), u.order - 1, m)
+        with pytest.raises(OrderError):
+            short.truncate(k + 1)
 
 
 class TestHash:

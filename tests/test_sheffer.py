@@ -6,7 +6,6 @@ from math import factorial
 import pytest
 
 from oracles import (
-    cached_family,
     exp_by_partial_sums,
     same_operator,
     same_series,
@@ -15,6 +14,7 @@ from oracles import (
 from umbralog.operators import DiffOperator, apply_Tn
 from umbralog.parampoly import ParamPoly
 from umbralog.polys import Poly
+from umbralog.presets import family
 from umbralog.series import OrderError, PowerSeries, SeriesError
 from umbralog.sheffer import (
     bernoulli_log_experiment,
@@ -38,21 +38,21 @@ def bernoulli_ell(order):
 
 class TestTauSeq:
     def test_weight_one_reduces_to_p(self):
-        fam = cached_family("exp1", 14)
+        fam = family("exp1", 14)
         sf = tau_seq(fam, PowerSeries.one("x", 14), 8)
         seq = p_seq(fam, 8)
         for n in range(9):
             assert sf[n] == seq[n]
 
     def test_bernoulli_type_values(self):
-        fam = cached_family("exp1", 14)
+        fam = family("exp1", 14)
         sf = tau_seq(fam, bernoulli_ell(14), 8)
         assert sf[1] == Poly([Q(-1, 2), Q(1)])
         assert sf[2] == Poly([Q(2, 3), Q(-2), Q(1)])
 
     def test_generating_function_oracle(self):
         # ell(phi(x)) e^{a phi(x)} = ln(1+x)/x * (1+x)^a for the exp1 family
-        fam = cached_family("exp1", 14)
+        fam = family("exp1", 14)
         sf = tau_seq(fam, bernoulli_ell(14), 10)
         a = Poly.x()
         phi = fam.phi.truncate(10)
@@ -64,33 +64,33 @@ class TestTauSeq:
 
     def test_classical_bernoulli_values(self):
         # f = x gives the classical Bernoulli polynomials
-        fam = cached_family("id", 14)
+        fam = family("id", 14)
         sf = tau_seq(fam, bernoulli_ell(14), 6)
         assert sf[2] == Poly([Q(1, 6), Q(-1), Q(1)])
         assert sf[3] == Poly([Q(0), Q(1, 2), Q(-3, 2), Q(1)])
 
     def test_rejects_bad_weight(self):
-        fam = cached_family("exp1", 12)
+        fam = family("exp1", 12)
         with pytest.raises(SeriesError):
             tau_seq(fam, PowerSeries("x", [Q(2), Q(1)] + [Q(0)] * 10), 4)
 
 
 class TestTheta:
     def test_annihilates_constants(self):
-        fam = cached_family("exp1", 14)
+        fam = family("exp1", 14)
         sf = tau_seq(fam, bernoulli_ell(14), 8)
         from umbralog.sheffer import theta_apply
 
         assert theta_apply(sf, Poly.const(1)).is_zero()
 
     def test_weight_one_reduces_to_index_operator(self):
-        fam = cached_family("geom", 14)
+        fam = family("geom", 14)
         sf = tau_seq(fam, PowerSeries.one("x", 14), 8)
         ok, det = theta_check(sf, 8)
         assert ok, det
 
     def test_bernoulli_weight_eigenvalues(self):
-        fam = cached_family("exp1", 14)
+        fam = family("exp1", 14)
         sf = tau_seq(fam, bernoulli_ell(14), 8)
         ok, det = theta_check(sf, 8)
         assert ok, det
@@ -98,7 +98,7 @@ class TestTheta:
 
 class TestResolvent:
     def test_s1_weight1_collapses(self):
-        fam = cached_family("exp1", 16)
+        fam = family("exp1", 16)
         sf = tau_seq(fam, PowerSeries.one("x", 16), 6)
         one = PowerSeries.one("x", 10)
         ok, det = sheffer_resolvent_check(sf, [(0, one)], 1, 5)
@@ -106,7 +106,7 @@ class TestResolvent:
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_bernoulli_family_many_operators(self, s):
-        fam = cached_family("exp1", 16)
+        fam = family("exp1", 16)
         sf = tau_seq(fam, bernoulli_ell(16), 8)
         one = PowerSeries.one("x", 10)
         Dh = PowerSeries.identity("x", 10)
@@ -119,13 +119,13 @@ class TestLamOperators:
     def test_weight_one_reduction(self):
         from umbralog.operators import build_Tn
 
-        fam = cached_family("exp1", 16)
+        fam = family("exp1", 16)
         sf = tau_seq(fam, PowerSeries.one("x", 16), 4)
         for n in range(4):
             assert build_Tn_ell(sf, n, var="a") == build_Tn(fam, n, var="a")
 
     def test_integer_index_trend(self):
-        fam = cached_family("exp1", 40)
+        fam = family("exp1", 40)
         sf = tau_seq(fam, bernoulli_ell(40), 33)
         ok, det = tn_ell_trend_check(sf, Q(1, 3), (16, 32), 1)
         assert ok, det
@@ -147,7 +147,7 @@ class TestLamSchemeAgainstWords:
         "spec,weight", [(s, "bernoulli") for s in SPECS] + [("exp1", "poly")]
     )
     def test_operator_and_series_routes(self, spec, weight):
-        fam = cached_family(spec, 12)
+        fam = family(spec, 12)
         sf = tau_seq(fam, self.WEIGHTS[weight](12), 4)
         sigma = fam.sigma("a")
         lam = rename(ell_at_omega(sf, sigma.order), "a")
@@ -159,7 +159,7 @@ class TestLamSchemeAgainstWords:
 
     @pytest.mark.parametrize("order,n", [(3, 2), (5, 3), (7, 4)])
     def test_too_small_an_order_raises_on_both_routes(self, order, n):
-        fam = cached_family("nu", order)
+        fam = family("nu", order)
         sigma = fam.sigma("a")
         lam = PowerSeries("a", [Q(1), Q(1, 3)] + [Q(1, 7)] * (sigma.order - 1))
         with pytest.raises(OrderError):

@@ -4,10 +4,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from oracles import cached_family, stirling_term_closed_form
+from oracles import stirling_term_closed_form
 from umbralog.asymptotic import AsymptoticSeries, LinForm
 from umbralog.parampoly import ParamPoly
-from umbralog.presets import f_random
+from umbralog.presets import f_random, family
 from umbralog.series import PowerSeries
 from umbralog.stirling import (
     g3_closed_form,
@@ -25,19 +25,19 @@ from umbralog.umbral import build_family, p_symbolic
 
 class TestStirlingTerms:
     def test_trivial_family_has_no_corrections(self):
-        st = stirling_terms(cached_family("id", 12), 4)
+        st = stirling_terms(family("id", 12), 4)
         assert st.integral_term.is_zero()
         assert st.s1_regular.is_zero()
         assert all(g.is_zero() for g in st.g.values())
 
     def test_exp1_g2_is_half_log(self):
-        st = stirling_terms(cached_family("exp1", 14), 3)
+        st = stirling_terms(family("exp1", 14), 3)
         # (1/2) ln(1/(1-a)) = sum a^n/(2n)
         for n in range(1, st.g[2].order + 1):
             assert st.g[2].coefficient(n) == Q(1, 2 * n)
 
     def test_exp1_g3_bracket(self):
-        st = stirling_terms(cached_family("exp1", 14), 3)
+        st = stirling_terms(family("exp1", 14), 3)
         g3 = st.g[3]
         expected = PowerSeries(
             "a", [Q(0), Q(0)] + [Q(-1, 12)] * (g3.order - 1)
@@ -47,19 +47,19 @@ class TestStirlingTerms:
     def test_exp1_g4_vanishes_identically(self):
         # the alpha/omega' series is the quadratic a - a^2, so its fourth
         # derivative (hence the whole 1/s^2 term) is exactly zero
-        st = stirling_terms(cached_family("exp1", 16), 4)
+        st = stirling_terms(family("exp1", 16), 4)
         assert st.g[4].is_zero()
 
     @pytest.mark.parametrize("name,order,N", [("exp1", 16, 6), ("id", 12, 6)])
     def test_terms_match_bernoulli_closed_form(self, name, order, N):
-        st = stirling_terms(cached_family(name, order), N)
+        st = stirling_terms(family(name, order), N)
         for k in range(3, N + 1):
             g = st.g[k]
             assert g.prefix_equal(stirling_term_closed_form(name, k, g.order)), k
 
     @pytest.mark.parametrize("name", ["exp1", "geom", "nu"])
     def test_displayed_closed_forms(self, name):
-        fam = cached_family(name, 18)
+        fam = family(name, 18)
         st = stirling_terms(fam, 5)
         assert st.g[3].prefix_equal(
             g3_closed_form(fam, min(st.g[3].order, fam.order - 5))
@@ -83,7 +83,7 @@ class TestDerivativeExpansionOracle:
     @pytest.mark.parametrize("name", ["exp1", "geom"])
     def test_matches_symbolic_route(self, name):
         K = 10
-        fam = cached_family(name, 16)
+        fam = family(name, 16)
         ps = p_symbolic(fam, K)
         lg = AsymptoticSeries(LinForm.ZERO, ps.coeffs).log()
         gamma = {}
@@ -115,7 +115,7 @@ class TestLogIdentity:
     @pytest.mark.parametrize("name", ["id", "exp1", "geom"])
     @pytest.mark.parametrize("variant", ["log", "exp"])
     def test_presets_depth_six(self, name, variant):
-        ok, det = verify_log_identity(cached_family(name, 12), variant, 6)
+        ok, det = verify_log_identity(family(name, 12), variant, 6)
         assert ok, det["diffs"]
 
     def test_random_degree_six_family(self):
@@ -125,18 +125,18 @@ class TestLogIdentity:
             assert ok, det["diffs"]
 
     def test_depth_zero_is_trivial(self):
-        ok, det = verify_log_identity(cached_family("exp1", 12), "log", 0)
+        ok, det = verify_log_identity(family("exp1", 12), "log", 0)
         assert ok
 
 
 class TestInvariance:
     def test_zero_shift_is_the_identity(self):
-        rep = invariance_check(cached_family("exp1", 14), Q(0), 3)
+        rep = invariance_check(family("exp1", 14), Q(0), 3)
         assert rep["ok"] and rep["omega_ok"]
         assert all(t["plain_invariant"] for t in rep["terms"])
 
     def test_exp1_transformation_laws(self):
-        rep = invariance_check(cached_family("exp1", 16), Q(1, 3), 4)
+        rep = invariance_check(family("exp1", 16), Q(1, 3), 4)
         assert rep["ok"] and rep["omega_ok"]
         by_term = {t["term"]: t for t in rep["terms"]}
         assert not by_term["s^1 regular"]["plain_invariant"]
@@ -150,7 +150,7 @@ class TestInvariance:
         # for f = x the transformed change of variable is x/(1+Ax) exactly
         from umbralog.stirling import mobius_series, transformed_family
 
-        fam = cached_family("id", 12)
+        fam = family("id", 12)
         fam2 = transformed_family(fam, Q(1, 2))
         mob = mobius_series(Q(1, 2), "x", fam2.omega.order)
         assert fam2.omega.prefix_equal(mob)
@@ -162,7 +162,7 @@ class TestInvariance:
         "-ln(1+A*alpha) under alpha -> alpha/(1+A*alpha)",
     )
     def test_g2_plain_invariance_does_not_hold(self):
-        rep = invariance_check(cached_family("exp1", 16), Q(1, 3), 3)
+        rep = invariance_check(family("exp1", 16), Q(1, 3), 3)
         assert {t["term"]: t for t in rep["terms"]}["g_2"]["plain_invariant"]
 
 
@@ -172,7 +172,7 @@ class TestTreeExample:
         assert ok
 
     def test_first_two_coefficients(self):
-        fam = cached_family("nu", 10)
+        fam = family("nu", 10)
         st = stirling_terms(fam, 2)
         assert st.s1_regular.coefficient(1) == Q(-1)
         assert st.s1_regular.coefficient(2) == Q(-3, 4)
@@ -187,11 +187,11 @@ class TestTreeExample:
 class TestRatioTwoOrders:
     @pytest.mark.parametrize("name", ["exp1", "geom", "nu"])
     def test_closed_forms(self, name):
-        ok, det = ratio_two_orders(cached_family(name, 16), 6)
+        ok, det = ratio_two_orders(family(name, 16), 6)
         assert ok, det
 
     def test_trivial_family_second_order_vanishes(self):
-        fam = cached_family("id", 14)
+        fam = family("id", 14)
         ok, det = ratio_two_orders(fam, 6)
         assert ok
         # omega' = 1 and omega'' = 0, so the alpha^{H-1} bracket is zero
@@ -207,22 +207,22 @@ class TestRatioTwoOrders:
 
 class TestLimits:
     def test_conclusion_trivial_family_is_exact(self):
-        lr = limit_check(cached_family("id", 20), "conclusion", Q(2), 16)
+        lr = limit_check(family("id", 20), "conclusion", Q(2), 16)
         assert all(Q(e[1]) == 0 for e in lr.errors)
 
     def test_conclusion_exp1_converges(self):
-        lr = limit_check(cached_family("exp1", 34), "conclusion", Q(2), 32)
+        lr = limit_check(family("exp1", 34), "conclusion", Q(2), 32)
         assert lr.monotone
         assert 1.8 < lr.ratios[-1] < 2.2  # error ~ C/n
 
     def test_first_exp1(self):
-        lr = limit_check(cached_family("exp1", 34), "first", Q(2), 32)
+        lr = limit_check(family("exp1", 34), "first", Q(2), 32)
         # the ratio is exactly 1 for this family; the residual is the target's
         # series-truncation noise, of size about 2^{-(order-2)}
         assert Q(lr.errors[-1][1]) < Q(1, 10**8)
 
     def test_second_exp1(self):
-        lr = limit_check(cached_family("exp1", 34), "second", Q(2), 32)
+        lr = limit_check(family("exp1", 34), "second", Q(2), 32)
         assert lr.monotone
         assert 1.8 < lr.ratios[-1] < 2.2
 
@@ -230,33 +230,33 @@ class TestLimits:
         from umbralog.stirling import StirlingError
 
         with pytest.raises(StirlingError):
-            limit_check(cached_family("exp1", 20), "conclusion", Q(1, 2), 8)
+            limit_check(family("exp1", 20), "conclusion", Q(1, 2), 8)
 
     def test_zero_alpha_rejected(self):
         from umbralog.stirling import StirlingError
 
         with pytest.raises(StirlingError, match="alpha = 0"):
-            limit_check(cached_family("exp1", 20), "conclusion", Q(0), 8)
+            limit_check(family("exp1", 20), "conclusion", Q(0), 8)
 
     def test_n_max_below_first_sample_rejected(self):
         from umbralog.stirling import StirlingError
 
         with pytest.raises(StirlingError, match="n_max"):
-            limit_check(cached_family("exp1", 20), "conclusion", Q(2), 3)
+            limit_check(family("exp1", 20), "conclusion", Q(2), 3)
 
     @pytest.mark.parametrize("which", ["conclusion", "second"])
     def test_extrapolation_beats_last_sample_exp1(self, which):
         # errors ~ C/n, so 2*x(32) - x(16) cancels the leading term
-        lr = limit_check(cached_family("exp1", 34), which, Q(2), 32)
+        lr = limit_check(family("exp1", 34), which, Q(2), 32)
         target = Q(lr.target.split("= ")[1])
         assert abs(Q(lr.extrapolated) - target) < Q(lr.final_error) / 10
 
     def test_extrapolation_trivial_family_is_exact(self):
-        lr = limit_check(cached_family("id", 20), "conclusion", Q(2), 16)
+        lr = limit_check(family("id", 20), "conclusion", Q(2), 16)
         assert Q(lr.extrapolated) == Q(1, 2)
 
     def test_single_sample_has_no_extrapolation(self):
-        lr = limit_check(cached_family("exp1", 20), "conclusion", Q(2), 4)
+        lr = limit_check(family("exp1", 20), "conclusion", Q(2), 4)
         assert [n for n, _ in lr.samples] == [4]
         assert lr.extrapolated == ""
 

@@ -6,10 +6,10 @@ from math import comb, factorial
 
 import pytest
 
-from oracles import abel_poly, cached_family, falling_factorial_poly
+from oracles import abel_poly, falling_factorial_poly
 from umbralog.parampoly import ParamPoly
 from umbralog.polys import Poly
-from umbralog.presets import f_poly, x_exp_minus_x
+from umbralog.presets import f_poly, family, x_exp_minus_x
 from umbralog.series import OrderError, PowerSeries
 from umbralog.umbral import (
     FamilyError,
@@ -30,14 +30,14 @@ H = ParamPoly.symbol("H")
 
 class TestBuildFamily:
     def test_identity_is_a_fixed_point(self):
-        fam = cached_family("id", 8)
+        fam = family("id", 8)
         x = PowerSeries.identity("x", 8)
         assert fam.phi.prefix_equal(x)
         assert fam.tau_f.prefix_equal(x)
         assert fam.omega.prefix_equal(x)
 
     def test_exp1_omega_is_the_log_series(self):
-        fam = cached_family("exp1", 10)
+        fam = family("exp1", 10)
         for n in range(1, 10):
             assert fam.omega.coefficient(n) == Q(1, n)
 
@@ -56,7 +56,7 @@ class TestBuildFamily:
 
 class TestOmegaSideOperators:
     def test_fprime_at_omega_stops_at_the_family_order(self):
-        fam = cached_family("exp1", 10)
+        fam = family("exp1", 10)
         fw = fam.fprime_at_omega(fam.order - 2)
         assert fw.order == fam.order - 2
         # exp1: f'(omega(x)) = e^{log(1/(1-x))} = 1/(1-x)
@@ -67,7 +67,7 @@ class TestOmegaSideOperators:
     @pytest.mark.parametrize("name", ["exp1", "geom"])
     @pytest.mark.parametrize("s", [Q(3, 2), S])
     def test_step_is_s_L_minus_d_domega(self, name, s):
-        fam = cached_family(name, 12)
+        fam = family(name, 12)
         rng = random.Random(11)
         g = PowerSeries(
             "x", [Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(9)]
@@ -81,15 +81,15 @@ class TestOmegaSideOperators:
             assert got.coefficient(k) == want.coefficient(k)
 
     def test_d_domega_keeps_the_variable(self):
-        fam = cached_family("geom", 10)
+        fam = family("geom", 10)
         g = PowerSeries("a", [Q(0), Q(1), Q(2), Q(3)])
         assert fam.d_domega(g).var == "a"
 
     def test_inverse_omega_prime_is_computed_once(self):
-        fam = build_family(cached_family("nu", 8).f)
+        fam = build_family(family("nu", 8).f)
         assert fam.inv_omega_prime is fam.inv_omega_prime
-        assert fam == cached_family("nu", 8)
-        assert hash(fam) == hash(cached_family("nu", 8))
+        assert fam == family("nu", 8)
+        assert hash(fam) == hash(family("nu", 8))
 
 
 class TestTauInverse:
@@ -121,12 +121,12 @@ class TestTauInverse:
 
 class TestPSeq:
     def test_identity_gives_monomials(self):
-        seq = p_seq(cached_family("id", 9), 8)
+        seq = p_seq(family("id", 9), 8)
         for n in range(9):
             assert seq[n] == Poly([Q(0)] * n + [Q(1)])
 
     def test_exp1_gives_falling_factorials(self):
-        seq = p_seq(cached_family("exp1", 13), 12)
+        seq = p_seq(family("exp1", 13), 12)
         for n in range(13):
             assert seq[n] == falling_factorial_poly(n)
 
@@ -140,7 +140,7 @@ class TestPSeq:
     def test_binomial_convolution_identity(self):
         # p_n(x + y) = sum_k C(n, k) p_k(x) p_{n-k}(y), in Q[x][y]
         for name in ("exp1", "geom", "nu"):
-            seq = p_seq(cached_family(name, 13), 12)
+            seq = p_seq(family(name, 13), 12)
             for n in range(13):
                 rhs = Poly()
                 for k in range(n + 1):
@@ -152,7 +152,7 @@ class TestPSeq:
     def test_generating_function_identity(self):
         # sum p_k(a) f(x)^k / k! = exp(a x) through order 12 in x
         for name in ("id", "exp1", "geom", "nu"):
-            fam = cached_family(name, 13)
+            fam = family(name, 13)
             seq = p_seq(fam, 12)
             a = Poly.x()
             acc = None
@@ -167,7 +167,7 @@ class TestPSeq:
 
 class TestQCoefficients:
     def test_q0_is_one(self):
-        fam = cached_family("exp1", 12)
+        fam = family("exp1", 12)
         table = q_table(fam, 3, 4)
         assert ParamPoly.coerce(table[0].coefficient(0)) == ParamPoly.const(1)
         assert all(
@@ -178,7 +178,7 @@ class TestQCoefficients:
     def test_q1_matches_displayed_formula(self):
         # q_1^t(s) = -(s/2) f''(t)/f'(t)
         for name in ("exp1", "geom", "nu"):
-            fam = cached_family(name, 14)
+            fam = family(name, 14)
             table = q_table(fam, 1, 6)
             ratio = fam.f.derive(2) / fam.f.derive()
             for j in range(7):
@@ -186,7 +186,7 @@ class TestQCoefficients:
                 assert ParamPoly.coerce(table[1].coefficient(j)) == expected
 
     def test_exp1_q2_against_direct_power(self):
-        fam = cached_family("exp1", 12)
+        fam = family("exp1", 12)
         q2 = q_zero_table(fam, 2)[2]
         assert q2 == S * S * Q(1, 4) - S * Q(1, 12)  # s(3s-1)/12
         direct = fam.f.div_var(1).inv().pow_param(S)
@@ -195,7 +195,7 @@ class TestQCoefficients:
 
 class TestContinuations:
     def test_pht_low_cases(self):
-        fam = cached_family("exp1", 14)
+        fam = family("exp1", 14)
         pht = p_H_t(fam, 5)
         assert pht.specialize(1) == Poly([Q(0), Q(1)])
         assert pht.specialize(2) == Poly([Q(0), Q(-1), Q(1)])
@@ -204,21 +204,21 @@ class TestContinuations:
 
     def test_p_symbolic_specializes(self):
         for name in ("id", "exp1", "geom", "nu"):
-            fam = cached_family(name, 12)
+            fam = family(name, 12)
             ps = p_symbolic(fam, 10)
             seq = p_seq(fam, 9)
             for n in range(9):
                 assert ps.specialize_to_poly(s=n) == seq[n]
 
     def test_p_symbolic_alpha_coefficient(self):
-        fam = cached_family("exp1", 10)
+        fam = family("exp1", 10)
         ps = p_symbolic(fam, 6)
         assert ps.coefficient(1) == (S - 1) * S * Q(-1, 2)
 
 
 class TestRatio:
     def test_h_zero_is_trivial(self):
-        fam = cached_family("exp1", 12)
+        fam = family("exp1", 12)
         vals = ratio_P_direct(fam, 2, 0, 5)
         assert vals == [1, 0, 0, 0, 0, 0]
         sym = ratio_P_symbolic(fam, 3)
@@ -226,12 +226,12 @@ class TestRatio:
         assert specialized == [1, 0, 0, 0]
 
     def test_exp1_shift_by_one(self):
-        fam = cached_family("exp1", 12)
+        fam = family("exp1", 12)
         assert ratio_P_direct(fam, 2, 1, 4) == [1, -2, 0, 0, 0]
 
     def test_modes_agree(self):
         for name in ("exp1", "geom"):
-            fam = cached_family(name, 14)
+            fam = family(name, 14)
             sym = ratio_P_symbolic(fam, 5)
             for s in range(4):
                 for h in range(3):
@@ -242,6 +242,6 @@ class TestRatio:
 
     def test_degree_bound(self):
         for name in ("exp1", "geom", "nu"):
-            fam = cached_family(name, 15)
+            fam = family(name, 15)
             for n, p in enumerate(ratio_P_symbolic(fam, 6)):
                 assert p.degree("s") <= n
