@@ -9,7 +9,7 @@ all of these against independent brute-force oracles.
 
 __version__ = "0.1.0"
 
-from .asymptotic import AsymptoticSeries, LinForm
+from .asymptotic import AsymptoticSeries
 from .parampoly import ParamPoly
 from .polys import Poly
 from .presets import build_f, family
@@ -19,7 +19,6 @@ from .umbral import BinomialFamily, build_family, p_seq, p_symbolic, tau_inverse
 __all__ = [
     "AsymptoticSeries",
     "BinomialFamily",
-    "LinForm",
     "OrderError",
     "ParamPoly",
     "Poly",

@@ -1,6 +1,6 @@
 """Asymptotic series alpha^e * sum c_k alpha^{-k} with symbolic exponents.
 
-The exponent is an exact linear form in the parameters s and H; the sum is a
+The exponent is a ``ParamPoly`` in the parameters s and H; the sum is a
 ``PowerSeries`` in the variable ``1/a`` (alpha^{-1}) whose coefficients are
 ``ParamPoly`` values.  ln(alpha) is the ``ParamPoly`` symbol ``L``: it enters
 only by differentiation in s, or by taking the logarithm itself.
@@ -10,88 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .parampoly import H, L, S, ParamPoly
+from .parampoly import L, ParamPoly
 from .polys import Poly
 from .series import OrderError, PowerSeries, SeriesError
-
-
-class LinForm:
-    """const + cs*s + cH*H with Fraction coefficients."""
-
-    __slots__ = ("const", "cs", "cH")
-
-    def __init__(self, const=0, cs=0, cH=0):
-        self.const = Fraction(const)
-        self.cs = Fraction(cs)
-        self.cH = Fraction(cH)
-
-    ZERO: "LinForm"
-    S: "LinForm"
-    H: "LinForm"
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LinForm(other)
-        return LinForm(self.const + other.const, self.cs + other.cs, self.cH + other.cH)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LinForm(-self.const, -self.cs, -self.cH)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LinForm(other)
-        return self + (-other)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LinForm(other)
-        return (
-            isinstance(other, LinForm)
-            and (self.const, self.cs, self.cH) == (other.const, other.cs, other.cH)
-        )
-
-    def __hash__(self):
-        # a constant equals its rational value, so it must hash like it
-        if not (self.cs or self.cH):
-            return hash(self.const)
-        return hash((self.const, self.cs, self.cH))
-
-    def is_zero(self) -> bool:
-        return not (self.const or self.cs or self.cH)
-
-    def as_parampoly(self) -> ParamPoly:
-        return (
-            ParamPoly.const(self.const)
-            + S * self.cs
-            + H * self.cH
-        )
-
-    def subs(self, s=None, H=None) -> Fraction:
-        if (self.cs and s is None) or (self.cH and H is None):
-            raise ValueError("missing value for a symbol in the exponent")
-        acc = self.const
-        if self.cs:
-            acc += self.cs * Fraction(s)
-        if self.cH:
-            acc += self.cH * Fraction(H)
-        return acc
-
-    def __repr__(self):
-        bits = []
-        if self.cs:
-            bits.append("s" if self.cs == 1 else f"{self.cs}*s")
-        if self.cH:
-            bits.append("H" if self.cH == 1 else f"{self.cH}*H")
-        if self.const or not bits:
-            bits.append(f"{self.const}")
-        return " + ".join(bits)
-
-
-LinForm.ZERO = LinForm()
-LinForm.S = LinForm(0, 1, 0)
-LinForm.H = LinForm(0, 0, 1)
 
 
 _VAR = "1/a"
@@ -104,15 +25,15 @@ class AsymptoticSeries:
 
     __slots__ = ("exponent", "body")
 
-    def __init__(self, exponent: LinForm, coeffs):
+    def __init__(self, exponent: ParamPoly, coeffs):
         coeffs = [ParamPoly.coerce(c) for c in coeffs]
         if not coeffs:
             raise SeriesError("an asymptotic series needs a leading coefficient")
-        self.exponent = exponent
+        self.exponent = ParamPoly.coerce(exponent)
         self.body = PowerSeries(_VAR, coeffs, _ZERO)
 
     @staticmethod
-    def _of(exponent: LinForm, body: PowerSeries) -> "AsymptoticSeries":
+    def _of(exponent: ParamPoly, body: PowerSeries) -> "AsymptoticSeries":
         out = object.__new__(AsymptoticSeries)
         out.exponent = exponent
         out.body = body
@@ -132,17 +53,13 @@ class AsymptoticSeries:
             p.coefficient(d - k) if k <= d else Fraction(0)
             for k in range(depth + 1)
         ]
-        return AsymptoticSeries(LinForm(d), coeffs)
-
-    @staticmethod
-    def zero(exponent: LinForm, depth: int) -> "AsymptoticSeries":
-        return AsymptoticSeries._of(exponent, PowerSeries.zero(_VAR, depth, _ZERO))
+        return AsymptoticSeries(d, coeffs)
 
     @staticmethod
     def from_poly_ratio(num: Poly, den: Poly, depth: int) -> "AsymptoticSeries":
         """num/den expanded around alpha = infinity, to alpha^{-depth}."""
         if num.is_zero():
-            return AsymptoticSeries.zero(LinForm.ZERO, depth)
+            return AsymptoticSeries(0, [_ZERO] * (depth + 1))
         a = AsymptoticSeries.from_alpha_poly(num, depth)
         b = AsymptoticSeries.from_alpha_poly(den, depth)
         return a / b
@@ -221,7 +138,7 @@ class AsymptoticSeries:
         if self.coeffs[0] != _ONE:
             raise SeriesError("log needs a unit leading coefficient")
         return AsymptoticSeries._of(
-            LinForm.ZERO, self.body.log() + self.exponent.as_parampoly() * L
+            _ZERO, self.body.log() + self.exponent * L
         )
 
     def derive_alpha(self) -> "AsymptoticSeries":
@@ -229,29 +146,29 @@ class AsymptoticSeries:
         return AsymptoticSeries(
             self.exponent - 1,
             [
-                (self.exponent - k).as_parampoly() * c + c.derive("L")
+                (self.exponent - k) * c + c.derive("L")
                 for k, c in enumerate(self.coeffs)
             ],
         )
 
     def derive_s(self) -> "AsymptoticSeries":
         """d/ds; alpha^{e(s)} contributes a factor d e/ds * L."""
-        es_log = L * self.exponent.cs
+        es_log = L * self.exponent.derive("s")
         return self.map_coeffs(lambda c: c.derive("s") + es_log * c)
 
     # -- specialization ----------------------------------------------------------
 
     def specialize_to_poly(self, s=None, H=None) -> Poly:
         """Substitute integers for the parameters; must yield a polynomial."""
-        e = self.exponent.subs(s=s, H=H)
-        if e.denominator != 1 or e < 0:
-            raise SeriesError(f"exponent {e} does not specialize to a polynomial")
-        e = int(e)
         vals = {}
         if s is not None:
             vals["s"] = Fraction(s)
         if H is not None:
             vals["H"] = Fraction(H)
+        e = self.exponent.eval(**vals)
+        if e.denominator != 1 or e < 0:
+            raise SeriesError(f"exponent {e} does not specialize to a polynomial")
+        e = int(e)
         out = [Fraction(0)] * (e + 1)
         for k, c in enumerate(self.coeffs):
             if c.degree("L") > 0:
@@ -271,14 +188,16 @@ class AsymptoticSeries:
     def map_coeffs(self, fn) -> "AsymptoticSeries":
         return AsymptoticSeries(self.exponent, [fn(c) for c in self.coeffs])
 
-    def align_to(self, exponent: LinForm) -> "AsymptoticSeries":
+    def align_to(self, exponent: ParamPoly) -> "AsymptoticSeries":
         """Rewrite with a larger exponent by shifting in leading zeros."""
-        d = self.exponent - exponent
-        if d.cs or d.cH or d.const.denominator != 1 or d.const > 0:
+        exponent = ParamPoly.coerce(exponent)
+        d = exponent - self.exponent
+        shift = d.constant_value() if d.is_constant() else None
+        if shift is None or shift.denominator != 1 or shift < 0:
             raise SeriesError(
                 f"cannot align exponent {self.exponent} to {exponent}"
             )
-        return AsymptoticSeries._of(exponent, self.body.mul_var(int(-d.const)))
+        return AsymptoticSeries._of(exponent, self.body.mul_var(int(shift)))
 
     @staticmethod
     def equal_to_depth(a: "AsymptoticSeries", b: "AsymptoticSeries", depth: int) -> bool:
@@ -292,11 +211,11 @@ class AsymptoticSeries:
         a = a.truncate(depth)
         b = b.truncate(depth)
         d = a.exponent - b.exponent
-        if d.cs or d.cH or d.const.denominator != 1:
+        if not d.is_constant() or d.constant_value().denominator != 1:
             return a.is_zero() and b.is_zero()
-        if d.const > 0:
+        if d.constant_value() > 0:
             b = b.align_to(a.exponent)
-        elif d.const < 0:
+        elif d.constant_value() < 0:
             a = a.align_to(b.exponent)
         return a.body.prefix_equal(b.body)
 

@@ -250,6 +250,7 @@ def cmd_limits(args) -> int:
             "ratios": lr.ratios,
             "monotone": lr.monotone,
             "extrapolated": lr.extrapolated,
+            "target_floor": lr.target_floor,
         }
     if args.json:
         _emit(payload, args)
@@ -260,6 +261,7 @@ def cmd_limits(args) -> int:
             for (n, v), (_, e) in zip(d["samples"], d["errors"]):
                 lines.append(f"   n={n:4d}  value={v}  |err|={e}")
             lines.append(f"   extrapolated = {d['extrapolated']}")
+            lines.append(f"   target floor = {d['target_floor']}")
         _emit("\n".join(lines), args)
     return 0
 

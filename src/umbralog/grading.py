@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from types import MappingProxyType
 
-from .asymptotic import AsymptoticSeries, LinForm
+from .asymptotic import AsymptoticSeries
 from .parampoly import S, ParamPoly
 from .series import OrderError, PowerSeries, SeriesError
 from .umbral import BinomialFamily, op_L, per_family, q_at_omega
@@ -26,8 +26,8 @@ class GradedSeries:
 
     __slots__ = ("base", "parts")
 
-    def __init__(self, base: LinForm, parts: dict):
-        self.base = base
+    def __init__(self, base: ParamPoly, parts: dict):
+        self.base = ParamPoly.coerce(base)
         self.parts = MappingProxyType(
             {n: p for n, p in parts.items() if not p.is_zero()}
         )
@@ -189,7 +189,7 @@ def target_powers_image(fam: BinomialFamily, h: int, depth: int, x_order: int) -
     if h == 0:
         # q_n^t(0) = 0 for n >= 1, so only the constant part survives
         parts = {0: PowerSeries.one(fam.f.var, x_order)}
-    return GradedSeries(LinForm(h), parts)
+    return GradedSeries(h, parts)
 
 
 @per_family
@@ -203,7 +203,7 @@ def target_powers_image_shifted(
     parts = {}
     for n in range(n_top + 1):
         parts[n] = qv[n].scale(Fraction(comb(h, n))) * fw
-    return GradedSeries(LinForm(h), parts)
+    return GradedSeries(h, parts)
 
 
 def target_conjugated(fam: BinomialFamily, T: list, x_order: int) -> GradedSeries:
@@ -218,7 +218,7 @@ def target_conjugated(fam: BinomialFamily, T: list, x_order: int) -> GradedSerie
         n = base - a
         val = h.truncate(x_order).compose(om)
         parts[n] = parts[n] + val if n in parts else val
-    return GradedSeries(LinForm(base), parts)
+    return GradedSeries(base, parts)
 
 
 # -- assembled ratio checks ------------------------------------------------------------

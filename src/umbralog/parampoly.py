@@ -14,7 +14,7 @@ rationals as the term-by-term ``Fraction`` loops.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 SYMBOLS = ("s", "H", "L")
 
@@ -258,8 +258,6 @@ def falling(base: ParamPoly, m: int) -> ParamPoly:
 
 def binom_poly(base: ParamPoly, k: int) -> ParamPoly:
     """Binomial coefficient of a polynomial argument, expanded eagerly."""
-    from math import factorial
-
     return falling(base, k) / Fraction(factorial(k))
 
 

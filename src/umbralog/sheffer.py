@@ -9,15 +9,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .asymptotic import AsymptoticSeries, LinForm
+from .asymptotic import AsymptoticSeries
 from .grading import (
     GradedSeries,
     geometric_sum,
     op_sheffer,
+    target_conjugated,
 )
 from .operators import DiffOperator, apply_Tn
 from .parampoly import S, ParamPoly
 from .polys import Poly
+from .presets import family
 from .series import OrderError, PowerSeries, SeriesError
 from .umbral import BinomialFamily, op_L, per_family, q_zero_table, rename
 
@@ -37,6 +39,11 @@ class ShefferFamily:
 def tau_seq(fam: BinomialFamily, ell: PowerSeries, N: int) -> ShefferFamily:
     """Polynomials from sum tau_n(a) x^n / n! = ell(phi(x)) exp(a phi(x)),
     plus the symbolic continuation ell(d/da) applied to the alpha^s series."""
+    for c in ell.coeffs:
+        if type(c) is not Fraction:
+            raise SeriesError(
+                f"tau_seq needs ell over Fraction coefficients, not {type(c).__name__}"
+            )
     if ell.coefficient(0) != 1:
         raise SeriesError("ell must have constant term 1")
     if fam.phi.order < N or ell.order < N:
@@ -80,7 +87,7 @@ def tau_seq(fam: BinomialFamily, ell: PowerSeries, N: int) -> ShefferFamily:
                 fall = fall * (S - (k + m - 1))
             if ells[m]:
                 coeffs[k + m] = coeffs[k + m] + lead * fall * ells[m]
-    tau_symbolic = AsymptoticSeries(LinForm.S, coeffs)
+    tau_symbolic = AsymptoticSeries(S, coeffs)
 
     sf = ShefferFamily(fam, ell, tuple(polys), tau_symbolic)
     for n in range(min(N, depth) + 1):
@@ -105,6 +112,16 @@ def apply_d_series(h: PowerSeries, p: Poly) -> Poly:
         if c:
             out = out + dp * c
         dp = dp.derive()
+    return out
+
+
+def apply_T(T: list, p: Poly) -> Poly:
+    """T(alpha, d/da) p for T = sum alpha^a h_a(D), given as [(a, h_a), ...]."""
+    out = Poly()
+    for a, h in T:
+        if a < 0:
+            raise SeriesError("alpha powers in T must be nonnegative")
+        out = out + apply_d_series(h, p).mul_x(a)
     return out
 
 
@@ -152,28 +169,13 @@ def sheffer_resolvent_check(sf: ShefferFamily, T: list, s: int, depth: int):
     if len(sf.tau_polys) <= s:
         raise OrderError("tau sequence too short")
     fam = sf.fam
-
-    applied = Poly()
-    for a, h in T:
-        if a < 0:
-            raise SeriesError("alpha powers in T must be nonnegative")
-        part = apply_d_series(h, sf[s - 1])
-        for _ in range(a):
-            part = part.mul_x()
-        applied = applied + part
-    lhs = AsymptoticSeries.from_poly_ratio(applied.mul_x(), sf[s], depth)
+    lhs = AsymptoticSeries.from_poly_ratio(apply_T(T, sf[s - 1]).mul_x(), sf[s], depth)
 
     x_order = depth + 2
     ellw = ell_at_omega(sf, x_order)
-    fw = fam.fprime_at_omega(x_order)
-    om = fam.omega.truncate(x_order)
-    base = max(a for a, _ in T)
-    parts: dict = {}
-    for a, h in T:
-        val = h.truncate(x_order).compose(om) * ellw * fw
-        n = base - a
-        parts[n] = parts[n] + val if n in parts else val
-    target = GradedSeries(LinForm(base), parts)
+    weight = ellw * fam.fprime_at_omega(x_order)
+    conj = target_conjugated(fam, T, x_order)
+    target = GradedSeries(conj.base, {n: p * weight for n, p in conj.parts.items()})
     op = op_sheffer(fam, ellw, Fraction(s))
     rhs = geometric_sum(op, target, depth).at_x0(depth)
     ok = AsymptoticSeries.equal_to_depth(lhs, rhs, depth)
@@ -282,9 +284,6 @@ def bernoulli_log_experiment(depth: int) -> dict:
     rhs = bernoulli_operator_log(depth)
     order = depth + 4
     ell = bernoulli_weight(order)
-
-    from .presets import family
-
     candidates = {
         "sheffer-exp1": tau_seq(family("exp1", order), ell, depth),
         "classical": tau_seq(family("id", order), ell, depth),
@@ -298,7 +297,7 @@ def bernoulli_log_experiment(depth: int) -> dict:
                     ),
                     "candidates": {}}
     for name, sf in candidates.items():
-        reg = AsymptoticSeries(LinForm.ZERO, sf.tau_symbolic.coeffs)
+        reg = AsymptoticSeries(0, sf.tau_symbolic.coeffs)
         lg = reg.log()
         rows = []
         match_depth = depth

@@ -19,9 +19,10 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import factorial
 
-from .asymptotic import AsymptoticSeries, LinForm
+from .asymptotic import AsymptoticSeries
 from .operators import apply_Tn, build_Tn
 from .parampoly import H, S, ParamPoly
+from .presets import family
 from .series import OrderError, PowerSeries, SeriesError
 from .umbral import (
     BinomialFamily,
@@ -142,7 +143,7 @@ def g4_closed_form(fam: BinomialFamily, order: int) -> PowerSeries:
 def _lhs_log_coeffs(fam: BinomialFamily, depth: int) -> tuple:
     """(1/s) ln(alpha^{-s} p_s(alpha)) as Q[s] coefficients of alpha^{-k}."""
     ps = p_symbolic(fam, depth)
-    regular = AsymptoticSeries(LinForm.ZERO, ps.coeffs)
+    regular = AsymptoticSeries(0, ps.coeffs)
     lg = regular.log()
     out = []
     for k in range(depth + 1):
@@ -306,6 +307,8 @@ class LimitReport:
     final_error: str
     extrapolated: str      # 2*x(2n) - x(n), exact for errors of the form C/n;
                            # "" when n_max < 8 leaves a single sample
+    target_floor: str      # |target - target from its series one order lower|:
+                           # errors near it are truncation, not convergence
     ok: bool
 
 
@@ -347,7 +350,7 @@ def limit_check(
     with localcontext() as ctx:
         ctx.prec = 80
         if which == "conclusion":
-            target = to_decimal(om.eval_truncated(point))
+            series, value = om, lambda u: to_decimal(u.eval_truncated(point))
             quantity = "p_n'(n*alpha)/p_n(n*alpha)"
             tstr = "omega(1/alpha)"
             for n in ns:
@@ -355,7 +358,7 @@ def limit_check(
                 sample_vals.append(to_decimal(val))
         elif which == "first":
             fw = fam.fprime_at_omega(fam.order - 2)
-            target = to_decimal(alpha / fw.eval_truncated(point))
+            series, value = fw, lambda u: to_decimal(alpha / u.eval_truncated(point))
             quantity = "p_{n+1}(n*alpha)/p_n(n*alpha)/n"
             tstr = "alpha*f'(omega(1/alpha))^{-1}"
             for n in ns:
@@ -364,7 +367,7 @@ def limit_check(
         elif which == "second":
             fw = fam.fprime_at_omega(fam.order - 2)
             i_val = fw.log().integrate().eval_truncated(point)
-            target = ln_decimal(om.derive().eval_truncated(point)) / 2
+            series, value = om.derive(), lambda u: ln_decimal(u.eval_truncated(point)) / 2
             quantity = "ln p_n(alpha*n) - n*ln(alpha*n) + n*alpha*I(1/alpha)"
             tstr = "(1/2) ln omega'(1/alpha)"
             for n in ns:
@@ -378,6 +381,8 @@ def limit_check(
         else:
             raise ValueError(f"unknown limit {which!r}")
 
+        target = value(series)
+        floor = abs(target - value(series.truncate(series.order - 1)))
         samples = [(n, str(+v.quantize(Decimal("1e-30")))) for n, v in zip(ns, sample_vals)]
         errors = [abs(v - target) for v in sample_vals]
         ratios = [
@@ -398,6 +403,7 @@ def limit_check(
             monotone=monotone,
             final_error=str(+errors[-1].quantize(Decimal("1e-30"))),
             extrapolated=extrapolated,
+            target_floor=str(+floor.quantize(Decimal("1e-30"))),
             ok=monotone,
         )
 
@@ -459,8 +465,6 @@ def tree_example_check(N: int, fam: BinomialFamily | None = None):
     if N == 0:
         return True, {"order": 0, "note": "empty check"}
     if fam is None:
-        from .presets import family
-
         fam = family("nu", N + 6)
     st = stirling_terms(fam, 2)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from math import comb, factorial, gcd, lcm
 
-from .asymptotic import AsymptoticSeries, LinForm
+from .asymptotic import AsymptoticSeries
 from .parampoly import H, S, ParamPoly, _lift, binom_poly
 from .polys import Poly
 from .series import OrderError, PowerSeries, SeriesError
@@ -308,7 +308,7 @@ def p_symbolic(fam: BinomialFamily, N: int) -> AsymptoticSeries:
     """The continuation alpha^s (1 + ...): sum_k binom(s-1,k) q_k(s) a^{s-k}."""
     q = q_zero_table(fam, N)
     coeffs = [binom_poly(S - Fraction(1), k) * q[k] for k in range(N + 1)]
-    return AsymptoticSeries(LinForm.S, coeffs)
+    return AsymptoticSeries(S, coeffs)
 
 
 # -- ratio expansion -------------------------------------------------------------

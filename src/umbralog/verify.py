@@ -358,6 +358,7 @@ def suite_limits(order: int = 66, depth: int = 0, n_max: int = 64) -> Report:
         ratios=lr.ratios,
         extrapolated=lr.extrapolated,
         target=lr.target,
+        target_floor=lr.target_floor,
     )
     lr = limit_check(fam, "first", Fraction(2), n_max)
     rep.record(
@@ -368,6 +369,7 @@ def suite_limits(order: int = 66, depth: int = 0, n_max: int = 64) -> Report:
         ratios=lr.ratios,
         extrapolated=lr.extrapolated,
         target=lr.target,
+        target_floor=lr.target_floor,
     )
     lr = limit_check(fam, "second", Fraction(2), n_max)
     rep.record(
@@ -378,13 +380,15 @@ def suite_limits(order: int = 66, depth: int = 0, n_max: int = 64) -> Report:
         ratios=lr.ratios,
         extrapolated=lr.extrapolated,
         target=lr.target,
+        target_floor=lr.target_floor,
     )
 
     fam_id = family("id", 18)
     lr = limit_check(fam_id, "conclusion", Fraction(2), 16)
     ok = all(Fraction(e[1]) == 0 for e in lr.errors)
     rep.record("f = x: the log-derivative limit is exact at every n", ok,
-               errors=lr.errors, ratios=lr.ratios, extrapolated=lr.extrapolated)
+               errors=lr.errors, ratios=lr.ratios, extrapolated=lr.extrapolated,
+               target_floor=lr.target_floor)
 
     return rep
 

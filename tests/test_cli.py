@@ -87,6 +87,7 @@ def test_limits_json_carries_extrapolation(capsys):
     assert sorted(data) == ["conclusion", "first", "second"]
     for section in data.values():
         assert section["extrapolated"]
+        assert section["target_floor"]
 
 
 def test_limits_text_prints_extrapolation(capsys):
@@ -94,6 +95,7 @@ def test_limits_text_prints_extrapolation(capsys):
                         "--alpha", "2", "--n-max", "16")
     assert code == 0
     assert out.count("extrapolated = ") == 3
+    assert out.count("target floor = ") == 3
 
 
 def test_report_round_trip():
@@ -129,7 +131,9 @@ def test_verify_limits_json_shows_the_convergence_evidence(capsys):
     code, out = run_cli(capsys, "verify", "limits", "--json")
     assert code == 0
     checks = json.loads(out)["reports"][0]["checks"]
-    assert all({"ratios", "extrapolated"} <= set(c["details"]) for c in checks)
+    assert all(
+        {"ratios", "extrapolated", "target_floor"} <= set(c["details"]) for c in checks
+    )
     # the same evidence `limits` reports for exp1 at the suite's settings
     code, out = run_cli(
         capsys, "limits", "--f", "exp1", "--n-max", "64", "--order", "66", "--json"
@@ -139,6 +143,7 @@ def test_verify_limits_json_shows_the_convergence_evidence(capsys):
     for check, which in zip(checks, ("conclusion", "first", "second")):
         assert check["details"]["ratios"] == table[which]["ratios"]
         assert check["details"]["extrapolated"] == table[which]["extrapolated"]
+        assert check["details"]["target_floor"] == table[which]["target_floor"]
     assert checks[3]["details"]["ratios"] == [None, None]
 
 

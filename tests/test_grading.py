@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from umbralog.asymptotic import AsymptoticSeries, LinForm
+from umbralog.asymptotic import AsymptoticSeries
 from umbralog.grading import (
     GradedOp,
     GradedSeries,
@@ -14,6 +14,7 @@ from umbralog.grading import (
     target_conjugated,
     target_powers_image_shifted,
 )
+from umbralog.parampoly import ParamPoly
 from umbralog.presets import family
 from umbralog.series import PowerSeries, SeriesError
 from umbralog.umbral import p_seq
@@ -21,7 +22,7 @@ from umbralog.umbral import p_seq
 
 def test_zero_operator_returns_target():
     target = GradedSeries(
-        LinForm(0), {0: PowerSeries("x", [Q(3), Q(1), Q(4)])}
+        ParamPoly.const(0), {0: PowerSeries("x", [Q(3), Q(1), Q(4)])}
     )
     out = geometric_sum(GradedOp([]), target, 2)
     assert out.at_x0(2).coefficient(0).constant_value() == 3

@@ -18,7 +18,7 @@ from oracles import (
     naive_parampoly_mul,
     naive_tau_symbolic,
 )
-from umbralog.asymptotic import AsymptoticSeries, LinForm
+from umbralog.asymptotic import AsymptoticSeries
 from umbralog.parampoly import SYMBOLS, ParamPoly
 from umbralog.polys import Poly
 from umbralog.presets import family
@@ -130,15 +130,13 @@ class TestHash:
         assert table[S - S] == "zero"
         assert len({Q(3), ParamPoly.const(3), S * 0 + 3}) == 1
 
-    def test_poly_and_linform_constants_hash_as_rationals(self):
+    def test_poly_constants_hash_as_rationals(self):
         for x in (Q(0), Q(2), Q(-7, 3)):
-            for c in (Poly.const(x), LinForm(x)):
-                assert c == x and hash(c) == hash(x)
+            c = Poly.const(x)
+            assert c == x and hash(c) == hash(x)
         assert Poly() == 0 and hash(Poly()) == hash(0)
         assert {Poly.const(2): 1}.get(Q(2)) == 1
-        assert {LinForm(2): 1}.get(Q(2)) == 1
         assert hash(Poly([Q(1), Q(2)])) == hash(Poly([1, 2]))
-        assert hash(LinForm.S + 1) == hash(LinForm(1, 1, 0))
 
     @given(param_polys(), param_polys())
     @settings(max_examples=50, deadline=None)
@@ -161,7 +159,7 @@ def test_tau_symbolic_matches_oracle(spec, order, N):
     fam = family(spec, order)
     ell = bernoulli_ell(order)
     got = tau_seq(fam, ell, N).tau_symbolic
-    want = AsymptoticSeries(LinForm.S, naive_tau_symbolic(fam, ell, N))
+    want = AsymptoticSeries(S, naive_tau_symbolic(fam, ell, N))
     assert got.exponent == want.exponent
     assert len(got.coeffs) == N + 1
     for g, w in zip(got.coeffs, want.coeffs):

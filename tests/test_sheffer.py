@@ -18,6 +18,7 @@ from umbralog.presets import family
 from umbralog.series import OrderError, PowerSeries, SeriesError
 from umbralog.sheffer import (
     bernoulli_log_experiment,
+    bernoulli_weight,
     build_Tn_ell,
     ell_at_omega,
     sheffer_resolvent_check,
@@ -73,6 +74,16 @@ class TestTauSeq:
         fam = family("exp1", 12)
         with pytest.raises(SeriesError):
             tau_seq(fam, PowerSeries("x", [Q(2), Q(1)] + [Q(0)] * 10), 4)
+
+    def test_rejects_parampoly_weight_and_stores_nothing(self):
+        fam = family("exp1", 12)
+        ell = bernoulli_weight(12).map_coeffs(ParamPoly.coerce, ParamPoly())
+        keys = set(fam._tables)
+        with pytest.raises(SeriesError, match="Fraction.*ParamPoly"):
+            tau_seq(fam, ell, 6)
+        assert set(fam._tables) == keys
+        sf = tau_seq(fam, bernoulli_weight(12), 6)
+        assert len(sf.tau_polys) == 7 and sf[1] == Poly([Q(-1, 2), Q(1)])
 
 
 class TestTheta:

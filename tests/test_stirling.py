@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from oracles import stirling_term_closed_form
-from umbralog.asymptotic import AsymptoticSeries, LinForm
+from umbralog.asymptotic import AsymptoticSeries
 from umbralog.parampoly import ParamPoly
 from umbralog.presets import f_random, family
 from umbralog.series import PowerSeries
@@ -85,7 +85,7 @@ class TestDerivativeExpansionOracle:
         K = 10
         fam = family(name, 16)
         ps = p_symbolic(fam, K)
-        lg = AsymptoticSeries(LinForm.ZERO, ps.coeffs).log()
+        lg = AsymptoticSeries(ParamPoly(), ps.coeffs).log()
         gamma = {}
         for k in range(K + 1):
             poly = lg.coefficient(k)
@@ -254,6 +254,22 @@ class TestLimits:
     def test_extrapolation_trivial_family_is_exact(self):
         lr = limit_check(family("id", 20), "conclusion", Q(2), 16)
         assert Q(lr.extrapolated) == Q(1, 2)
+
+    def test_target_floor_separates_truncation_from_convergence(self):
+        fam = family("exp1", 66)
+        # the samples of the first limit are exact (alpha - 1 at every n):
+        # every error is the target's own truncation, 2^-65
+        first = limit_check(fam, "first", Q(2), 64)
+        assert {e for _, e in first.errors} == {"2.7105054312E-20"}
+        assert first.target_floor == "2.7105054312E-20"
+        # the conclusion's floor, 2^-65/65, lies far below its final error
+        conclusion = limit_check(fam, "conclusion", Q(2), 64)
+        assert Q(4, 10**22) < Q(conclusion.target_floor) < Q(43, 10**23)
+        assert Q(38, 10**4) < Q(conclusion.final_error) < Q(4, 10**3)
+
+    def test_trivial_family_has_no_target_floor(self):
+        lr = limit_check(family("id", 20), "conclusion", Q(2), 16)
+        assert Q(lr.target_floor) == 0
 
     def test_single_sample_has_no_extrapolation(self):
         lr = limit_check(family("exp1", 20), "conclusion", Q(2), 4)
