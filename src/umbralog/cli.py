@@ -325,10 +325,26 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args = _apply_config(args, argv)
         _check_sizes(args)
-        return COMMANDS[args.command](args)
+        return _run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _run(args) -> int:
+    """Run one command; a result too long to print is reported as such."""
+    try:
+        return COMMANDS[args.command](args)
+    except ValueError as exc:
+        # str() of an int past sys.get_int_max_str_digits(): the commands
+        # parse their inputs with messages of their own, so only printing a
+        # result raises this one
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ValueError(
+            "an output coefficient has more than "
+            f"{sys.get_int_max_str_digits()} digits, more than can be printed"
+        ) from None
 
 
 if __name__ == "__main__":

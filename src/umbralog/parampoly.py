@@ -1,20 +1,21 @@
 """Exact polynomials in the fixed parameter symbols ``s``, ``H``, ``L``.
 
-Coefficient domain for symbolic expansions: every coefficient is a
-``fractions.Fraction`` and the symbol set is fixed, so terms are keyed by a
-dense multi-degree tuple ``(deg_s, deg_H, deg_L)``.  ``L`` stands for
-ln(alpha) in asymptotic alpha-expansions.  Adding a symbol is a code-level
-change by design.
+Coefficient domain for symbolic expansions.  The symbol set is fixed, so
+terms are keyed by a dense multi-degree tuple ``(deg_s, deg_H, deg_L)``.
+``L`` stands for ln(alpha) in asymptotic alpha-expansions.  Adding a symbol
+is a code-level change by design.
 
-Products of two polynomials, and evaluation at rational points, run on
-integer numerators over one common denominator and return the same
-rationals as the term-by-term ``Fraction`` loops.
+A polynomial is stored as integer numerators over one positive denominator,
+in canonical form: the denominator and the numerators have gcd 1, and no
+numerator is zero.  Every operation runs on integers and builds no
+``Fraction`` per term; equal polynomials have equal numerators and
+denominators.  ``terms`` shows the coefficients as ``Fraction`` values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 SYMBOLS = ("s", "H", "L")
 
@@ -36,36 +37,66 @@ def _lift(coeffs) -> tuple:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-class ParamPoly:
-    """Polynomial in s, H, L with Fraction coefficients, no stored zeros."""
+def _canonical(num: dict, den: int) -> tuple:
+    """``num`` (no zero values) over ``den > 0``, divided by their gcd."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            return {k: v // g for k, v in num.items()}, den // g
+    return num, den
 
-    __slots__ = ("terms",)
+
+def _shift(k: tuple, i: int) -> tuple:
+    """The multi-degree ``k`` with one less in symbol ``i``."""
+    return k[:i] + (k[i] - 1,) + k[i + 1:]
+
+
+class ParamPoly:
+    """Polynomial in s, H, L: ``num`` maps each multi-degree to a nonzero
+    integer, all over the denominator ``den``, reduced as far as it goes."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
+        """From a dict of ``int`` or ``Fraction`` coefficients."""
+        num, den = {}, 1
         if terms:
-            self.terms = {k: v for k, v in terms.items() if v}
-        else:
-            self.terms = {}
+            nums, den = _lift([_as_fraction(v) for v in terms.values()])
+            num = {k: n for k, n in zip(terms, nums) if n}
+        self.num, self.den = _canonical(num, den)
 
     @staticmethod
-    def _make(terms: dict) -> "ParamPoly":
-        """Wrap a dict the caller guarantees holds no zero values."""
+    def _make(num: dict, den: int) -> "ParamPoly":
+        """Reduce ``num`` (no zero values) over ``den > 0`` by their gcd."""
+        return ParamPoly._reduced(*_canonical(num, den))
+
+    @staticmethod
+    def _reduced(num: dict, den: int) -> "ParamPoly":
+        """Wrap a pair the caller guarantees is already canonical."""
         p = object.__new__(ParamPoly)
-        p.terms = terms
+        p.num, p.den = num, den
         return p
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients, as a fresh ``{multi-degree: Fraction}`` dict."""
+        den = self.den
+        return {k: Fraction(v, den) for k, v in self.num.items()}
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def const(x) -> "ParamPoly":
         x = _as_fraction(x)
-        return ParamPoly({_CONST_KEY: x}) if x else ParamPoly()
+        if not x:
+            return ParamPoly()
+        return ParamPoly._reduced({_CONST_KEY: x.numerator}, x.denominator)
 
     @staticmethod
     def symbol(name: str) -> "ParamPoly":
         i = SYMBOLS.index(name)
         key = tuple(1 if j == i else 0 for j in range(3))
-        return ParamPoly({key: Fraction(1)})
+        return ParamPoly._reduced({key: 1}, 1)
 
     @staticmethod
     def coerce(x) -> "ParamPoly":
@@ -76,78 +107,109 @@ class ParamPoly:
     # -- predicates ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(k == _CONST_KEY for k in self.terms)
+        return all(k == _CONST_KEY for k in self.num)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self!r}")
-        return self.terms.get(_CONST_KEY, _ZERO)
+        return Fraction(self.num.get(_CONST_KEY, 0), self.den)
 
     def degree(self, name: str) -> int:
         """Degree in one symbol; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
         i = SYMBOLS.index(name)
-        return max(k[i] for k in self.terms)
+        return max(k[i] for k in self.num)
 
     # -- ring operations -----------------------------------------------
 
-    def __add__(self, other):
-        other = ParamPoly.coerce(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, _ZERO) + v
+    def _plus(self, other: "ParamPoly", sign: int) -> "ParamPoly":
+        """self + sign * other, for sign 1 or -1."""
+        da, db = self.den, other.den
+        if da == db:
+            out, cb = dict(self.num), sign
+        else:
+            den = lcm(da, db)
+            ca, cb = den // da, sign * (den // db)
+            out = {k: v * ca for k, v in self.num.items()}
+            da = den
+        get = out.get
+        for k, v in other.num.items():
+            w = get(k, 0) + v * cb
             if w:
                 out[k] = w
             else:
-                out.pop(k, None)
-        return ParamPoly._make(out)
+                del out[k]
+        return ParamPoly._make(out, da)
+
+    def __add__(self, other):
+        return self._plus(ParamPoly.coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly({k: -v for k, v in self.terms.items()})
+        return ParamPoly._reduced({k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-ParamPoly.coerce(other))
+        return self._plus(ParamPoly.coerce(other), -1)
 
     def __rsub__(self, other):
-        return (-self) + ParamPoly.coerce(other)
+        return ParamPoly.coerce(other)._plus(self, -1)
+
+    def _scale(self, p: int, q: int) -> "ParamPoly":
+        """self * p/q for a reduced p/q with q > 0; the result needs no
+        gcd over all numerators, since both self and p/q are reduced."""
+        if not p:
+            return ParamPoly()
+        num, den = self.num, self.den
+        g = gcd(p, den)
+        if g != 1:
+            p //= g
+            den //= g
+        if q != 1:
+            h = gcd(q, *num.values())
+            if h != 1:
+                q //= h
+                num = {k: v // h for k, v in num.items()}
+            den *= q
+        return ParamPoly._reduced({k: v * p for k, v in num.items()}, den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return ParamPoly()
-            return ParamPoly._make({k: v * c for k, v in self.terms.items()})
+        if isinstance(other, int):
+            return self._scale(other, 1)
+        if isinstance(other, Fraction):
+            return self._scale(other.numerator, other.denominator)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        a, b = self.terms, other.terms
+        a, b = self.num, other.num
         if not a or not b:
             return ParamPoly()
-        na, da = _lift(a.values())
-        nb, db = _lift(b.values())
-        nb = list(zip(b, nb))
+        nb = list(b.items())
         out: dict = {}
         get = out.get
-        for (i, j, l), x in zip(a, na):
+        for (i, j, l), x in a.items():
             for (i2, j2, l2), y in nb:
                 k = (i + i2, j + j2, l + l2)
                 out[k] = get(k, 0) + x * y
-        den = da * db
-        return ParamPoly._make({k: Fraction(c, den) for k, c in out.items() if c})
+        return ParamPoly._make(
+            {k: c for k, c in out.items() if c}, self.den * other.den
+        )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         c = _as_fraction(other)
-        return ParamPoly({k: v / c for k, v in self.terms.items()})
+        if not c:
+            raise ZeroDivisionError("ParamPoly division by zero")
+        if c.numerator < 0:
+            return self._scale(-c.denominator, -c.numerator)
+        return self._scale(c.denominator, c.numerator)
 
     def __rtruediv__(self, other):
         return ParamPoly.const(_as_fraction(other) / self.constant_value())
@@ -169,13 +231,13 @@ class ParamPoly:
             other = ParamPoly.const(other)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         # a constant equals its rational value, so it must hash like it
         if self.is_constant():
-            return hash(self.constant_value())
-        return hash(frozenset(self.terms.items()))
+            return hash(Fraction(self.num.get(_CONST_KEY, 0), self.den))
+        return hash((frozenset(self.num.items()), self.den))
 
     # -- substitution / evaluation --------------------------------------
 
@@ -184,14 +246,14 @@ class ParamPoly:
         vals = [
             _as_fraction(values[n]) if n in values else None for n in SYMBOLS
         ]
-        if not self.terms:
+        if not self.num:
             return _ZERO
-        nums, den = _lift(self.terms.values())
+        den = self.den
         # x_i = p_i / q_i; scale every term by q_i^maxdeg_i so that
         # p_i^d q_i^(maxdeg_i - d) are integers
         tables = []
         for i, x in enumerate(vals):
-            top = max(k[i] for k in self.terms)
+            top = max(k[i] for k in self.num)
             if not top:
                 tables.append((1,))
                 continue
@@ -202,38 +264,35 @@ class ParamPoly:
             den *= q**top
         t0, t1, t2 = tables
         acc = 0
-        for (i, j, l), c in zip(self.terms, nums):
+        for (i, j, l), c in self.num.items():
             acc += c * t0[i] * t1[j] * t2[l]
         return Fraction(acc, den)
 
     def derive(self, name: str) -> "ParamPoly":
         """Partial derivative with respect to one symbol."""
         i = SYMBOLS.index(name)
-        out = {}
-        for k, v in self.terms.items():
-            if k[i]:
-                key = tuple(k[j] - (1 if j == i else 0) for j in range(3))
-                out[key] = out.get(key, _ZERO) + v * k[i]
-        return ParamPoly(out)
+        # distinct terms keep distinct multi-degrees, so nothing cancels
+        out = {_shift(k, i): v * k[i] for k, v in self.num.items() if k[i]}
+        return ParamPoly._make(out, self.den)
 
     def div_exact_symbol(self, name: str) -> "ParamPoly":
         """Exact division by one symbol; errors if not divisible."""
         i = SYMBOLS.index(name)
-        out = {}
-        for k, v in self.terms.items():
-            if k[i] == 0:
-                raise ValueError(f"{self!r} is not divisible by {name}")
-            out[tuple(k[j] - (1 if j == i else 0) for j in range(3))] = v
-        return ParamPoly(out)
+        if not all(k[i] for k in self.num):
+            raise ValueError(f"{self!r} is not divisible by {name}")
+        return ParamPoly._reduced(
+            {_shift(k, i): v for k, v in self.num.items()}, self.den
+        )
 
     # -- misc ------------------------------------------------------------
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
+        terms = self.terms
         bits = []
-        for k in sorted(self.terms, reverse=True):
-            v = self.terms[k]
+        for k in sorted(terms, reverse=True):
+            v = terms[k]
             mono = "*".join(
                 f"{SYMBOLS[i]}" + (f"^{d}" if d > 1 else "")
                 for i, d in enumerate(k)

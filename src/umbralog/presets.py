@@ -84,6 +84,8 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"{text!r} is not a rational") from None
 
 
 def _coefficient(spec: str, text: str) -> Fraction:

@@ -9,7 +9,6 @@ report's ``seconds`` is their running total.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
@@ -101,13 +100,6 @@ class Report:
             [CheckRecord.from_dict(c) for c in d["checks"]],
             d["seconds"],
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "Report":
-        return Report.from_dict(json.loads(text))
 
     def render_text(self) -> str:
         lines = [f"suite {self.suite}: "

@@ -7,7 +7,10 @@ partial sums.  ``naive_mul``, ``naive_compose``, ``naive_revert``,
 ``naive_p_seq``, ``naive_parampoly_mul``, ``naive_parampoly_eval`` and
 ``naive_tau_symbolic`` are the term-by-term loops the integer kernels (and the
 O(depth^2) symbolic continuation of ``tau_seq``) replaced, kept to check that
-the fast paths return the same rationals.  ``naive_asym_mul``,
+the fast paths return the same rationals.  ``naive_terms_add``,
+``naive_terms_scale``, ``naive_terms_derive`` and ``naive_terms_div_symbol``
+do the other ``ParamPoly`` operations on its ``Fraction`` terms, one
+monomial at a time, and return the resulting terms dict.  ``naive_asym_mul``,
 ``naive_asym_div`` and ``naive_asym_log`` are the alpha-expansion loops that
 ``AsymptoticSeries`` replaced by ``PowerSeries`` operations: they keep ln(alpha)
 out of ``ParamPoly`` and carry each coefficient as a tuple of its
@@ -171,6 +174,42 @@ def naive_parampoly_mul(a: ParamPoly, b: ParamPoly) -> ParamPoly:
             else:
                 out.pop(k, None)
     return ParamPoly(out)
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: v for k, v in terms.items() if v}
+
+
+def naive_terms_add(a: ParamPoly, b: ParamPoly) -> dict:
+    """The terms of a + b, one Fraction add per shared monomial."""
+    out = a.terms
+    for k, v in b.terms.items():
+        out[k] = out.get(k, Fraction(0)) + v
+    return _nonzero(out)
+
+
+def naive_terms_scale(a: ParamPoly, c: Fraction) -> dict:
+    """The terms of c * a, one Fraction multiply per term."""
+    return _nonzero({k: v * c for k, v in a.terms.items()})
+
+
+def naive_terms_derive(a: ParamPoly, name: str) -> dict:
+    """The terms of d/d(name) a, term by term."""
+    i = SYMBOLS.index(name)
+    out: dict = {}
+    for k, v in a.terms.items():
+        if k[i]:
+            key = tuple(d - (j == i) for j, d in enumerate(k))
+            out[key] = out.get(key, Fraction(0)) + v * k[i]
+    return _nonzero(out)
+
+
+def naive_terms_div_symbol(a: ParamPoly, name: str) -> dict:
+    """The terms of a / name; a ValueError if some term lacks the symbol."""
+    i = SYMBOLS.index(name)
+    if not all(k[i] for k in a.terms):
+        raise ValueError(f"not divisible by {name}")
+    return {tuple(d - (j == i) for j, d in enumerate(k)): v for k, v in a.terms.items()}
 
 
 def naive_parampoly_eval(p: ParamPoly, **values) -> Fraction:

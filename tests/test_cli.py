@@ -100,7 +100,7 @@ def test_limits_text_prints_extrapolation(capsys):
 
 def test_report_round_trip():
     rep = Report("demo", [CheckRecord("a", "pass", True, {"k": "1/2"})], 0.25)
-    assert Report.from_json(rep.to_json()) == rep
+    assert Report.from_dict(json.loads(json.dumps(rep.to_dict()))) == rep
 
 
 def test_report_times_each_check():
@@ -109,7 +109,7 @@ def test_report_times_each_check():
     rep.info("b", k="1/2")
     assert [c.seconds >= 0 for c in rep.checks] == [True, True]
     assert rep.seconds == sum(c.seconds for c in rep.checks)
-    back = Report.from_json(rep.to_json())
+    back = Report.from_dict(json.loads(json.dumps(rep.to_dict())))
     assert back == rep
     assert [c.seconds for c in back.checks] == [c.seconds for c in rep.checks]
 
@@ -244,6 +244,33 @@ def test_bad_spec_coefficient_names_the_spec(capsys, spec, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_output_past_the_digit_limit_is_one_line(capsys):
+    # f's coefficients fit, but omega's outgrow what str() may convert
+    code = main(["omega", "--f", f"poly:1,{'7' * 400}/3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: an output coefficient has more than {sys.get_int_max_str_digits()} "
+        "digits, more than can be printed\n"
+    )
+
+
+def test_spec_longer_than_the_order_is_one_line(capsys):
+    code = main(["omega", "--f", "poly:" + ",".join(["1"] + ["1/2"] * 299)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: more coefficients than the requested order 13\n"
+
+
+def test_limits_alpha_not_a_rational(capsys):
+    code = main(["limits", "--alpha", "x/2", "--n-max", "8", "--order", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: 'x/2' is not a rational\n"
 
 
 def test_limits_zero_denominator_rejected(capsys):

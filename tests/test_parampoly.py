@@ -1,13 +1,14 @@
 """The integer kernel of ``ParamPoly`` against the term-by-term loops.
 
-Products of polynomials with several terms and ``eval`` compute on integer
-numerators over a common denominator, and ``tau_seq`` builds its symbolic
-continuation with O(depth^2) products; all must return the very rationals of
-the loops in ``oracles.py``, as ``Fraction`` objects, with no stored zeros.
+A ``ParamPoly`` holds integer numerators over one reduced denominator, and
+every operation computes on them; ``tau_seq`` builds its symbolic
+continuation with O(depth^2) products.  All must return the very rationals
+of the loops in ``oracles.py``, shown by ``terms`` as ``Fraction`` objects,
+in canonical form: a positive denominator, gcd 1, no zero numerator.
 """
 
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,10 @@ from oracles import (
     naive_parampoly_eval,
     naive_parampoly_mul,
     naive_tau_symbolic,
+    naive_terms_add,
+    naive_terms_derive,
+    naive_terms_div_symbol,
+    naive_terms_scale,
 )
 from umbralog.asymptotic import AsymptoticSeries
 from umbralog.parampoly import SYMBOLS, ParamPoly
@@ -29,9 +34,20 @@ S = ParamPoly.symbol("s")
 H = ParamPoly.symbol("H")
 
 
+def assert_canonical(p: ParamPoly):
+    assert type(p.den) is int and p.den > 0
+    assert gcd(p.den, *p.num.values()) == 1
+    assert all(type(v) is int and v for v in p.num.values())
+    assert all(type(v) is Q for v in p.terms.values())
+
+
+def assert_terms(got: ParamPoly, want: dict):
+    assert_canonical(got)
+    assert got.terms == want
+
+
 def assert_same_poly(got: ParamPoly, want: ParamPoly):
-    assert got.terms == want.terms
-    assert all(v != 0 and type(v) is Q for v in got.terms.values())
+    assert_terms(got, want.terms)
 
 
 heights = st.sampled_from([1, 10, 10**3, 10**6])
@@ -72,6 +88,57 @@ class TestKernelProperties:
     def test_mul_matches_oracle(self, pair):
         a, b = pair
         assert_same_poly(a * b, naive_parampoly_mul(a, b))
+
+    @given(operand_pairs(), rationals())
+    @settings(max_examples=100, deadline=None)
+    def test_sum_and_difference_match_oracle(self, pair, c):
+        a, b = pair
+        assert_terms(a + b, naive_terms_add(a, b))
+        assert_terms(a - b, naive_terms_add(a, -b))
+        assert_terms(-a, naive_terms_scale(a, Q(-1)))
+        const = ParamPoly.const(c)
+        assert_terms(a + c, naive_terms_add(a, const))
+        assert_terms(c + a, naive_terms_add(a, const))
+        assert_terms(a + int(c), naive_terms_add(a, ParamPoly.const(int(c))))
+        assert_terms(a - c, naive_terms_add(a, -const))
+        assert_terms(c - a, naive_terms_add(const, -a))
+
+    @given(param_polys(), rationals())
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_product_and_quotient_match_oracle(self, a, c):
+        for x in (c, int(c), c.numerator, Q(1, c.denominator), 0, -1):
+            assert_terms(a * x, naive_terms_scale(a, Q(x)))
+            assert_terms(x * a, naive_terms_scale(a, Q(x)))
+            if x:
+                assert_terms(a / x, naive_terms_scale(a, 1 / Q(x)))
+        with pytest.raises(ZeroDivisionError):
+            a / 0
+
+    @given(param_polys(max_terms=4), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=50, deadline=None)
+    def test_power_matches_repeated_oracle_product(self, a, n):
+        want = ParamPoly.const(1)
+        for _ in range(n):
+            want = naive_parampoly_mul(want, a)
+        assert_same_poly(a**n, want)
+
+    @given(param_polys(), st.sampled_from(SYMBOLS))
+    @settings(max_examples=100, deadline=None)
+    def test_derive_matches_oracle(self, a, name):
+        assert_terms(a.derive(name), naive_terms_derive(a, name))
+
+    @given(param_polys(), st.sampled_from(SYMBOLS))
+    @settings(max_examples=100, deadline=None)
+    def test_div_exact_symbol_matches_oracle(self, a, name):
+        x = ParamPoly.symbol(name)
+        assert_terms((a * x).div_exact_symbol(name), a.terms)
+        try:
+            want = naive_terms_div_symbol(a, name)
+        except ValueError:
+            with pytest.raises(ValueError, match="is not divisible by"):
+                a.div_exact_symbol(name)
+        else:
+            assert_terms(a.div_exact_symbol(name), want)
 
     @given(param_polys(), param_polys())
     @settings(max_examples=50, deadline=None)
@@ -114,6 +181,18 @@ class TestKernelEdges:
         p = S * S * H + S * 5 + Q(1, 6)
         assert p.eval(s=Q(0), H=Q(0)) == Q(1, 6)
 
+    def test_float_coefficient_is_rejected(self):
+        with pytest.raises(TypeError, match="expected a rational, got float"):
+            ParamPoly({(0, 0, 0): 0.5})
+
+    def test_constructor_reduces_to_one_denominator(self):
+        p = ParamPoly({(1, 0, 0): Q(1, 6), (0, 1, 0): Q(-2, 3), (0, 0, 0): 0})
+        assert (p.num, p.den) == ({(1, 0, 0): 1, (0, 1, 0): -4}, 6)
+        q = ParamPoly({(1, 0, 0): Q(2, 4), (0, 0, 0): 3})
+        assert (q.num, q.den) == ({(1, 0, 0): 1, (0, 0, 0): 6}, 2)
+        assert (ParamPoly().num, ParamPoly().den) == ({}, 1)
+        assert ((S - S).num, (S - S).den) == ({}, 1)
+
 
 class TestHash:
     def test_constant_hashes_as_its_rational(self):
@@ -138,12 +217,32 @@ class TestHash:
         assert {Poly.const(2): 1}.get(Q(2)) == 1
         assert hash(Poly([Q(1), Q(2)])) == hash(Poly([1, 2]))
 
-    @given(param_polys(), param_polys())
+    @given(param_polys(), param_polys(), rationals())
     @settings(max_examples=50, deadline=None)
-    def test_equal_polys_hash_equal(self, p, r):
-        # (p + r) - r rebuilds p through other dicts
-        q = (p + r) - r
-        assert q == p and hash(q) == hash(p)
+    def test_equal_polys_hash_equal(self, p, r, c):
+        # each route rebuilds p through other dicts and denominators
+        routes = [(p + r) - r, -(-p), ParamPoly(p.terms), p * 1, p + 0]
+        if c:
+            routes += [(p * c) / c, (p / c) * c]
+        for q in routes:
+            assert_canonical(q)
+            assert q == p and hash(q) == hash(p)
+
+    @given(rationals(), param_polys())
+    @settings(max_examples=50, deadline=None)
+    def test_constant_hashes_as_its_fraction_by_any_route(self, x, r):
+        routes = [
+            ParamPoly.const(x),
+            ParamPoly({(0, 0, 0): x}),
+            (r + x) - r,
+            (S + x) - S,
+            S * 0 + x,
+            (S * x).div_exact_symbol("s"),
+            (S * S * x / 2).derive("s").div_exact_symbol("s"),
+        ]
+        for p in routes:
+            assert_canonical(p)
+            assert p == x and hash(p) == hash(x)
 
 
 def bernoulli_ell(order):
