@@ -13,6 +13,7 @@ the tables memoized on it; ``family.cache_clear()`` drops them.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -78,14 +79,32 @@ def f_random(degree: int, seed: int, order: int, height: int = 10) -> PowerSerie
     return f_poly(coeffs, order)
 
 
-def parse_rational(text) -> Fraction:
-    """A rational given by the user; a zero denominator is a ValueError."""
+def _clip(text: str) -> str:
+    """repr(text), past 48 characters cut to its first and last 16."""
+    if len(text) <= 48:
+        return repr(text)
+    return f"{text[:16] + '...' + text[-16:]!r} ({len(text)} characters)"
+
+
+def parse_rational(text: str, spec: str | None = None) -> Fraction:
+    """A rational given by the user, alone or as a coefficient of the family
+    spec ``spec``.  A zero denominator, a malformed text and a rational with
+    more digits than ``sys.get_int_max_str_digits()`` lets ``int`` convert
+    are ValueErrors whose one-line message clips the text."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-    except ValueError:
-        raise ValueError(f"{text!r} is not a rational") from None
+        raise ValueError(f"zero denominator in {_clip(text)}") from None
+    except ValueError as exc:
+        what = _clip(text)
+        if spec is not None:
+            what = f"coefficient {what} in family spec {_clip(spec)}"
+        if "integer string conversion" in str(exc):
+            raise ValueError(
+                f"{what} is too long to convert: an integer in it has more "
+                f"than {sys.get_int_max_str_digits()} digits"
+            ) from None
+        raise ValueError(f"{what} is not a rational") from None
 
 
 def _coefficient(spec: str, text: str) -> Fraction:
@@ -93,15 +112,8 @@ def _coefficient(spec: str, text: str) -> Fraction:
     reported together with the spec."""
     text = text.strip()
     if not text:
-        raise SeriesError(f"empty coefficient in family spec {spec!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-    except ValueError:
-        raise SeriesError(
-            f"coefficient {text!r} in family spec {spec!r} is not a rational"
-        ) from None
+        raise SeriesError(f"empty coefficient in family spec {_clip(spec)}")
+    return parse_rational(text, spec)
 
 
 def build_f(spec: str, order: int) -> PowerSeries:

@@ -12,10 +12,11 @@ Python's numeric operators, with ``Fraction``'s meaning: ``not c`` tests for
 zero, ``c * 0`` and ``z + 1`` give the domain's zero and one, and
 ``Fraction(1) / c`` inverts a unit.  Mixing two domains keeps the wider one.
 
-Products and compositions whose coefficients are all ``Fraction`` run on
-integer numerators over one common denominator instead of one normalising
-``Fraction`` operation per term; they return the same rationals as the
-generic loops, which every other domain still uses.
+Products, quotients and compositions whose coefficients are all
+``Fraction`` run on integer numerators over one common denominator instead
+of one normalising ``Fraction`` operation per term; so do ``inv``, ``log``
+and the Newton step of ``revert``, which divide.  They return the same
+rationals as the generic loops, which every other domain still uses.
 """
 
 from __future__ import annotations
@@ -70,6 +71,16 @@ def _conv(a, b, n: int) -> list:
     return out
 
 
+def _place(vec: list, den: int, i: int, num: int, d: int) -> tuple:
+    """``vec`` over ``den`` plus num/d at index i, over lcm(den, d)."""
+    common = lcm(den, d)
+    if common != den:
+        up = common // den
+        vec = [x * up for x in vec]
+    vec[i] += num * (common // d)
+    return vec, common
+
+
 def _compose_rational(outer, inner, n: int) -> list:
     """Horner evaluation of outer(inner) to order n in integers.
 
@@ -85,17 +96,41 @@ def _compose_rational(outer, inner, n: int) -> list:
         acc = _conv(acc, b, n - k)
         den *= d
         c = outer[k]
-        common = lcm(den, c.denominator)
-        if common != den:
-            up = common // den
-            acc = [x * up for x in acc]
-            den = common
-        acc[0] += c.numerator * (den // c.denominator)
+        acc, den = _place(acc, den, 0, c.numerator, c.denominator)
         g = gcd(den, *acc)
         if g != 1:
             acc = [x // g for x in acc]
             den //= g
     return [Fraction(x, den) for x in acc]
+
+
+def _div_rational(a, b) -> list:
+    """The quotient a / b in integers, for a and b of one length, b[0] != 0.
+
+    Runs q_k = (a_k - sum_{j<k} q_j b_{k-j}) / b_0 with the quotient so far
+    as one integer vector over the lcm of its reduced denominators: each step
+    takes one integer sum and one gcd, and rescales the vector only when the
+    new coefficient's denominator does not divide the common one.
+    """
+    an, da = _lift(a)
+    bn, db = _lift(b)
+    if bn[0] < 0:  # b = (-bn) / (-db): keep b_0's numerator positive
+        bn, db = [-y for y in bn], -db
+    lead = da * bn[0]
+    b_tail = [(i, y) for i, y in enumerate(bn) if i and y]
+    q, den = [0] * len(an), 1
+    for k in range(len(an)):
+        s = 0
+        for i, y in b_tail:
+            if i > k:
+                break
+            s += q[k - i] * y
+        # q_k = (a_k - s / (den * db)) * db / b_0
+        num = an[k] * den * db - s * da
+        dk = lead * den
+        g = gcd(num, dk)
+        q, den = _place(q, den, k, num // g, dk // g)
+    return [Fraction(x, den) for x in q]
 
 
 class PowerSeries:
@@ -282,9 +317,12 @@ class PowerSeries:
             raise SeriesError(
                 "division by a series with zero constant term"
             )
-        inv0 = _QONE / other.coeffs[0]
         n = min(self.order, other.order)
         zero = _join_zero(self.czero, other.czero)
+        lhs, rhs = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        if type(zero) is Fraction and _rational(lhs) and _rational(rhs):
+            return PowerSeries(self.var, _div_rational(lhs, rhs), zero)
+        inv0 = _QONE / other.coeffs[0]
         out: list = []
         for k in range(n + 1):
             acc = self.coeffs[k]

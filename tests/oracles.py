@@ -3,14 +3,15 @@
 Everything here deliberately avoids the code paths it is used to check:
 Bernoulli numbers come from the defining recurrence, reversion coefficients
 from the coefficient-extraction inversion formula, exponentials from raw
-partial sums.  ``naive_mul``, ``naive_compose``, ``naive_revert``,
-``naive_p_seq``, ``naive_parampoly_mul``, ``naive_parampoly_eval`` and
-``naive_tau_symbolic`` are the term-by-term loops the integer kernels (and the
-O(depth^2) symbolic continuation of ``tau_seq``) replaced, kept to check that
-the fast paths return the same rationals.  ``naive_terms_add``,
-``naive_terms_scale``, ``naive_terms_derive`` and ``naive_terms_div_symbol``
-do the other ``ParamPoly`` operations on its ``Fraction`` terms, one
-monomial at a time, and return the resulting terms dict.  ``naive_asym_mul``,
+partial sums.  ``naive_mul``, ``naive_div``, ``naive_compose``,
+``naive_revert``, ``naive_p_seq``, ``naive_parampoly_mul``,
+``naive_parampoly_eval`` and ``naive_tau_symbolic`` are the term-by-term
+loops the integer kernels (and the O(depth^2) symbolic continuation of
+``tau_seq``) replaced, kept to check that the fast paths return the same
+rationals.  ``naive_terms_add``, ``naive_terms_scale``,
+``naive_terms_derive`` and ``naive_terms_div_symbol`` do the other
+``ParamPoly`` operations on its ``Fraction`` terms, one monomial at a time,
+and return the resulting terms dict.  ``naive_asym_mul``,
 ``naive_asym_div`` and ``naive_asym_log`` are the alpha-expansion loops that
 ``AsymptoticSeries`` replaced by ``PowerSeries`` operations: they keep ln(alpha)
 out of ``ParamPoly`` and carry each coefficient as a tuple of its
@@ -123,6 +124,20 @@ def naive_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     return PowerSeries(a.var, out, a.czero)
 
 
+def naive_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    """Truncated quotient from q_k = (a_k - sum_{j<k} q_j b_{k-j}) / b_0,
+    one ring operation per term."""
+    n = min(a.order, b.order)
+    inv0 = Fraction(1) / b.coeffs[0]
+    out = []
+    for k in range(n + 1):
+        acc = a.coeffs[k]
+        for j in range(k):
+            acc = acc - out[j] * b.coeffs[k - j]
+        out.append(acc * inv0)
+    return PowerSeries(a.var, out, a.czero)
+
+
 def naive_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     """outer(inner) by Horner's rule over ``naive_mul``."""
     n = min(outer.order, inner.order)
@@ -134,7 +149,8 @@ def naive_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
 
 
 def naive_revert(u: PowerSeries) -> PowerSeries:
-    """Functional inverse by Newton iteration over ``naive_compose``."""
+    """Functional inverse by Newton iteration over ``naive_compose`` and
+    ``naive_div``."""
     v = PowerSeries.identity(u.var, 1)
     while v.order < u.order:
         k = v.order
@@ -143,7 +159,7 @@ def naive_revert(u: PowerSeries) -> PowerSeries:
         v = PowerSeries(u.var, v.coeffs + (Fraction(0),) * (m - k))
         err = naive_compose(w, v) - PowerSeries.identity(u.var, m)
         denom = naive_compose(w.derive(), v.truncate(m - 1))
-        v = v - (err.div_var(k + 1) / denom).mul_var(k + 1)
+        v = v - naive_div(err.div_var(k + 1), denom).mul_var(k + 1)
     return v
 
 

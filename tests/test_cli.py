@@ -273,6 +273,25 @@ def test_limits_alpha_not_a_rational(capsys):
     assert captured.err == "error: 'x/2' is not a rational\n"
 
 
+def test_input_past_the_digit_limit_is_too_long_not_malformed(capsys):
+    limit = sys.get_int_max_str_digits()
+    digits = "7" * (limit + 1)
+    too_long = f"is too long to convert: an integer in it has more than {limit} digits"
+    cases = [
+        (["omega", "--f", f"poly:1,{digits}/3"],
+         f"coefficient '{'7' * 16}...{'7' * 14}/3' ({limit + 3} characters) in "
+         f"family spec 'poly:1,{'7' * 9}...{'7' * 14}/3' ({limit + 10} characters)"),
+        (["limits", "--alpha", digits, "--n-max", "8", "--order", "10"],
+         f"'{'7' * 16}...{'7' * 16}' ({limit + 1} characters)"),
+    ]
+    for argv, what in cases:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {what} {too_long}\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_limits_zero_denominator_rejected(capsys):
     code = main(["limits", "--alpha", "1/0", "--n-max", "8", "--order", "10"])
     captured = capsys.readouterr()

@@ -1,9 +1,12 @@
 """The integer kernels of the Fraction domain against the term-by-term loops.
 
-``PowerSeries.__mul__``, ``PowerSeries.compose`` (and through it
-``revert``) and ``umbral.p_seq`` compute on integer numerators over a common
-denominator when every coefficient is a ``Fraction``; they must return the
-very rationals of the loops in ``oracles.py``, as ``Fraction`` objects.
+``PowerSeries.__mul__``, ``PowerSeries.__truediv__`` (and through it
+``inv``, ``log`` and the Newton step of ``revert``), ``PowerSeries.compose``
+(and through it ``revert``) and ``umbral.p_seq`` compute on integer
+numerators over a common denominator when every coefficient is a
+``Fraction``; they must return the very rationals of the loops in
+``oracles.py``, as ``Fraction`` objects.  Every other coefficient domain
+keeps the generic loops and the wider domain.
 """
 
 from fractions import Fraction as Q
@@ -12,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_compose, naive_mul, naive_p_seq, naive_revert
+from oracles import naive_compose, naive_div, naive_mul, naive_p_seq, naive_revert
 from umbralog.parampoly import ParamPoly
-from umbralog.presets import family
-from umbralog.series import PowerSeries
+from umbralog.presets import PRESET_NAMES, family
+from umbralog.series import OrderError, PowerSeries, SeriesError
 from umbralog.umbral import p_seq
 
 S = ParamPoly.symbol("s")
@@ -49,6 +52,17 @@ def vanishing_constant(u: PowerSeries) -> PowerSeries:
     return PowerSeries(u.var, (Q(0),) + u.coeffs[1:])
 
 
+def with_constant(u: PowerSeries, c) -> PowerSeries:
+    return PowerSeries(u.var, (c,) + u.coeffs[1:])
+
+
+# nonzero constant terms: units and non-units, negative, fractional, tall
+divisor_constants = st.one_of(
+    st.sampled_from([Q(1), Q(-1), Q(2), Q(-3), Q(1, 7), Q(-5, 2), Q(10**6, 999_999)]),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6).filter(bool),
+)
+
+
 class TestProperties:
     @given(rational_series(), rational_series())
     @settings(max_examples=150, deadline=None)
@@ -56,6 +70,27 @@ class TestProperties:
         got = a * b
         assert got.order == min(a.order, b.order)
         assert_same_rationals(got, naive_mul(a, b))
+
+    @given(rational_series(), rational_series(), divisor_constants)
+    @settings(max_examples=100, deadline=None)
+    def test_div_matches_oracle(self, a, b, b0):
+        b = with_constant(b, b0)
+        got = a / b
+        assert got.order == min(a.order, b.order)
+        assert_same_rationals(got, naive_div(a, b))
+
+    @given(rational_series(), divisor_constants)
+    @settings(max_examples=50, deadline=None)
+    def test_inv_matches_oracle(self, u, c0):
+        u = with_constant(u, c0)
+        assert_same_rationals(u.inv(), naive_div(u.one_like(), u))
+
+    @given(rational_series(min_order=1))
+    @settings(max_examples=50, deadline=None)
+    def test_log_matches_oracle(self, u):
+        u = with_constant(u, Q(1))
+        want = naive_div(u.derive(), u.truncate(u.order - 1)).integrate()
+        assert_same_rationals(u.log(), want)
 
     @given(rational_series(), rational_series())
     @settings(max_examples=100, deadline=None)
@@ -114,6 +149,47 @@ class TestFixedCases:
         want = naive_p_seq(fam, self.ORDER)
         assert [p.coeffs for p in got.polys] == [p.coeffs for p in want]
         assert all(type(c) is Q for p in got.polys for c in p.coeffs)
+
+
+@pytest.mark.parametrize("spec", PRESET_NAMES + SPECS[3:])
+def test_family_quotients_match_oracle(spec):
+    """f/f' and 1/omega' of every preset at order 36."""
+    fam = family(spec, 36)
+    assert_same_rationals(fam.tau_f, naive_div(fam.f, fam.fprime))
+    inv_omega_prime = naive_div(fam.omega.derive().one_like(), fam.omega.derive())
+    assert_same_rationals(fam.inv_omega_prime, inv_omega_prime)
+
+
+class TestDivisionContract:
+    def test_zero_constant_divisor_raises(self):
+        a = PowerSeries("x", [Q(1), Q(2), Q(3)])
+        b = PowerSeries("x", [Q(0), Q(1, 2), Q(3)])
+        with pytest.raises(SeriesError, match="^division by a series with zero constant term$"):
+            a / b
+        with pytest.raises(SeriesError, match="zero constant term"):
+            b.inv()
+
+    def test_order_of_the_shorter_operand(self):
+        a = PowerSeries("x", [Q(k + 1, 3) for k in range(9)])
+        b = PowerSeries("x", [Q(-2), Q(1, 5), Q(0), Q(7)])
+        for got in (a / b, b / a):
+            assert got.order == 3
+            got.coefficient(3)
+            with pytest.raises(OrderError):
+                got.coefficient(4)
+
+    def test_fraction_by_parampoly_keeps_the_wider_domain(self):
+        a = PowerSeries("x", [Q(1), Q(2, 3), Q(0), Q(-5)])
+        b = PowerSeries("x", [ParamPoly.const(2), S, ParamPoly(), S * S], ParamPoly())
+        # the last pair: Fraction coefficients over a ParamPoly zero, as in
+        # the memo's type-separation tests
+        widened = PowerSeries("x", a.coeffs, ParamPoly())
+        c = PowerSeries("x", [Q(2), Q(1), Q(0), Q(0)])
+        for x, y in ((a, b), (b, a), (widened, c)):
+            got = x / y
+            assert type(got.czero) is ParamPoly
+            assert got == naive_div(x, y)
+        assert (a / b).coefficient(1) == Q(1, 3) - S * Q(1, 4)
 
 
 class TestOtherDomainsStayGeneric:
