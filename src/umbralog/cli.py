@@ -9,6 +9,7 @@ explicit flags win).  ``verify`` exits nonzero if any exact check fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,7 +32,9 @@ from .verify import SUITES, run_suites
 TN_MAX_DEPTH = 9
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built once: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="umbralog",
         description="exact umbral-calculus and log-expansion engine",

@@ -395,6 +395,10 @@ class PowerSeries:
     def revert(self, normalize: bool = False) -> "PowerSeries":
         """Functional inverse by Newton iteration with order doubling.
 
+        Each step from order k to m divides the error, of valuation k + 1,
+        by u'(v); the correction keeps only order m - k - 1, so u'(v) is
+        composed only to that order.
+
         Requires a zero constant term and unit linear coefficient; with
         ``normalize=True`` any invertible linear coefficient is accepted and
         scaled out first.
@@ -427,7 +431,8 @@ class PowerSeries:
             )
             x = PowerSeries.identity(self.var, m, self.czero)
             err = u.compose(v) - x  # valuation >= k + 1
-            denom = u.derive().compose(v.truncate(m - 1))
+            keep = m - k - 1
+            denom = u.derive().truncate(keep).compose(v.truncate(keep))
             v = v - (err.div_var(k + 1) / denom).mul_var(k + 1)
         return v
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .asymptotic import AsymptoticSeries
 from .grading import (
@@ -21,7 +21,14 @@ from .parampoly import S, ParamPoly
 from .polys import Poly
 from .presets import family
 from .series import OrderError, PowerSeries, SeriesError
-from .umbral import BinomialFamily, op_L, per_family, q_zero_table, rename
+from .umbral import (
+    BinomialFamily,
+    op_L,
+    per_family,
+    q_zero_table,
+    rename,
+    sheffer_polys,
+)
 
 
 @dataclass(frozen=True)
@@ -52,16 +59,9 @@ def tau_seq(fam: BinomialFamily, ell: PowerSeries, N: int) -> ShefferFamily:
     phip = fam.phi.derive()
     ellphi = ell.truncate(fam.phi.order).compose(fam.phi)
     logd = ellphi.derive() / ellphi.truncate(ellphi.order - 1)
-    d = [factorial(j) * phip.coefficient(j) for j in range(max(N, 1))]
-    e = [factorial(j) * logd.coefficient(j) for j in range(max(N, 1))]
-    polys = [Poly.const(1)]
-    for n in range(N):
-        acc = Poly()
-        for k in range(n + 1):
-            c = comb(n, k)
-            acc = acc + (polys[k].mul_x() * (c * d[n - k]))
-            acc = acc + (polys[k] * (c * e[n - k]))
-        polys.append(acc)
+    d = [factorial(j) * phip.coefficient(j) for j in range(N)]
+    e = [factorial(j) * logd.coefficient(j) for j in range(N)]
+    polys = sheffer_polys(d, e, N)
     for n, p in enumerate(polys):
         if p.degree() != n or p.leading() != 1:
             raise SeriesError(f"tau_{n} is not monic of degree {n}")
@@ -89,7 +89,7 @@ def tau_seq(fam: BinomialFamily, ell: PowerSeries, N: int) -> ShefferFamily:
                 coeffs[k + m] = coeffs[k + m] + lead * fall * ells[m]
     tau_symbolic = AsymptoticSeries(S, coeffs)
 
-    sf = ShefferFamily(fam, ell, tuple(polys), tau_symbolic)
+    sf = ShefferFamily(fam, ell, polys, tau_symbolic)
     for n in range(min(N, depth) + 1):
         if tau_symbolic.specialize_to_poly(s=n) != polys[n]:
             raise SeriesError(

@@ -38,6 +38,43 @@ class FamilyError(SeriesError):
     pass
 
 
+def _exact_key(x):
+    """x together with its exact type, through every level of a series.
+
+    1, Fraction(1) and ParamPoly.const(1) compare equal, but as exponents or
+    coefficients they give results in different coefficient domains."""
+    if isinstance(x, PowerSeries):
+        return (PowerSeries, x.var, _exact_key(x.czero),
+                tuple(_exact_key(c) for c in x.coeffs))
+    return (type(x), x)
+
+
+def per_family(fn):
+    """Memoize ``fn(fam, ...)`` on the family instance, keyed by ``fn`` and
+    its other arguments with their exact types (defaults filled in).
+
+    An entry lives as long as its family; a call that raises stores
+    nothing.  ``fn`` may be a ``BinomialFamily`` method.  It must return
+    an immutable value (a series, a tuple of series, a frozen dataclass),
+    since every caller shares it.  The undecorated function is
+    ``__wrapped__``.
+    """
+    sig = inspect.signature(fn)
+
+    @wraps(fn)
+    def memoized(fam, *args, **kwargs):
+        bound = sig.bind(fam, *args, **kwargs)
+        bound.apply_defaults()
+        _, *args_after_fam = bound.arguments.values()
+        key = (fn, *map(_exact_key, args_after_fam))
+        tables = fam._tables
+        if key not in tables:
+            tables[key] = fn(fam, *args, **kwargs)
+        return tables[key]
+
+    return memoized
+
+
 @dataclass(frozen=True)
 class BinomialFamily:
     f: PowerSeries
@@ -61,6 +98,7 @@ class BinomialFamily:
         """The series v/omega'(v) (zero constant, unit linear term)."""
         return rename(self.inv_omega_prime, var).mul_var(1)
 
+    @per_family
     def fprime_at_omega(self, order: int) -> PowerSeries:
         """f'(omega(x)) to the given order."""
         if self.fprime.order < order + 1 or self.omega.order < order + 1:
@@ -76,42 +114,6 @@ class BinomialFamily:
     def x_op(self, g: PowerSeries, s) -> PowerSeries:
         """The step s L - d/domega."""
         return op_L(g).scale(s) - self.d_domega(g)
-
-
-def _exact_key(x):
-    """x together with its exact type, through every level of a series.
-
-    1, Fraction(1) and ParamPoly.const(1) compare equal, but as exponents or
-    coefficients they give results in different coefficient domains."""
-    if isinstance(x, PowerSeries):
-        return (PowerSeries, x.var, _exact_key(x.czero),
-                tuple(_exact_key(c) for c in x.coeffs))
-    return (type(x), x)
-
-
-def per_family(fn):
-    """Memoize ``fn(fam, ...)`` on the family instance, keyed by ``fn`` and
-    its other arguments with their exact types (defaults filled in).
-
-    An entry lives as long as its family; a call that raises stores
-    nothing.  ``fn`` must return an immutable value (a tuple of series, a
-    frozen dataclass), since every caller shares it.  The undecorated
-    function is ``__wrapped__``.
-    """
-    sig = inspect.signature(fn)
-
-    @wraps(fn)
-    def memoized(fam, *args, **kwargs):
-        bound = sig.bind(fam, *args, **kwargs)
-        bound.apply_defaults()
-        _, *args_after_fam = bound.arguments.values()
-        key = (fn, *map(_exact_key, args_after_fam))
-        tables = fam._tables
-        if key not in tables:
-            tables[key] = fn(fam, *args, **kwargs)
-        return tables[key]
-
-    return memoized
 
 
 def check_admissible(f: PowerSeries):
@@ -156,7 +158,7 @@ class PSequence:
     __slots__ = ("polys",)
 
     def __init__(self, polys):
-        self.polys = list(polys)
+        self.polys = tuple(polys)
         if not self.polys or self.polys[0] != Poly.const(1):
             raise FamilyError("p_0 must be 1")
         for n, p in enumerate(self.polys):
@@ -170,6 +172,44 @@ class PSequence:
         return len(self.polys)
 
 
+def sheffer_polys(d: list, e: list, N: int) -> tuple:
+    """tau_0..tau_N from tau_0 = 1 and the convolution recurrence
+
+        tau_{n+1} = sum_k C(n, k) (x d_{n-k} + e_{n-k}) tau_k
+
+    for rationals d_0..d_{N-1} and e_0..e_{N-1}, with each tau_k held as
+    integer numerators over one reduced denominator.  A zero e_j costs
+    nothing, so e = 0 (the binomial-type case) runs only the x d terms.
+    """
+    nums, den = _lift([*d, *e])
+    dn, en = nums[: len(d)], nums[len(d):]
+    taus, dens = [[1]], [1]
+    for n in range(N):
+        common = lcm(*dens)
+        acc = [0] * (n + 2)
+        for k, tau in enumerate(taus):
+            dj, ej = dn[n - k], en[n - k]
+            if not (dj or ej):
+                continue
+            c = comb(n, k) * (common // dens[k])
+            if dj:
+                cd = c * dj
+                for i, x in enumerate(tau, 1):
+                    acc[i] += cd * x
+            if ej:
+                ce = c * ej
+                for i, x in enumerate(tau):
+                    acc[i] += ce * x
+        top = common * den
+        g = gcd(top, *acc)
+        taus.append([x // g for x in acc])
+        dens.append(top // g)
+    return tuple(
+        Poly([Fraction(x, dk) for x in tau]) for tau, dk in zip(taus, dens)
+    )
+
+
+@per_family
 def p_seq(fam: BinomialFamily, N: int) -> PSequence:
     """Binomial-type sequence from sum p_n(a) x^n / n! = exp(a*phi(x)).
 
@@ -178,29 +218,13 @@ def p_seq(fam: BinomialFamily, N: int) -> PSequence:
 
         p_{n+1} = x * sum_k C(n, k) d_{n-k} p_k,   d_j = j! [x^j] phi',
 
-    with each p_k held as integer numerators over one reduced denominator.
+    which is ``sheffer_polys`` with e = 0.
     """
     if fam.phi.order < N:
         raise OrderError(f"family order {fam.order} too small for p_{N}")
     phip = fam.phi.derive()
-    d, d_den = _lift([factorial(j) * phip.coefficient(j) for j in range(N)])
-    nums, dens = [[1]], [1]
-    for n in range(N):
-        common = lcm(*dens)
-        acc = [0] * (n + 1)
-        for k in range(n + 1):
-            c = comb(n, k) * d[n - k]
-            if c:
-                c *= common // dens[k]
-                for i, x in enumerate(nums[k]):
-                    acc[i] += c * x
-        den = common * d_den
-        g = gcd(den, *acc)
-        nums.append([0] + [x // g for x in acc])
-        dens.append(den // g)
-    return PSequence(
-        Poly([Fraction(x, den) for x in p]) for p, den in zip(nums, dens)
-    )
+    d = [factorial(j) * phip.coefficient(j) for j in range(N)]
+    return PSequence(sheffer_polys(d, [0] * N, N))
 
 
 # -- q coefficients ------------------------------------------------------------

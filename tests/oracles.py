@@ -4,11 +4,11 @@ Everything here deliberately avoids the code paths it is used to check:
 Bernoulli numbers come from the defining recurrence, reversion coefficients
 from the coefficient-extraction inversion formula, exponentials from raw
 partial sums.  ``naive_mul``, ``naive_div``, ``naive_compose``,
-``naive_revert``, ``naive_p_seq``, ``naive_parampoly_mul``,
-``naive_parampoly_eval`` and ``naive_tau_symbolic`` are the term-by-term
-loops the integer kernels (and the O(depth^2) symbolic continuation of
-``tau_seq``) replaced, kept to check that the fast paths return the same
-rationals.  ``naive_terms_add``, ``naive_terms_scale``,
+``naive_revert``, ``naive_p_seq``, ``naive_tau_polys``,
+``naive_parampoly_mul``, ``naive_parampoly_eval`` and ``naive_tau_symbolic``
+are the term-by-term loops the integer kernels (and the O(depth^2) symbolic
+continuation of ``tau_seq``) replaced, kept to check that the fast paths
+return the same rationals.  ``naive_terms_add``, ``naive_terms_scale``,
 ``naive_terms_derive`` and ``naive_terms_div_symbol`` do the other
 ``ParamPoly`` operations on its ``Fraction`` terms, one monomial at a time,
 and return the resulting terms dict.  ``naive_asym_mul``,
@@ -175,6 +175,26 @@ def naive_p_seq(fam: BinomialFamily, N: int) -> list:
             if c:
                 acc = acc + polys[k] * c
         polys.append(acc.mul_x())
+    return polys
+
+
+def naive_tau_polys(fam: BinomialFamily, ell: PowerSeries, N: int) -> list:
+    """tau_0..tau_N of ``sheffer.tau_seq`` from its convolution recurrence,
+    tau_{n+1} = sum_k C(n, k) (x d_{n-k} + e_{n-k}) tau_k, in ``Poly``
+    arithmetic."""
+    phip = fam.phi.derive()
+    ellphi = ell.truncate(fam.phi.order).compose(fam.phi)
+    logd = ellphi.derive() / ellphi.truncate(ellphi.order - 1)
+    d = [factorial(j) * phip.coefficient(j) for j in range(N)]
+    e = [factorial(j) * logd.coefficient(j) for j in range(N)]
+    polys = [Poly.const(1)]
+    for n in range(N):
+        acc = Poly()
+        for k in range(n + 1):
+            c = comb(n, k)
+            acc = acc + (polys[k].mul_x() * (c * d[n - k]))
+            acc = acc + (polys[k] * (c * e[n - k]))
+        polys.append(acc)
     return polys
 
 

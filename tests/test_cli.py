@@ -71,6 +71,29 @@ def test_config_file_merging(tmp_path, capsys):
     assert out.strip().splitlines()[-1] == "p_2(a) = a^2"
 
 
+def test_calls_share_no_state(tmp_path, capsys):
+    """A config file or flag in one call leaves the next call's defaults alone."""
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"f": "id", "order": 4}))
+    code, out = run_cli(capsys, "--config", str(conf), "pseq")
+    assert out.strip().splitlines()[-1] == "p_4(a) = a^4"
+    code, out = run_cli(capsys, "pseq", "--f", "id", "--order", "5")
+    assert out.strip().splitlines()[-1] == "p_5(a) = a^5"
+    code, out = run_cli(capsys, "pseq")  # exp1 at order 12
+    lines = out.strip().splitlines()
+    assert code == 0 and len(lines) == 13 and lines[2] == "p_2(a) = a^2 - a"
+    errors = []
+    for _ in range(2):
+        assert main(["pseq", "--order", "-3"]) == 2
+        assert capsys.readouterr().err == "error: --order must be >= 0, got -3\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["pseq", "--order", "x"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].endswith("umbralog pseq: error: argument --order: invalid int value: 'x'\n")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["pseq", "--f", "id", "--order", "2", "--json", "--out", str(target)])

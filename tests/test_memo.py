@@ -10,8 +10,17 @@ from umbralog.polys import Poly
 from umbralog.presets import FAMILY_CACHE_SIZE, build_f, family
 from umbralog.series import OrderError, PowerSeries
 from umbralog.sheffer import ShefferFamily, bernoulli_weight, tau_seq
-from umbralog.stirling import _lhs_log_coeffs
-from umbralog.umbral import build_family, q_at_omega, q_table, q_zero_table, rename
+from umbralog.stirling import _lhs_log_coeffs, limit_check
+from umbralog.umbral import (
+    BinomialFamily,
+    PSequence,
+    build_family,
+    p_seq,
+    q_at_omega,
+    q_table,
+    q_zero_table,
+    rename,
+)
 
 SPECS = ["id", "exp1", "geom", "nu", "poly:1,1/2,-1/3"]
 ORDER = 12
@@ -26,6 +35,8 @@ CALLS = [
     (target_powers_image_shifted, (2, 3, 5)),
     (tau_seq, (bernoulli_weight(ORDER), 5)),
     (_lhs_log_coeffs, (4,)),
+    (p_seq, (9,)),
+    (BinomialFamily.fprime_at_omega, (6,)),
 ]
 
 
@@ -37,6 +48,8 @@ def exact(x):
         return (PowerSeries, x.var, exact(x.czero), exact(x.coeffs))
     if isinstance(x, Poly):
         return (Poly, exact(x.coeffs))
+    if isinstance(x, PSequence):
+        return (PSequence, exact(x.polys))
     if isinstance(x, GradedSeries):
         return (GradedSeries, x.base, tuple((n, exact(x.parts[n])) for n in sorted(x.parts)))
     if isinstance(x, ShefferFamily):
@@ -94,6 +107,10 @@ class TestTables:
                     got.parts[0] = got.parts[0]
             elif isinstance(got, ShefferFamily):
                 assert type(got.tau_polys) is tuple
+            elif isinstance(got, PSequence):
+                assert type(got.polys) is tuple
+            elif isinstance(got, PowerSeries):
+                assert type(got.coeffs) is tuple
             else:
                 assert type(got) is tuple, fn.__name__
 
@@ -102,6 +119,14 @@ class TestTables:
         table = q_table(fam, 3, 4)
         assert q_table(fam, n_max=3, t_order=4) is table
         assert q_table(fam, 3, 4, exponent=ParamPoly.symbol("s")) is table
+
+    def test_limit_statements_share_one_p_table_and_one_fprime(self):
+        fam = build_family(build_f("geom", 20))
+        for which in ("conclusion", "first", "second"):
+            limit_check(fam, which, Q(4), 8)
+        fns = [key[0] for key in fam._tables]
+        assert fns.count(p_seq.__wrapped__) == 1
+        assert fns.count(BinomialFamily.fprime_at_omega.__wrapped__) == 1
 
 
 class TestExactKeys:
@@ -135,3 +160,11 @@ class TestErrorsAreNotCached:
         assert exact(q_table(fam, 3, 3)) == exact(
             q_table.__wrapped__(build_family(build_f("nu", 8)), 3, 3)
         )
+
+    def test_p_seq_order_error_stores_nothing(self):
+        fam = build_family(build_f("nu", 8))
+        for _ in range(2):
+            with pytest.raises(OrderError):
+                p_seq(fam, 9)
+        assert fam._tables == {}
+        assert exact(p_seq(fam, 8)) == exact(p_seq.__wrapped__(fam, 8))

@@ -2,11 +2,13 @@
 
 ``PowerSeries.__mul__``, ``PowerSeries.__truediv__`` (and through it
 ``inv``, ``log`` and the Newton step of ``revert``), ``PowerSeries.compose``
-(and through it ``revert``) and ``umbral.p_seq`` compute on integer
-numerators over a common denominator when every coefficient is a
-``Fraction``; they must return the very rationals of the loops in
-``oracles.py``, as ``Fraction`` objects.  Every other coefficient domain
-keeps the generic loops and the wider domain.
+(and through it ``revert``) and ``umbral.sheffer_polys`` (behind ``p_seq``
+and ``tau_seq``) compute on integer numerators over a common denominator
+when every coefficient is a ``Fraction``; they must return the very
+rationals of the loops in ``oracles.py``, as ``Fraction`` objects.
+``naive_revert`` composes each Newton denominator to the full order, where
+``revert`` stops at the order of the correction.  Every other coefficient
+domain keeps the generic loops and the wider domain.
 """
 
 from fractions import Fraction as Q
@@ -15,10 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_compose, naive_div, naive_mul, naive_p_seq, naive_revert
+from oracles import (
+    naive_compose,
+    naive_div,
+    naive_mul,
+    naive_p_seq,
+    naive_revert,
+    naive_tau_polys,
+)
 from umbralog.parampoly import ParamPoly
 from umbralog.presets import PRESET_NAMES, family
 from umbralog.series import OrderError, PowerSeries, SeriesError
+from umbralog.sheffer import bernoulli_weight, tau_seq
 from umbralog.umbral import p_seq
 
 S = ParamPoly.symbol("s")
@@ -118,6 +128,55 @@ class TestProperties:
 
 
 SPECS = ("exp1", "geom", "nu", "poly:1,1/2,-1/3,1/5,-1/6", "poly:1,0,0,-7/3,0,1000000")
+
+
+def unit_linear_series(order: int) -> PowerSeries:
+    """0 + x + sum_{k>=2} (-1)^k (k^2 + 1)/(3k - 1) x^k, to the given order."""
+    tail = [Q((-1) ** k * (k * k + 1), 3 * k - 1) for k in range(2, order + 1)]
+    return PowerSeries("x", [Q(0), Q(1)] + tail)
+
+
+# every doubling boundary of the Newton iteration: 1 -> 3 -> 7 -> 15 -> 31,
+# and orders one past, where the last step keeps order m - k - 1 = 0
+REVERT_ORDERS = (1, 2, 3, 4, 7, 8, 9, 16, 17, 33)
+
+
+class TestRevertFixedCases:
+    @pytest.mark.parametrize("order", REVERT_ORDERS)
+    def test_unit_linear(self, order):
+        u = unit_linear_series(order)
+        got = u.revert()
+        assert got.order == order
+        assert_same_rationals(got, naive_revert(u))
+
+    @pytest.mark.parametrize("order", REVERT_ORDERS)
+    def test_normalize(self, order):
+        c1 = Q(-7, 3)
+        w = unit_linear_series(order).scale(c1)
+        # (c w)^-1(x) = w^-1(x / c), with w the unit-linear series w / c
+        scaled = w.scale(1 / c1)
+        inner = PowerSeries.identity("x", order).scale(1 / c1)
+        assert_same_rationals(
+            w.revert(normalize=True), naive_compose(naive_revert(scaled), inner)
+        )
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_family_inverses_at_order_40(self, spec):
+        fam = family(spec, 40)
+        assert_same_rationals(fam.phi, naive_revert(fam.f))
+        assert_same_rationals(fam.omega, naive_revert(fam.tau_f))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_tau_polys_match_oracle(spec):
+    """tau_0..tau_33 for the Bernoulli weight and a polynomial weight."""
+    fam = family(spec, 40)
+    poly_ell = PowerSeries("x", [Q(1), Q(1, 2), Q(-1, 3), Q(0), Q(5, 7)] + [Q(0)] * 36)
+    for ell in (bernoulli_weight(40), poly_ell):
+        got = tau_seq(fam, ell, 33).tau_polys
+        want = naive_tau_polys(fam, ell, 33)
+        assert [p.coeffs for p in got] == [p.coeffs for p in want]
+        assert all(type(c) is Q for p in got for c in p.coeffs)
 
 
 @pytest.mark.parametrize("spec", SPECS)
