@@ -3,7 +3,7 @@
 The exponent is a ``ParamPoly`` in the parameters s and H; the sum is a
 ``PowerSeries`` in the variable ``1/a`` (alpha^{-1}) whose coefficients are
 ``ParamPoly`` values.  ln(alpha) is the ``ParamPoly`` symbol ``L``: it enters
-only by differentiation in s, or by taking the logarithm itself.
+only by taking the logarithm.
 """
 
 from __future__ import annotations
@@ -140,21 +140,6 @@ class AsymptoticSeries:
         return AsymptoticSeries._of(
             _ZERO, self.body.log() + self.exponent * L
         )
-
-    def derive_alpha(self) -> "AsymptoticSeries":
-        """d/dalpha, lowering the exponent by one (d/dalpha L = 1/alpha)."""
-        return AsymptoticSeries(
-            self.exponent - 1,
-            [
-                (self.exponent - k) * c + c.derive("L")
-                for k, c in enumerate(self.coeffs)
-            ],
-        )
-
-    def derive_s(self) -> "AsymptoticSeries":
-        """d/ds; alpha^{e(s)} contributes a factor d e/ds * L."""
-        es_log = L * self.exponent.derive("s")
-        return self.map_coeffs(lambda c: c.derive("s") + es_log * c)
 
     # -- specialization ----------------------------------------------------------
 

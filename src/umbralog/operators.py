@@ -7,17 +7,22 @@ those words: it runs the linear matrix scheme of
 ``ncwords.head_word_poly_matrix`` right to left on a vector whose entries
 are series (giving T_n g) or normal-ordered operators sum_j c_j(v) d^j/dv^j
 (giving T_n itself), in O(n^2) products.  sigma is multiplication by
-v/omega'(v) and lam by a supplied unit series.
+v/omega'(v) and lam by a supplied unit series.  The scheme runs on one
+integer lift of its ``Fraction`` inputs: each entry is integer numerators
+over one denominator, and ``Fraction`` values are built only for the
+result, which equals the same scheme over ``Fraction`` series term for term.
+``DiffOperator`` keeps the operator algebra for single words and the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .ncwords import D, LAM, LAMINV, SIGMA
+from .parampoly import _lift
 from .polys import Poly, divided_difference
-from .series import OrderError, PowerSeries, SeriesError
+from .series import OrderError, PowerSeries, SeriesError, _conv
 from .umbral import BinomialFamily, rename
 
 
@@ -109,6 +114,85 @@ def word_to_diffop(
     return op.nonzero()
 
 
+# -- the grade operators on integer numerators ----------------------------------
+#
+# A vector entry of the matrix scheme is a pair (terms, den): ``terms`` maps
+# each derivative order j to the integer numerators of its coefficient series,
+# all over the one positive denominator ``den``; a series is the entry {0: c}.
+# A coefficient's truncation order is its length minus one, as in PowerSeries.
+
+
+def _lift_terms(terms: dict) -> tuple:
+    """Series coefficients as integer numerators over one denominator."""
+    flat, den = _lift([c for s in terms.values() for c in s.coeffs])
+    it = iter(flat)
+    return {j: [next(it) for _ in s.coeffs] for j, s in terms.items()}, den
+
+
+def _derive(c: list, error: str) -> list:
+    if len(c) < 2:
+        raise OrderError(error)
+    return [k * c[k] for k in range(1, len(c))]
+
+
+def _derive_series(entry: tuple) -> tuple:
+    terms, den = entry
+    return {0: _derive(terms[0], "derivative of an order-0 series")}, den
+
+
+def _derive_operator(entry: tuple) -> tuple:
+    """D∘A = sum_j c_j' d^j + c_j d^{j+1}, by the product rule; a coefficient
+    of order 0, zero or not, cannot be differentiated."""
+    terms, den = entry
+    error = "operator coefficient truncated away; increase the family order"
+    out = {j: _derive(c, error) for j, c in terms.items()}
+    for j, c in terms.items():
+        out[j + 1] = [a + b for a, b in zip(out[j + 1], c)] if j + 1 in out else c
+    return out, den
+
+
+def _combine(parts) -> tuple:
+    """The sum of entry / w over the (entry, w) pairs, for nonzero integers
+    w, over the lcm of the entries' denominators times w.  Shared orders
+    add, truncated to the shorter coefficient."""
+    den = lcm(*[e[1] * w for e, w in parts])
+    out: dict = {}
+    for (terms, d), w in parts:
+        up = den // (d * w)
+        for j, c in terms.items():
+            c = [up * y for y in c]
+            out[j] = [a + b for a, b in zip(out[j], c)] if j in out else c
+    return out, den
+
+
+def _lmul(m: tuple, entry: tuple) -> tuple:
+    """m∘y: every coefficient of y times the lifted series m."""
+    mn, md = m
+    terms, den = entry
+    out = {j: _conv(c, mn, min(len(c), len(mn)) - 1) for j, c in terms.items()}
+    return out, den * md
+
+
+def _reduce(entry: tuple) -> tuple:
+    """The entry divided through by the gcd of its numerators and denominator."""
+    terms, den = entry
+    g = gcd(den, *[y for c in terms.values() for y in c])
+    if g == 1:
+        return entry
+    return {j: [y // g for y in c] for j, c in terms.items()}, den // g
+
+
+def _require_fraction(name: str, s: PowerSeries, var: str) -> None:
+    for c in s.coeffs:
+        if type(c) is not Fraction:
+            raise SeriesError(
+                f"apply_Tn needs {name} over Fraction coefficients, "
+                f"not {type(c).__name__}"
+            )
+    if s.var != var:
+        raise SeriesError(f"variable mismatch: {s.var} vs {var}")
+
+
 def apply_Tn(x, n: int, sigma: PowerSeries, lam: PowerSeries | None = None):
     """T_n x for a series x, or T_n∘x for an operator x, where T_n is the
     grade-n operator of the plain rewrite, or of the lam-rewrite given lam.
@@ -119,35 +203,62 @@ def apply_Tn(x, n: int, sigma: PowerSeries, lam: PowerSeries | None = None):
     with B = D and A_i = D^{i+2}/((i+1)(i+2)) for the plain rewrite, and
     B = lam^{-1} D lam and A_i = B D^{i+1}/(i+1) - D^{i+2}/(i+2) for the
     lam-rewrite.  Column 0 of the last vector is T_n x.
+
+    x, sigma and lam (and lam^{-1}) are lifted once to integer numerators
+    over one denominator, and the whole scheme runs on such vector entries
+    (described above): D multiplies by the index, the row weights fold into the
+    denominator, and each row is reduced by a gcd after its sigma product.
+    The result holds the same rationals, coefficient orders and operator
+    keys (zero coefficients included) as the same scheme over ``Fraction``
+    series, and raises ``OrderError`` where it would.  Coefficients must be
+    ``Fraction``; any other domain is a ``SeriesError``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     on_operators = isinstance(x, DiffOperator)
-    lam_inv = None if lam is None else lam.inv()
-
-    def mul(m, y):  # m∘y
-        return y.lmul(m) if on_operators else m * y
+    terms = x.terms if on_operators else {0: x}
+    var = sigma.var
+    _require_fraction("sigma", sigma, var)
+    for c in terms.values():
+        _require_fraction("x", c, var)
+    if lam is not None:
+        _require_fraction("lam", lam, var)
+        lam_inv = _lift(lam.inv().coeffs)
+        lam = _lift(lam.coeffs)
+    if n == 0:
+        return x
+    sig = _lift(sigma.coeffs)
+    D = _derive_operator if on_operators else _derive_series
 
     def B(y):
-        return y.derive() if lam is None else mul(lam_inv, mul(lam, y).derive())
+        return _lmul(lam_inv, D(_lmul(lam, y)))
 
-    vec = [x]
+    vec = [_lift_terms(terms)]
     for k in range(n, 0, -1):
         d = [vec[0]]  # D^j x_0
         for _ in range(2 * k):
-            d.append(d[-1].derive())
+            d.append(D(d[-1]))
+        tail = len(vec) > 1
         new = []
         for i in range(2 * k - 1):
-            a, b = Fraction(1, i + 1), Fraction(1, i + 2)
+            a, b = i + 1, i + 2
             if lam is None:
-                row = d[i + 2].scale(a * b)
+                row = [(d[i + 2], a * b)]
+                if tail:
+                    row += [(D(vec[i + 1]), -a), (vec[i + 2], b)]
             else:
-                row = B(d[i + 1]).scale(a) + d[i + 2].scale(-b)
-            if len(vec) > 1:
-                row = row + B(vec[i + 1]).scale(-a) + vec[i + 2].scale(b)
-            new.append(mul(sigma, row))
+                # B D^{i+1} x_0 - B x_{i+1} = B (D^{i+1} x_0 - x_{i+1}), with
+                # the same orders and keys, as B only multiplies and derives
+                y = _combine([(d[i + 1], 1), (vec[i + 1], -1)]) if tail else d[i + 1]
+                row = [(B(y), a), (d[i + 2], -b)]
+                if tail:
+                    row.append((vec[i + 2], b))
+            new.append(_reduce(_lmul(sig, _combine(row))))
         vec = new
-    return vec[0]
+
+    out, den = vec[0]
+    coeffs = {j: PowerSeries(var, [Fraction(y, den) for y in c]) for j, c in out.items()}
+    return DiffOperator(x.var, coeffs) if on_operators else coeffs[0]
 
 
 def build_Tn(fam: BinomialFamily, n: int, var: str = "s") -> DiffOperator:

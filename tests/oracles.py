@@ -18,7 +18,9 @@ out of ``ParamPoly`` and carry each coefficient as a tuple of its
 ln(alpha)^0, ln(alpha)^1, ... parts, with the logarithm as the power sum
 sum (-1)^{j+1} u^j / j.  ``word_to_diffop`` and ``ncpoly_to_diffop``
 realize the grade operators word by word from ``ncwords.head_word_poly``,
-the route ``operators.apply_Tn``'s right-to-left matrix scheme replaced.
+the route ``operators.apply_Tn``'s right-to-left matrix scheme replaced;
+``naive_apply_Tn`` is that scheme over ``Fraction`` series and
+``DiffOperator`` arithmetic, which its integer kernel replaced.
 """
 
 from __future__ import annotations
@@ -442,3 +444,39 @@ def cached_word_Tn(spec: str, order: int, n: int, var: str = "s") -> DiffOperato
 def word_Tn_ell(sigma: PowerSeries, lam: PowerSeries, n: int) -> DiffOperator:
     """The lam-rewrite's grade-n operator from its head words."""
     return ncpoly_to_diffop(head_word_poly(n, step=nu_bar_step), sigma, lam)
+
+
+def naive_apply_Tn(x, n: int, sigma: PowerSeries, lam: PowerSeries | None = None):
+    """The right-to-left matrix scheme of ``operators.apply_Tn`` with one
+    ``PowerSeries`` or ``DiffOperator`` operation per step: for k = n .. 1,
+    row i of the new vector is sigma (A_i x_0 - B x_{i+1}/(i+1)
+    + x_{i+2}/(i+2)), with B = D (or lam^{-1} D lam) and A_i as documented
+    there."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    on_operators = isinstance(x, DiffOperator)
+    lam_inv = None if lam is None else lam.inv()
+
+    def mul(m, y):  # m∘y
+        return y.lmul(m) if on_operators else m * y
+
+    def B(y):
+        return y.derive() if lam is None else mul(lam_inv, mul(lam, y).derive())
+
+    vec = [x]
+    for k in range(n, 0, -1):
+        d = [vec[0]]  # D^j x_0
+        for _ in range(2 * k):
+            d.append(d[-1].derive())
+        new = []
+        for i in range(2 * k - 1):
+            a, b = Fraction(1, i + 1), Fraction(1, i + 2)
+            if lam is None:
+                row = d[i + 2].scale(a * b)
+            else:
+                row = B(d[i + 1]).scale(a) + d[i + 2].scale(-b)
+            if len(vec) > 1:
+                row = row + B(vec[i + 1]).scale(-a) + vec[i + 2].scale(b)
+            new.append(mul(sigma, row))
+        vec = new
+    return vec[0]

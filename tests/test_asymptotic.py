@@ -34,27 +34,6 @@ def test_log_of_shifted_unit():
     assert lg.coefficient(3) == c1 * c1 * c1 * Q(1, 3)
 
 
-def test_derive_s_introduces_log_adjunct():
-    p = AsymptoticSeries(S, [Q(1), Q(0)])
-    assert p.derive_s().coeffs[0] == L
-
-
-def test_derive_alpha_shifts_exponent():
-    p = AsymptoticSeries(S, [Q(1), Q(2)])
-    d = p.derive_alpha()
-    assert d.exponent == S - 1
-    assert d.coefficient(0) == S
-    assert d.coefficient(1) == (S - 1) * 2
-
-
-def test_derive_alpha_of_log_term():
-    # d/dalpha (s ln(alpha) + 3 alpha^{-1}) = s alpha^{-1} - 3 alpha^{-2}
-    p = AsymptoticSeries(ParamPoly(), [S * L, Q(3), Q(0)])
-    d = p.derive_alpha()
-    assert d.exponent == ParamPoly.const(-1)
-    assert [d.coefficient(k) for k in range(3)] == [S, ParamPoly.const(-3), ParamPoly()]
-
-
 def test_poly_ratio_expansion():
     num = Poly([Q(0), Q(2), Q(-3), Q(1)])  # a(a-1)(a-2)
     den = Poly([Q(0), Q(-1), Q(1)])        # a(a-1)
@@ -161,17 +140,9 @@ def test_specialize_to_poly_with_exponent_s_plus_h():
         p.specialize_to_poly(s=2)
 
 
-def test_derive_s_with_exponent_2s_plus_h():
-    p = AsymptoticSeries(2 * S + H, [Q(1), S])
-    d = p.derive_s()
-    assert d.exponent == 2 * S + H
-    assert list(d.coeffs) == [2 * L, 1 + 2 * L * S]
-
-
-def test_div_log_derive_alpha_methods():
+def test_div_and_log_methods():
     p = AsymptoticSeries(S, [Q(1), S])
     assert (p / p).coefficient(0) == ParamPoly.const(1)
-    assert p.derive_alpha().exponent == S - 1
     assert p.log().coefficient(1) == S
 
 

@@ -3,9 +3,12 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     cached_word_Tn,
+    naive_apply_Tn,
     same_operator,
     same_series,
     word_Tn,
@@ -32,8 +35,10 @@ from umbralog.operators import (
     divided_difference_shift_check,
     tn_via_integral,
 )
+from umbralog.parampoly import ParamPoly
+from umbralog.polys import Poly
 from umbralog.presets import family
-from umbralog.series import OrderError, PowerSeries
+from umbralog.series import OrderError, PowerSeries, SeriesError
 from umbralog.stirling import omega_in_alpha, t_n_omega
 
 
@@ -183,6 +188,167 @@ class TestSchemeAgainstWords:
         fam = family("exp1", 12)
         with pytest.raises(ValueError):
             build_Tn(fam, -1)
+
+
+def outcome(x, n, sigma, lam, apply=apply_Tn):
+    """The value of ``apply``, or the OrderError it raises, as a pair."""
+    try:
+        return "value", apply(x, n, sigma, lam)
+    except OrderError as e:
+        return "OrderError", str(e)
+
+
+def assert_same_outcome(x, n, sigma, lam=None):
+    """The kernel and the generic scheme agree on the rationals, their type,
+    every coefficient's order and the operator's keys before and after
+    nonzero(), or raise the same OrderError."""
+    (kind, got), (want_kind, want) = (
+        outcome(x, n, sigma, lam),
+        outcome(x, n, sigma, lam, naive_apply_Tn),
+    )
+    assert kind == want_kind, (got, want)
+    if kind == "OrderError":
+        assert got == want
+        return
+    pairs = [(got, want)]
+    if isinstance(want, DiffOperator):
+        assert got.var == want.var
+        assert got.terms.keys() == want.terms.keys()
+        assert got.nonzero().terms.keys() == want.nonzero().terms.keys()
+        pairs = [(got.terms[j], c) for j, c in want.terms.items()]
+    for g, w in pairs:
+        assert same_series(g, w)  # values and orders
+        assert all(type(c) is Q for c in g.coeffs)
+
+
+@st.composite
+def rational_coeffs(draw, min_order=0, max_order=14):
+    """Heights up to 10**6, with runs of zeros."""
+    n = draw(st.integers(min_value=min_order, max_value=max_order))
+    h = draw(st.sampled_from([1, 10, 10**3, 10**6]))
+    coeff = st.fractions(min_value=-h, max_value=h, max_denominator=h)
+    coeffs = [draw(coeff) for _ in range(n + 1)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lo = draw(st.integers(min_value=0, max_value=n))
+        hi = draw(st.integers(min_value=lo, max_value=n + 1))
+        coeffs[lo:hi] = [Q(0)] * (hi - lo)
+    return coeffs
+
+
+@st.composite
+def kernel_cases(draw, on_operators: bool):
+    """(x, n, sigma, lam) with every order near 2n, where the scheme starts
+    to run out of order: x a series or an operator with up to four
+    coefficients of their own orders, sigma of valuation 1, and lam None or
+    a unit with constant term 1, -1 or 5/3."""
+    n = draw(st.integers(min_value=0, max_value=6))
+
+    def coeffs(min_order=0):
+        return draw(rational_coeffs(max(min_order, 2 * n - 2), 2 * n + 3))
+
+    if on_operators:
+        keys = draw(st.sets(st.integers(min_value=0, max_value=3), min_size=1))
+        x = DiffOperator("a", {j: PowerSeries("a", coeffs()) for j in sorted(keys)})
+    else:
+        x = PowerSeries("a", coeffs())
+    c1 = draw(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6))
+    sigma = PowerSeries("a", [Q(0), c1 or Q(1)] + coeffs(1)[2:])
+    lam = None
+    if draw(st.booleans()):
+        lam = PowerSeries("a", [draw(st.sampled_from([Q(1), Q(-1), Q(5, 3)]))] + coeffs()[1:])
+    return x, n, sigma, lam
+
+
+class TestIntegerKernel:
+    """``apply_Tn`` runs the matrix scheme on integer numerators; it must
+    return exactly what the scheme over ``Fraction`` series returns."""
+
+    @given(kernel_cases(on_operators=False))
+    @settings(max_examples=120, deadline=None)
+    def test_series_matches_generic_scheme(self, case):
+        assert_same_outcome(*case)
+
+    @given(kernel_cases(on_operators=True))
+    @settings(max_examples=60, deadline=None)
+    def test_operator_matches_generic_scheme(self, case):
+        assert_same_outcome(*case)
+
+    def test_family_inputs_match_generic_scheme(self):
+        fam = family("poly:1,1/2,-1/3", 14)
+        sigma = fam.sigma("a")
+        lam = PowerSeries("a", [Q(5, 3), Q(1, 3)] + [Q(-1, 7)] * (sigma.order - 1))
+        for n in range(7):
+            for x in (omega_in_alpha(fam), DiffOperator.identity("a", sigma.order)):
+                assert_same_outcome(x, n, sigma)
+                assert_same_outcome(x, n, sigma, lam)
+
+    # the (family order, grade) pairs of the word-route test above
+    @pytest.mark.parametrize("order,n", [(3, 2), (5, 3), (7, 4), (9, 5)])
+    @pytest.mark.parametrize("rewrite", ["plain", "lam"])
+    @pytest.mark.parametrize("form", ["series", "operator"])
+    def test_too_small_an_order_raises_like_the_generic_scheme(
+        self, order, n, rewrite, form
+    ):
+        fam = family("nu", order)
+        sigma = fam.sigma("a")
+        lam = None
+        if rewrite == "lam":
+            lam = PowerSeries("a", [Q(1), Q(1, 3)] + [Q(1, 7)] * (sigma.order - 1))
+        x = omega_in_alpha(fam)
+        if form == "operator":
+            x = DiffOperator.identity("a", sigma.order)
+        with pytest.raises(OrderError):
+            naive_apply_Tn(x, n, sigma, lam)
+        with pytest.raises(OrderError):
+            apply_Tn(x, n, sigma, lam)
+        assert_same_outcome(x, n - 1, sigma, lam)
+
+    def test_zero_coefficients_keep_their_keys_and_orders(self):
+        # T_1 = (sigma/2) D^2: D∘D∘1 keeps the zero coefficients of d^0 and d^1
+        sigma = family("exp1", 8).sigma("a")
+        t1 = apply_Tn(DiffOperator.identity("a", sigma.order), 1, sigma)
+        assert set(t1.terms) == {0, 1, 2}
+        assert set(t1.nonzero().terms) == {2}
+        assert_same_outcome(DiffOperator.identity("a", sigma.order), 1, sigma)
+        # a zero coefficient known to order 0 cannot be differentiated
+        d = DiffOperator.identity("a", 1).derive()
+        with pytest.raises(OrderError):
+            apply_Tn(d, 1, sigma)
+        assert_same_outcome(d, 1, sigma)
+
+
+OTHER_DOMAINS = {
+    "ParamPoly": ParamPoly.symbol("s"),
+    "Poly": Poly.const(Q(1, 2)),
+    "PowerSeries": PowerSeries("t", [Q(1, 2), Q(1)]),
+}
+
+
+class TestDomainContract:
+    """``apply_Tn`` works over ``Fraction`` coefficients only."""
+
+    @pytest.mark.parametrize("slot", ["series x", "operator x", "sigma", "lam"])
+    @pytest.mark.parametrize("domain", sorted(OTHER_DOMAINS))
+    def test_other_coefficient_domains_are_named(self, domain, slot):
+        fam = family("exp1", 10)
+        sigma, om = fam.sigma("a"), omega_in_alpha(fam)
+        lam = PowerSeries.one("a", sigma.order)
+
+        def other(s):  # s with coefficient 2 taken from the other domain
+            return PowerSeries(s.var, s.coeffs[:2] + (OTHER_DOMAINS[domain],) + s.coeffs[3:])
+
+        x = om
+        if slot == "series x":
+            x = other(om)
+        elif slot == "operator x":
+            x = DiffOperator("a", {0: lam, 1: other(om)})
+        elif slot == "sigma":
+            sigma = other(sigma)
+        else:
+            lam = other(lam)
+        for n in (0, 2):
+            with pytest.raises(SeriesError, match=f"over Fraction coefficients, not {domain}$"):
+                apply_Tn(x, n, sigma, lam)
 
 
 class TestDividedDifferenceShift:
