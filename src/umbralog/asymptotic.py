@@ -42,13 +42,12 @@ class AsymptoticSeries:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def from_alpha_poly(p: Poly, depth: int | None = None) -> "AsymptoticSeries":
-        """Exact polynomial in alpha, written as alpha^deg * (descending)."""
+    def from_alpha_poly(p: Poly, depth: int) -> "AsymptoticSeries":
+        """Exact polynomial in alpha, written as alpha^deg * (descending),
+        to alpha^{deg - depth}."""
         if p.is_zero():
             raise SeriesError("cannot grade the zero polynomial")
         d = p.degree()
-        if depth is None:
-            depth = d
         coeffs = [
             p.coefficient(d - k) if k <= d else Fraction(0)
             for k in range(depth + 1)

@@ -96,15 +96,13 @@ class ConjugationContext:
         return self.series_to_column(w, len(col) - 1)
 
 
-def conjugated_step(fam: BinomialFamily, col: list, depth: int | None = None, s_val=S):
+def conjugated_step(fam: BinomialFamily, col: list, depth: int):
     """One application of the conjugated operator, by both pipelines.
 
     Returns (law column, ok) where ok demands exact agreement between the
     closed coefficient law and the direct truncated-series conjugation.
     """
-    if depth is None:
-        depth = len(col)
-    ctx = ConjugationContext(fam, depth, s_val)
+    ctx = ConjugationContext(fam, depth)
     q = ctx.q
     law = conjugated_step_law(col, q, ctx.s_val)
     direct = ctx.apply_direct(col)

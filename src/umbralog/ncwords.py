@@ -71,11 +71,7 @@ class NCPoly:
     def __add__(self, other: "NCPoly"):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            w = out.get(k, Fraction(0)) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
+            out[k] = out.get(k, 0) + v
         return NCPoly(out)
 
     def __neg__(self):
@@ -95,11 +91,7 @@ class NCPoly:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                acc = out.get(w, Fraction(0)) + c1 * c2
-                if acc:
-                    out[w] = acc
-                else:
-                    out.pop(w, None)
+                out[w] = out.get(w, 0) + c1 * c2
         return NCPoly(out)
 
     def __eq__(self, other):
@@ -119,11 +111,7 @@ class NCPoly:
         out: dict = {}
         for w, c in self.terms.items():
             w2 = tuple(x for x in w if x not in (LAM, LAMINV))
-            acc = out.get(w2, Fraction(0)) + c
-            if acc:
-                out[w2] = acc
-            else:
-                out.pop(w2, None)
+            out[w2] = out.get(w2, 0) + c
         return NCPoly(out)
 
     def __repr__(self):

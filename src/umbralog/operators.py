@@ -11,7 +11,8 @@ v/omega'(v) and lam by a supplied unit series.  The scheme runs on one
 integer lift of its ``Fraction`` inputs: each entry is integer numerators
 over one denominator, and ``Fraction`` values are built only for the
 result, which equals the same scheme over ``Fraction`` series term for term.
-``DiffOperator`` keeps the operator algebra for single words and the tests.
+``word_to_diffop`` realizes a single word on the same integer entries.
+``DiffOperator`` only holds and applies a result: it has no arithmetic.
 """
 
 from __future__ import annotations
@@ -59,30 +60,6 @@ class DiffOperator:
             out = term if out is None else out + term
         return out
 
-    def __add__(self, other: "DiffOperator"):
-        terms = dict(self.terms)
-        for j, c in other.terms.items():
-            terms[j] = terms[j] + c if j in terms else c
-        return DiffOperator(self.var, terms)
-
-    def scale(self, c) -> "DiffOperator":
-        return DiffOperator(self.var, {j: x.scale(c) for j, x in self.terms.items()})
-
-    def lmul(self, m: PowerSeries) -> "DiffOperator":
-        """m∘A: every coefficient times the series m."""
-        return DiffOperator(self.var, {j: m * c for j, c in self.terms.items()})
-
-    def derive(self) -> "DiffOperator":
-        """D∘A = sum_j c_j' d^j + c_j d^{j+1}, by the product rule."""
-        if any(c.order < 1 for c in self.terms.values()):
-            raise OrderError(
-                "operator coefficient truncated away; increase the family order"
-            )
-        terms = self.terms.items()
-        return DiffOperator(self.var, {j: c.derive() for j, c in terms}) + (
-            DiffOperator(self.var, {j + 1: c for j, c in terms})
-        )
-
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
             return NotImplemented
@@ -98,20 +75,6 @@ class DiffOperator:
     def __repr__(self):
         bits = [f"({c}) d^{j}" for j, c in sorted(self.terms.items())]
         return " + ".join(bits) if bits else "0"
-
-
-def word_to_diffop(
-    w: tuple, sigma: PowerSeries, lam: PowerSeries | None = None
-) -> DiffOperator:
-    """One E-free word as an operator, rightmost letter acting first.  The
-    grade operators never list words; this realizes a single one."""
-    subs = {SIGMA: sigma, LAM: lam, LAMINV: None if lam is None else lam.inv()}
-    op = DiffOperator.identity(sigma.var, sigma.order)
-    for letter in reversed(w):
-        if letter != D and subs.get(letter) is None:
-            raise SeriesError(f"no series substitution for letter {letter!r}")
-        op = op.derive() if letter == D else op.lmul(subs[letter])
-    return op.nonzero()
 
 
 # -- the grade operators on integer numerators ----------------------------------
@@ -182,11 +145,17 @@ def _reduce(entry: tuple) -> tuple:
     return {j: [y // g for y in c] for j, c in terms.items()}, den // g
 
 
+def _to_series(var: str, entry: tuple) -> dict:
+    """The entry's coefficients as ``Fraction`` series in var."""
+    terms, den = entry
+    return {j: PowerSeries(var, [Fraction(y, den) for y in c]) for j, c in terms.items()}
+
+
 def _require_fraction(name: str, s: PowerSeries, var: str) -> None:
     for c in s.coeffs:
         if type(c) is not Fraction:
             raise SeriesError(
-                f"apply_Tn needs {name} over Fraction coefficients, "
+                f"the grade operators need {name} over Fraction coefficients, "
                 f"not {type(c).__name__}"
             )
     if s.var != var:
@@ -256,9 +225,31 @@ def apply_Tn(x, n: int, sigma: PowerSeries, lam: PowerSeries | None = None):
             new.append(_reduce(_lmul(sig, _combine(row))))
         vec = new
 
-    out, den = vec[0]
-    coeffs = {j: PowerSeries(var, [Fraction(y, den) for y in c]) for j, c in out.items()}
+    coeffs = _to_series(var, vec[0])
     return DiffOperator(x.var, coeffs) if on_operators else coeffs[0]
+
+
+def word_to_diffop(
+    w: tuple, sigma: PowerSeries, lam: PowerSeries | None = None
+) -> DiffOperator:
+    """One E-free word as an operator, rightmost letter acting first, on the
+    integer entries of ``apply_Tn`` and under its ``Fraction``-only contract.
+    The grade operators never list words; this realizes a single one."""
+    var = sigma.var
+    _require_fraction("sigma", sigma, var)
+    subs = {SIGMA: _lift(sigma.coeffs)}
+    if lam is not None:
+        _require_fraction("lam", lam, var)
+        subs[LAM], subs[LAMINV] = _lift(lam.coeffs), _lift(lam.inv().coeffs)
+    entry = ({0: [1] + [0] * sigma.order}, 1)
+    for letter in reversed(w):
+        if letter == D:
+            entry = _derive_operator(entry)
+        elif letter in subs:
+            entry = _reduce(_lmul(subs[letter], entry))
+        else:
+            raise SeriesError(f"no series substitution for letter {letter!r}")
+    return DiffOperator(var, _to_series(var, entry)).nonzero()
 
 
 def build_Tn(fam: BinomialFamily, n: int, var: str = "s") -> DiffOperator:

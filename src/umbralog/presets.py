@@ -66,13 +66,14 @@ def f_poly(coeffs, order: int) -> PowerSeries:
     return PowerSeries("x", data)
 
 
-def f_random(degree: int, seed: int, order: int, height: int = 10) -> PowerSeries:
-    """Seeded random polynomial f of the given degree (height-bounded)."""
+def f_random(degree: int, seed: int, order: int) -> PowerSeries:
+    """Seeded random polynomial f of the given degree, its coefficients
+    num/den with |num| <= 10 and 1 <= den <= 10."""
     rng = random.Random(seed)
     coeffs = [Fraction(1)]
     for _ in range(degree - 1):
-        num = rng.randint(-height, height)
-        den = rng.randint(1, height)
+        num = rng.randint(-10, 10)
+        den = rng.randint(1, 10)
         coeffs.append(Fraction(num, den))
     if coeffs[-1] == 0:
         coeffs[-1] = Fraction(1)

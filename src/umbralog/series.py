@@ -228,15 +228,10 @@ class PowerSeries:
         support = tuple(k for k, c in enumerate(self.coeffs) if c)
         return hash((self.var, self.order, support))
 
-    def prefix_equal(self, other: "PowerSeries", upto: int | None = None) -> bool:
-        """Equality of the shared (or requested) prefix of coefficients."""
+    def prefix_equal(self, other: "PowerSeries") -> bool:
+        """Equality of the shared prefix of coefficients."""
         self._check_var(other)
-        n = min(self.order, other.order)
-        if upto is not None:
-            if upto > n:
-                raise OrderError("prefix comparison past a valid order")
-            n = upto
-        for k in range(n + 1):
+        for k in range(min(self.order, other.order) + 1):
             a, b = self.coeffs[k], other.coeffs[k]
             if isinstance(a, PowerSeries) and isinstance(b, PowerSeries):
                 if not a.prefix_equal(b):
@@ -392,34 +387,22 @@ class PowerSeries:
             acc = (acc * trunc_inner)._add_scalar(self.coeffs[k])
         return acc
 
-    def revert(self, normalize: bool = False) -> "PowerSeries":
+    def revert(self) -> "PowerSeries":
         """Functional inverse by Newton iteration with order doubling.
 
         Each step from order k to m divides the error, of valuation k + 1,
         by u'(v); the correction keeps only order m - k - 1, so u'(v) is
         composed only to that order.
 
-        Requires a zero constant term and unit linear coefficient; with
-        ``normalize=True`` any invertible linear coefficient is accepted and
-        scaled out first.
+        Requires a zero constant term and linear coefficient 1; any other
+        linear coefficient is a ``SeriesError``.
         """
         if self.order < 1:
             raise OrderError("reversion needs order >= 1")
         if self.coeffs[0]:
             raise SeriesError("reversion requires zero constant term")
-        c1 = self.coeffs[1]
-        if not c1:
-            raise SeriesError("reversion requires a unit linear coefficient")
-        if c1 != self.czero + 1:
-            if not normalize:
-                raise SeriesError(
-                    "linear coefficient is not 1 (pass normalize=True)"
-                )
-            u = _QONE / c1
-            # (c*w(x))^inv = w^inv(x/c)
-            scaled = self.scale(u)
-            inner = PowerSeries.identity(self.var, self.order, self.czero).scale(u)
-            return scaled.revert().compose(inner)
+        if self.coeffs[1] != self.czero + 1:
+            raise SeriesError("reversion requires linear coefficient 1")
         target = self.order
         v = PowerSeries.identity(self.var, 1, self.czero)
         while v.order < target:
@@ -512,11 +495,9 @@ class PowerSeries:
             acc = acc * x0 + c
         return acc
 
-    def map_coeffs(self, fn, czero=None) -> "PowerSeries":
+    def map_coeffs(self, fn) -> "PowerSeries":
         coeffs = [fn(c) for c in self.coeffs]
-        return PowerSeries(
-            self.var, coeffs, czero if czero is not None else coeffs[0] * _QZERO
-        )
+        return PowerSeries(self.var, coeffs, coeffs[0] * _QZERO)
 
     def __repr__(self):
         bits = []

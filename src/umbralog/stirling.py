@@ -281,18 +281,16 @@ def invariance_check(fam: BinomialFamily, A: Fraction, N: int) -> dict:
 # -- limit statements -------------------------------------------------------------------
 
 
-def to_decimal(q: Fraction, digits: int = 60) -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = digits + 20
-        return Decimal(q.numerator) / Decimal(q.denominator)
+def to_decimal(q: Fraction) -> Decimal:
+    """q in the current decimal context."""
+    return Decimal(q.numerator) / Decimal(q.denominator)
 
 
-def ln_decimal(q: Fraction, digits: int = 60) -> Decimal:
+def ln_decimal(q: Fraction) -> Decimal:
+    """ln q in the current decimal context."""
     if q <= 0:
         raise ValueError("log of a nonpositive rational")
-    with localcontext() as ctx:
-        ctx.prec = digits + 20
-        return (Decimal(q.numerator) / Decimal(q.denominator)).ln()
+    return to_decimal(q).ln()
 
 
 @dataclass
@@ -312,9 +310,9 @@ class LimitReport:
     ok: bool
 
 
-def _doubling(n_max: int, start: int = 4) -> list:
+def _doubling(n_max: int) -> list:
     out = []
-    n = start
+    n = 4
     while n <= n_max:
         out.append(n)
         n *= 2
@@ -341,6 +339,10 @@ def limit_check(
         )
     if n_max < 4:
         raise StirlingError(f"n_max = {n_max} is below 4, the first sample point")
+    if which == "second" and alpha < 0:
+        raise StirlingError(
+            f"the second limit takes ln(alpha*n), which needs alpha > 0, not {alpha}"
+        )
     ns = _doubling(n_max)
     seq = p_seq(fam, max(ns) + 1)
     om = omega_in_alpha(fam)
@@ -458,15 +460,13 @@ def ratio_two_orders(fam: BinomialFamily, order: int):
 # -- the tree-family example -----------------------------------------------------------
 
 
-def tree_example_check(N: int, fam: BinomialFamily | None = None):
+def tree_example_check(N: int):
     """For the family with f/f' = x e^{-x}: the s^1 coefficient series is
     -sum alpha^n/n * (n+1)^{n-1}/n! and the s^0 series is
     (1/2) sum alpha^n/n * sum_{k<=n} n^k/k!, termwise to order N."""
     if N == 0:
         return True, {"order": 0, "note": "empty check"}
-    if fam is None:
-        fam = family("nu", N + 6)
-    st = stirling_terms(fam, 2)
+    st = stirling_terms(family("nu", N + 6), 2)
 
     s1_expected = PowerSeries(
         ALPHA,

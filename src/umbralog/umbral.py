@@ -242,7 +242,6 @@ def q_zero_table(fam: BinomialFamily, n_max: int, exponent=S) -> tuple:
     )
 
 
-@per_family
 def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> tuple:
     """q_n^t as truncated series in t; entry n is n! times the x^n slice of
 
@@ -307,11 +306,10 @@ class PHTExpansion:
 
     coeffs: list  # entry n: PowerSeries in t over ParamPoly (symbol H)
 
-    def specialize(self, h: int, n_alpha: int | None = None) -> Poly:
+    def specialize(self, h: int) -> Poly:
         """Integer H, t = 0: recover the plain polynomial p_H(alpha)."""
-        n_alpha = len(self.coeffs) - 1 if n_alpha is None else n_alpha
         out = [Fraction(0)] * (h + 1)
-        for n, c in enumerate(self.coeffs[: n_alpha + 1]):
+        for n, c in enumerate(self.coeffs):
             v = ParamPoly.coerce(c.coefficient(0)).eval(H=Fraction(h))
             if h - n >= 0:
                 out[h - n] = v
@@ -320,10 +318,8 @@ class PHTExpansion:
         return Poly(out)
 
 
-def p_H_t(fam: BinomialFamily, N: int, t_order: int | None = None) -> PHTExpansion:
-    if t_order is None:
-        t_order = N
-    table = q_table(fam, N, t_order, exponent=H)
+def p_H_t(fam: BinomialFamily, N: int) -> PHTExpansion:
+    table = q_table(fam, N, N, exponent=H)
     coeffs = [table[n].scale(binom_poly(H - Fraction(1), n)) for n in range(N + 1)]
     return PHTExpansion(coeffs)
 
@@ -347,7 +343,7 @@ def ratio_P_direct(fam: BinomialFamily, s: int, h: int, N: int) -> list:
     return [ratio.coefficient(k).constant_value() for k in range(N + 1)]
 
 
-def ratio_P_symbolic(fam: BinomialFamily, N: int, x_order: int | None = None) -> list:
+def ratio_P_symbolic(fam: BinomialFamily, N: int) -> list:
     """P_n^H(s) with both parameters symbolic.
 
     Assembles, for each n, the sum over k of
@@ -355,8 +351,7 @@ def ratio_P_symbolic(fam: BinomialFamily, N: int, x_order: int | None = None) ->
         binom(H, n-k) (s L - d/domega)^k [ q_{n-k}^{omega(x)}(1+H)
                                            f'(omega(x))^{-H} ]  at x = 0.
     """
-    if x_order is None:
-        x_order = N + 2
+    x_order = N + 2
     qv = q_at_omega(fam, N, x_order, exponent=H + Fraction(1))
     fpw_mH = fam.fprime_at_omega(x_order).pow_param(-H)
     vals = {}

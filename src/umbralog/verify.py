@@ -74,8 +74,8 @@ RANDOM_SEED = 20260810
 PRESETS3 = ("id", "exp1", "geom")
 
 
-def _random_series(rng, var, order, height=10):
-    coeffs = [Fraction(rng.randint(-height, height), rng.randint(1, height))
+def _random_series(rng, var, order):
+    coeffs = [Fraction(rng.randint(-10, 10), rng.randint(1, 10))
               for _ in range(order + 1)]
     return PowerSeries(var, coeffs)
 

@@ -19,8 +19,10 @@ ln(alpha)^0, ln(alpha)^1, ... parts, with the logarithm as the power sum
 sum (-1)^{j+1} u^j / j.  ``word_to_diffop`` and ``ncpoly_to_diffop``
 realize the grade operators word by word from ``ncwords.head_word_poly``,
 the route ``operators.apply_Tn``'s right-to-left matrix scheme replaced;
-``naive_apply_Tn`` is that scheme over ``Fraction`` series and
-``DiffOperator`` arithmetic, which its integer kernel replaced.
+``naive_apply_Tn`` is that scheme over ``Fraction`` series, with operators
+added, scaled, multiplied and differentiated by ``op_add``, ``op_scale``,
+``op_lmul`` and ``op_derive``, which share no code with ``umbralog``'s
+integer kernel.
 """
 
 from __future__ import annotations
@@ -379,35 +381,51 @@ def naive_asym_log(a: list, exponent: ParamPoly) -> list:
 # -- grade operators, word by word ------------------------------------------------
 
 
+def op_add(a: DiffOperator, b: DiffOperator) -> DiffOperator:
+    """a + b, order by order; a shared order adds its coefficients."""
+    terms = dict(a.terms)
+    for j, c in b.terms.items():
+        terms[j] = terms[j] + c if j in terms else c
+    return DiffOperator(a.var, terms)
+
+
+def op_scale(a: DiffOperator, c) -> DiffOperator:
+    return DiffOperator(a.var, {j: x.scale(c) for j, x in a.terms.items()})
+
+
+def op_lmul(m: PowerSeries, a: DiffOperator) -> DiffOperator:
+    """m∘a: every coefficient times the series m."""
+    return DiffOperator(a.var, {j: m * c for j, c in a.terms.items()})
+
+
+def op_derive(a: DiffOperator) -> DiffOperator:
+    """D∘a = sum_j c_j' d^j + c_j d^{j+1}, by the product rule."""
+    if any(c.order < 1 for c in a.terms.values()):
+        raise OrderError("operator coefficient truncated away; increase the family order")
+    terms = a.terms.items()
+    return op_add(
+        DiffOperator(a.var, {j: c.derive() for j, c in terms}),
+        DiffOperator(a.var, {j + 1: c for j, c in terms}),
+    )
+
+
 def word_to_diffop(
     w: tuple, sigma: PowerSeries, lam: PowerSeries | None = None
 ) -> DiffOperator:
     """Realize one E-free word, rightmost letter acting first."""
-    var = sigma.var
     subs = {SIGMA: sigma}
     if lam is not None:
         subs[LAM] = lam
         subs[LAMINV] = lam.inv()
-    terms = {0: PowerSeries.one(var, sigma.order)}
+    op = DiffOperator.identity(sigma.var, sigma.order)
     for letter in reversed(w):
         if letter == D:
-            new: dict = {}
-            for j, c in terms.items():
-                if c.order < 1:
-                    raise OrderError(
-                        "operator coefficient truncated away; increase the "
-                        "family order"
-                    )
-                dc = c.derive()
-                new[j] = new[j] + dc if j in new else dc
-                new[j + 1] = new[j + 1] + c if j + 1 in new else c
-            terms = new
+            op = op_derive(op)
+        elif letter in subs:
+            op = op_lmul(subs[letter], op)
         else:
-            if letter not in subs:
-                raise SeriesError(f"no series substitution for letter {letter!r}")
-            m = subs[letter]
-            terms = {j: m * c for j, c in terms.items()}
-    return DiffOperator(var, terms).nonzero()
+            raise SeriesError(f"no series substitution for letter {letter!r}")
+    return op.nonzero()
 
 
 def ncpoly_to_diffop(
@@ -415,7 +433,7 @@ def ncpoly_to_diffop(
 ) -> DiffOperator:
     out = DiffOperator(sigma.var, {})
     for w, c in p.terms.items():
-        out = (out + word_to_diffop(w, sigma, lam).scale(c)).nonzero()
+        out = op_add(out, op_scale(word_to_diffop(w, sigma, lam), c)).nonzero()
     return out
 
 
@@ -458,25 +476,34 @@ def naive_apply_Tn(x, n: int, sigma: PowerSeries, lam: PowerSeries | None = None
     lam_inv = None if lam is None else lam.inv()
 
     def mul(m, y):  # m∘y
-        return y.lmul(m) if on_operators else m * y
+        return op_lmul(m, y) if on_operators else m * y
+
+    def derive(y):
+        return op_derive(y) if on_operators else y.derive()
+
+    def add(y, z):
+        return op_add(y, z) if on_operators else y + z
+
+    def scale(y, c):
+        return op_scale(y, c) if on_operators else y.scale(c)
 
     def B(y):
-        return y.derive() if lam is None else mul(lam_inv, mul(lam, y).derive())
+        return derive(y) if lam is None else mul(lam_inv, derive(mul(lam, y)))
 
     vec = [x]
     for k in range(n, 0, -1):
         d = [vec[0]]  # D^j x_0
         for _ in range(2 * k):
-            d.append(d[-1].derive())
+            d.append(derive(d[-1]))
         new = []
         for i in range(2 * k - 1):
             a, b = Fraction(1, i + 1), Fraction(1, i + 2)
             if lam is None:
-                row = d[i + 2].scale(a * b)
+                row = scale(d[i + 2], a * b)
             else:
-                row = B(d[i + 1]).scale(a) + d[i + 2].scale(-b)
+                row = add(scale(B(d[i + 1]), a), scale(d[i + 2], -b))
             if len(vec) > 1:
-                row = row + B(vec[i + 1]).scale(-a) + vec[i + 2].scale(b)
+                row = add(add(row, scale(B(vec[i + 1]), -a)), scale(vec[i + 2], b))
             new.append(mul(sigma, row))
         vec = new
     return vec[0]

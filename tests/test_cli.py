@@ -245,6 +245,16 @@ def test_limits_zero_alpha_rejected(capsys):
     assert captured.err == "error: alpha = 0 has no evaluation point 1/alpha\n"
 
 
+def test_limits_negative_alpha_rejected(capsys):
+    code = main(["limits", "--alpha", "-2", "--n-max", "8", "--order", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the second limit takes ln(alpha*n), which needs alpha > 0, not -2\n"
+    )
+
+
 def test_pseq_zero_denominator_rejected(capsys):
     code = main(["pseq", "--f", "poly:1,1/0"])
     captured = capsys.readouterr()

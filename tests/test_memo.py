@@ -17,7 +17,6 @@ from umbralog.umbral import (
     build_family,
     p_seq,
     q_at_omega,
-    q_table,
     q_zero_table,
     rename,
 )
@@ -29,7 +28,7 @@ ORDER = 12
 CALLS = [
     (q_zero_table, (6,)),
     (q_zero_table, (4, Q(2))),
-    (q_table, (3, 4)),
+    (q_at_omega, (3, 4)),
     (q_at_omega, (3, 4, H + 1)),
     (target_powers_image, (2, 3, 5)),
     (target_powers_image_shifted, (2, 3, 5)),
@@ -116,9 +115,9 @@ class TestTables:
 
     def test_defaults_and_keywords_share_an_entry(self):
         fam = family("geom", ORDER)
-        table = q_table(fam, 3, 4)
-        assert q_table(fam, n_max=3, t_order=4) is table
-        assert q_table(fam, 3, 4, exponent=ParamPoly.symbol("s")) is table
+        table = q_at_omega(fam, 3, 4)
+        assert q_at_omega(fam, n_max=3, x_order=4) is table
+        assert q_at_omega(fam, 3, 4, exponent=ParamPoly.symbol("s")) is table
 
     def test_limit_statements_share_one_p_table_and_one_fprime(self):
         fam = build_family(build_f("geom", 20))
@@ -156,9 +155,9 @@ class TestErrorsAreNotCached:
         fam = family("nu", 8)
         for _ in range(2):
             with pytest.raises(OrderError):
-                q_table(fam, 6, 6)
-        assert exact(q_table(fam, 3, 3)) == exact(
-            q_table.__wrapped__(build_family(build_f("nu", 8)), 3, 3)
+                q_at_omega(fam, 6, 6)
+        assert exact(q_at_omega(fam, 3, 3)) == exact(
+            q_at_omega.__wrapped__(build_family(build_f("nu", 8)), 3, 3)
         )
 
     def test_p_seq_order_error_stores_nothing(self):

@@ -13,6 +13,7 @@ from oracles import (
     same_series,
     word_Tn,
 )
+from oracles import word_to_diffop as oracle_word_to_diffop
 from umbralog.ncwords import (
     D,
     E,
@@ -34,6 +35,7 @@ from umbralog.operators import (
     build_Tn,
     divided_difference_shift_check,
     tn_via_integral,
+    word_to_diffop,
 )
 from umbralog.parampoly import ParamPoly
 from umbralog.polys import Poly
@@ -176,18 +178,77 @@ class TestSchemeAgainstWords:
         assert same_operator(build_Tn(fam, n - 1, "a"), word_Tn(fam, n - 1, "a"))
 
     def test_zero_coefficients_keep_their_order(self):
-        # D∘1 keeps the zero coefficient c_0 = 1', known to order 0 only,
-        # so a second D cannot differentiate it; nonzero() drops it
-        d = DiffOperator.identity("a", 1).derive()
-        assert set(d.terms) == {0, 1} and d.terms[0].is_zero()
-        with pytest.raises(OrderError):
-            d.derive()
-        assert set(d.nonzero().terms) == {1}
+        # D∘1 has the zero coefficient c_0 = 1', known to order 0 only, so a
+        # second D cannot differentiate it; the word's operator drops it
+        sigma = PowerSeries.identity("a", 1)
+        assert set(word_to_diffop((D,), sigma).terms) == {1}
+        for route in (word_to_diffop, oracle_word_to_diffop):
+            with pytest.raises(OrderError):
+                route((D, D), sigma)
 
     def test_rejects_negative_grade(self):
         fam = family("exp1", 12)
         with pytest.raises(ValueError):
             build_Tn(fam, -1)
+
+
+def word_outcome(route, w, sigma, lam=None):
+    """The operator ``route`` gives for the word w, or its OrderError."""
+    try:
+        return "value", route(w, sigma, lam)
+    except OrderError as e:
+        return "OrderError", str(e)
+
+
+def assert_same_word_operators(words, sigma, lam=None):
+    for w in words:
+        (kind, got), (want_kind, want) = (
+            word_outcome(word_to_diffop, w, sigma, lam),
+            word_outcome(oracle_word_to_diffop, w, sigma, lam),
+        )
+        assert kind == want_kind, w
+        assert got == want if kind == "OrderError" else same_operator(got, want), w
+
+
+LAM_SERIES = PowerSeries("a", [Q(5, 3), Q(1, 3)] + [Q(-1, 7)] * 13)
+
+
+class TestWordRoute:
+    """``operators.word_to_diffop`` on integer entries realizes each word as
+    the oracle's word route over ``Fraction`` series does."""
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_plain_head_words(self, spec):
+        sigma = family(spec, 14).sigma("a")
+        for n in range(5):
+            assert_same_word_operators(head_word_poly(n).terms, sigma)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_lam_head_words(self, spec):
+        sigma = family(spec, 14).sigma("a")
+        lam = LAM_SERIES.truncate(sigma.order)
+        for n in range(4):
+            assert_same_word_operators(
+                head_word_poly(n, step=nu_bar_step).terms, sigma, lam
+            )
+
+    # the (family order, grade) pairs where some word runs out of order
+    @pytest.mark.parametrize("order,n", [(3, 2), (5, 3), (7, 4), (9, 5)])
+    def test_too_small_an_order_raises_on_both_routes(self, order, n):
+        sigma = family("nu", order).sigma("a")
+        words = head_word_poly(n).terms
+        with pytest.raises(OrderError):
+            for w in words:
+                word_to_diffop(w, sigma)
+        assert_same_word_operators(words, sigma)
+        lam = LAM_SERIES.truncate(sigma.order)
+        assert_same_word_operators(head_word_poly(n, step=nu_bar_step).terms, sigma, lam)
+
+    def test_letter_without_a_series_is_named(self):
+        sigma = family("exp1", 8).sigma("a")
+        for route in (word_to_diffop, oracle_word_to_diffop):
+            with pytest.raises(SeriesError, match="'lam'"):
+                route((SIGMA, LAM, D), sigma)
 
 
 def outcome(x, n, sigma, lam, apply=apply_Tn):
@@ -310,11 +371,17 @@ class TestIntegerKernel:
         assert set(t1.terms) == {0, 1, 2}
         assert set(t1.nonzero().terms) == {2}
         assert_same_outcome(DiffOperator.identity("a", sigma.order), 1, sigma)
-        # a zero coefficient known to order 0 cannot be differentiated
-        d = DiffOperator.identity("a", 1).derive()
-        with pytest.raises(OrderError):
-            apply_Tn(d, 1, sigma)
-        assert_same_outcome(d, 1, sigma)
+        # a zero coefficient known to order 0 cannot be differentiated: D∘1
+        # keeps one (with_zero), and T_1's first D makes one from the order-1
+        # coefficient of d/da (the word (D,))
+        with_zero = DiffOperator(
+            "a", {0: PowerSeries.zero("a", 0), 1: PowerSeries.one("a", 1)}
+        )
+        d_da = word_to_diffop((D,), PowerSeries.identity("a", 1))
+        for d in (with_zero, d_da):
+            with pytest.raises(OrderError):
+                apply_Tn(d, 1, sigma)
+            assert_same_outcome(d, 1, sigma)
 
 
 OTHER_DOMAINS = {
@@ -324,8 +391,14 @@ OTHER_DOMAINS = {
 }
 
 
+def with_other(s: PowerSeries, domain: str) -> PowerSeries:
+    """s with its coefficient 2 taken from the other domain."""
+    return PowerSeries(s.var, s.coeffs[:2] + (OTHER_DOMAINS[domain],) + s.coeffs[3:])
+
+
 class TestDomainContract:
-    """``apply_Tn`` works over ``Fraction`` coefficients only."""
+    """``apply_Tn`` and ``word_to_diffop`` work over ``Fraction`` coefficients
+    only."""
 
     @pytest.mark.parametrize("slot", ["series x", "operator x", "sigma", "lam"])
     @pytest.mark.parametrize("domain", sorted(OTHER_DOMAINS))
@@ -333,22 +406,30 @@ class TestDomainContract:
         fam = family("exp1", 10)
         sigma, om = fam.sigma("a"), omega_in_alpha(fam)
         lam = PowerSeries.one("a", sigma.order)
-
-        def other(s):  # s with coefficient 2 taken from the other domain
-            return PowerSeries(s.var, s.coeffs[:2] + (OTHER_DOMAINS[domain],) + s.coeffs[3:])
-
         x = om
         if slot == "series x":
-            x = other(om)
+            x = with_other(om, domain)
         elif slot == "operator x":
-            x = DiffOperator("a", {0: lam, 1: other(om)})
+            x = DiffOperator("a", {0: lam, 1: with_other(om, domain)})
         elif slot == "sigma":
-            sigma = other(sigma)
+            sigma = with_other(sigma, domain)
         else:
-            lam = other(lam)
+            lam = with_other(lam, domain)
         for n in (0, 2):
             with pytest.raises(SeriesError, match=f"over Fraction coefficients, not {domain}$"):
                 apply_Tn(x, n, sigma, lam)
+
+    @pytest.mark.parametrize("slot", ["sigma", "lam"])
+    @pytest.mark.parametrize("domain", sorted(OTHER_DOMAINS))
+    def test_word_route_names_other_domains(self, domain, slot):
+        sigma = family("exp1", 10).sigma("a")
+        lam = PowerSeries.one("a", sigma.order)
+        if slot == "sigma":
+            sigma = with_other(sigma, domain)
+        else:
+            lam = with_other(lam, domain)
+        with pytest.raises(SeriesError, match=f"over Fraction coefficients, not {domain}$"):
+            word_to_diffop((SIGMA, D), sigma, lam)
 
 
 class TestDividedDifferenceShift:

@@ -110,21 +110,13 @@ class TestProperties:
         assert got.order == min(outer.order, inner.order)
         assert_same_rationals(got, naive_compose(outer, inner))
 
-    @given(rational_series(min_order=2, max_order=12),
-           st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6))
+    @given(rational_series(min_order=2, max_order=12))
     @settings(max_examples=50, deadline=None)
-    def test_revert_matches_oracle(self, u, c1):
+    def test_revert_matches_oracle(self, u):
         coeffs = list(u.coeffs)
         coeffs[0], coeffs[1] = Q(0), Q(1)
         u = PowerSeries("x", coeffs)
         assert_same_rationals(u.revert(), naive_revert(u))
-        if c1:
-            # normalize=True composes with a scaled identity
-            w = u.scale(c1)
-            assert_same_rationals(
-                naive_compose(w, w.revert(normalize=True)),
-                PowerSeries.identity("x", u.order),
-            )
 
 
 SPECS = ("exp1", "geom", "nu", "poly:1,1/2,-1/3,1/5,-1/6", "poly:1,0,0,-7/3,0,1000000")
@@ -148,17 +140,6 @@ class TestRevertFixedCases:
         got = u.revert()
         assert got.order == order
         assert_same_rationals(got, naive_revert(u))
-
-    @pytest.mark.parametrize("order", REVERT_ORDERS)
-    def test_normalize(self, order):
-        c1 = Q(-7, 3)
-        w = unit_linear_series(order).scale(c1)
-        # (c w)^-1(x) = w^-1(x / c), with w the unit-linear series w / c
-        scaled = w.scale(1 / c1)
-        inner = PowerSeries.identity("x", order).scale(1 / c1)
-        assert_same_rationals(
-            w.revert(normalize=True), naive_compose(naive_revert(scaled), inner)
-        )
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_family_inverses_at_order_40(self, spec):

@@ -104,12 +104,9 @@ class TestRevert:
         with pytest.raises(SeriesError):
             series([0, 0, 1, 1]).revert()
 
-    def test_normalize_flag_scales_units(self):
-        u = series([0, 2, 1, 1, 0, 0, 0])
+    def test_rejects_non_unit_linear_coefficient(self):
         with pytest.raises(SeriesError):
-            u.revert()
-        v = u.revert(normalize=True)
-        assert u.compose(v).prefix_equal(PowerSeries.identity("x", 6))
+            series([0, 2, 1, 1, 0, 0, 0]).revert()
 
 
 class TestExpLog:

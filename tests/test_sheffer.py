@@ -77,7 +77,7 @@ class TestTauSeq:
 
     def test_rejects_parampoly_weight_and_stores_nothing(self):
         fam = family("exp1", 12)
-        ell = bernoulli_weight(12).map_coeffs(ParamPoly.coerce, ParamPoly())
+        ell = bernoulli_weight(12).map_coeffs(ParamPoly.coerce)
         keys = set(fam._tables)
         with pytest.raises(SeriesError, match="Fraction.*ParamPoly"):
             tau_seq(fam, ell, 6)

@@ -238,6 +238,12 @@ class TestLimits:
         with pytest.raises(StirlingError, match="alpha = 0"):
             limit_check(family("exp1", 20), "conclusion", Q(0), 8)
 
+    def test_negative_alpha_rejected_by_the_second_limit(self):
+        from umbralog.stirling import StirlingError
+
+        with pytest.raises(StirlingError, match="needs alpha > 0, not -2$"):
+            limit_check(family("exp1", 20), "second", Q(-2), 8)
+
     def test_n_max_below_first_sample_rejected(self):
         from umbralog.stirling import StirlingError
 
