@@ -24,10 +24,6 @@ class ShapeError(ValueError):
     """A polynomial left the canonical one-E shape."""
 
 
-def word(*letters) -> tuple:
-    return tuple(letters)
-
-
 def pretty_word(w: tuple) -> str:
     return "·".join(_PRETTY[x] for x in w) if w else "1"
 

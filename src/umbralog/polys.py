@@ -101,16 +101,6 @@ class Poly:
             raise ValueError("only degree-0 polynomials are invertible")
         return Poly.const(other / self.coeffs[0])
 
-    def __pow__(self, n: int):
-        out = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)

@@ -24,8 +24,6 @@ def series_obj(u: PowerSeries) -> dict:
     def enc(c):
         if isinstance(c, Fraction):
             return fmt_q(c)
-        if isinstance(c, PowerSeries):
-            return series_obj(c)
         return str(c)
 
     return {"var": u.var, "order": u.order, "coeffs": [enc(c) for c in u.coeffs]}

@@ -6,11 +6,11 @@ returns a result truncated to the order it can guarantee exactly; reading a
 coefficient past that order raises ``OrderError`` instead of silently
 producing zero.
 
-Coefficient domains: ``fractions.Fraction``, ``ParamPoly``, ``Poly`` and
-nested ``PowerSeries`` (for bivariate work).  Each is reached only through
-Python's numeric operators, with ``Fraction``'s meaning: ``not c`` tests for
-zero, ``c * 0`` and ``z + 1`` give the domain's zero and one, and
-``Fraction(1) / c`` inverts a unit.  Mixing two domains keeps the wider one.
+Coefficient domains: ``fractions.Fraction``, ``ParamPoly`` and ``Poly``.
+Each is reached only through Python's numeric operators, with ``Fraction``'s
+meaning: ``not c`` tests for zero, ``c * 0`` and ``z + 1`` give the domain's
+zero and one, and ``Fraction(1) / c`` inverts a unit.  Mixing two domains
+keeps the wider one.
 
 Products, quotients and compositions whose coefficients are all
 ``Fraction`` run on integer numerators over one common denominator instead
@@ -41,13 +41,7 @@ _QONE = Fraction(1)
 
 def _join_zero(zero, c):
     """The zero of the domain that holds both ``zero``'s domain and ``c``."""
-    if type(zero) is type(c) is not PowerSeries:
-        return zero
-    nested1, nested2 = isinstance(zero, PowerSeries), isinstance(c, PowerSeries)
-    if nested1 != nested2:
-        z, x = (zero, c) if nested1 else (c, zero)
-        return PowerSeries.zero(z.var, z.order, _join_zero(z.czero, x))
-    return zero + c * 0
+    return zero if type(zero) is type(c) else zero + c * 0
 
 
 # -- integer kernel for the Fraction domain -------------------------------------
@@ -222,23 +216,17 @@ class PowerSeries:
         )
 
     def __hash__(self):
-        # __eq__ equates zeros of different domains (a Fraction 0 and a zero
-        # nested series), whose hashes differ: hash only the variable, the
-        # order and which coefficients vanish.
+        # __eq__ equates zeros of any two domains, also where the domains'
+        # own == does not (a Poly 0 and a ParamPoly 0): hash only the
+        # variable, the order and which coefficients vanish.
         support = tuple(k for k, c in enumerate(self.coeffs) if c)
         return hash((self.var, self.order, support))
 
     def prefix_equal(self, other: "PowerSeries") -> bool:
         """Equality of the shared prefix of coefficients."""
         self._check_var(other)
-        for k in range(min(self.order, other.order) + 1):
-            a, b = self.coeffs[k], other.coeffs[k]
-            if isinstance(a, PowerSeries) and isinstance(b, PowerSeries):
-                if not a.prefix_equal(b):
-                    return False
-            elif a != b:
-                return False
-        return True
+        n = min(self.order, other.order) + 1
+        return self.coeffs[:n] == other.coeffs[:n]
 
     # -- linear structure ---------------------------------------------------
 
@@ -256,7 +244,7 @@ class PowerSeries:
     def _add_scalar(self, c):
         coeffs = list(self.coeffs)
         coeffs[0] = coeffs[0] + c
-        return PowerSeries(self.var, coeffs, self.czero)
+        return PowerSeries(self.var, coeffs, _join_zero(self.czero, c))
 
     __radd__ = __add__
 
@@ -445,13 +433,9 @@ class PowerSeries:
     # -- exp / log / powers ---------------------------------------------------------
 
     def exp(self) -> "PowerSeries":
-        c0 = self.coeffs[0]
-        if isinstance(c0, PowerSeries):
-            e0 = c0.exp()
-        elif not c0:
-            e0 = self.czero + 1
-        else:
+        if self.coeffs[0]:
             raise SeriesError("exp requires a zero constant term")
+        e0 = self.czero + 1
         zero = e0 * _QZERO
         out = [e0]
         for n in range(1, self.order + 1):
@@ -463,12 +447,9 @@ class PowerSeries:
 
     def log(self) -> "PowerSeries":
         c0 = self.coeffs[0]
-        if isinstance(c0, PowerSeries):
-            l0 = c0.log()
-        elif c0 == self.czero + 1:
-            l0 = c0 * _QZERO
-        else:
+        if c0 != self.czero + 1:
             raise SeriesError("log requires constant term 1")
+        l0 = c0 * _QZERO
         if self.order == 0:
             return PowerSeries(self.var, (l0,), self.czero)
         body = (self.derive() / self.truncate(self.order - 1)).integrate()
@@ -476,11 +457,7 @@ class PowerSeries:
 
     def pow_param(self, e) -> "PowerSeries":
         """Raise a unit series to a symbolic or rational power: exp(e*log)."""
-        c0 = self.coeffs[0]
-        inner_one = c0
-        while isinstance(inner_one, PowerSeries):
-            inner_one = inner_one.coeffs[0]
-        if inner_one != _QONE:
+        if self.coeffs[0] != _QONE:
             raise SeriesError("symbolic powers need constant term 1")
         return self.log().scale(e).exp()
 

@@ -60,9 +60,6 @@ class StirlingExpansion:
     s1_regular: PowerSeries             # R(alpha) = -I(alpha)/alpha
     g: dict = field(default_factory=dict)  # k >= 2 -> g_k(alpha), coeff of s^{2-k}
 
-    def depth(self) -> int:
-        return max(self.g) if self.g else 1
-
 
 def stirling_terms(fam: BinomialFamily, N: int) -> StirlingExpansion:
     """Termwise alpha-integration of the graded derivative expansion.

@@ -168,9 +168,6 @@ class PSequence:
     def __getitem__(self, n: int) -> Poly:
         return self.polys[n]
 
-    def __len__(self):
-        return len(self.polys)
-
 
 def sheffer_polys(d: list, e: list, N: int) -> tuple:
     """tau_0..tau_N from tau_0 = 1 and the convolution recurrence
@@ -245,46 +242,42 @@ def q_zero_table(fam: BinomialFamily, n_max: int, exponent=S) -> tuple:
 def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> tuple:
     """q_n^t as truncated series in t; entry n is n! times the x^n slice of
 
-    (x f'(t) / (f(x+t) - f(t)))^exponent
+    (x f'(t) / (f(x+t) - f(t)))^exponent = G(x, t)^a,   a = -exponent,
 
-    computed in the nested series-in-t-of-series-in-x representation.
+    where G = (f(x+t) - f(t)) / (x f'(t)) = sum_k c_k(t) x^k with c_0 = 1 and
+    c_k = f^{(k+1)}(t) / ((k+1)! f'(t)).  J. C. P. Miller's recurrence for
+    the powers of a series gives the slices w_n of G^a as w_0 = 1 and
+
+        n w_n = sum_{k=1..n} ((a+1) k - n) c_k w_{n-k},
+
+    so every product is one of series in t alone.
     """
     need = n_max + 1 + t_order
     if fam.f.order < need:
         raise OrderError(
             f"family order {fam.order} too small (need {need}) for the q table"
         )
-    x_ord = n_max
-    czero = fam.f.czero
-    xzero = PowerSeries.zero(fam.f.var, x_ord, czero)
+    deriv = rename(fam.fprime, "t")
+    fp_t = deriv.truncate(t_order)
+    c = [PowerSeries.one("t", t_order)]
+    for k in range(1, n_max + 1):
+        deriv = deriv.derive()
+        c_k = deriv.truncate(t_order) / fp_t
+        c.append(c_k.scale(Fraction(1, factorial(k + 1))))
 
-    # Taylor slices ((f^{(j)}(x) - f^{(j)}(0)) / j!) / x for j <= t_order
-    slices = []
-    deriv = fam.f
-    for j in range(t_order + 1):
-        c = Fraction(1, factorial(j))
-        slices.append(op_L(deriv).scale(c).truncate(x_ord))
-        if j < t_order:
-            deriv = deriv.derive()
+    a1 = 1 - exponent  # a + 1
+    w = [PowerSeries.one("t", t_order, fam.f.czero + exponent * 0)]
+    for n in range(1, n_max + 1):
+        # w_n = ((a+1)/n) sum_k k c_k w_{n-k} - sum_k c_k w_{n-k}
+        total = weighted = c[1] * w[n - 1]
+        for k in range(2, n + 1):
+            p = c[k] * w[n - k]
+            total, weighted = total + p, weighted + p.scale(k)
+        w.append(weighted.scale(a1 * Fraction(1, n)) - total)
 
-    v = PowerSeries("t", slices, xzero)
-    fp = fam.fprime
-    fp_consts = [
-        (xzero + fp.coefficient(j)) for j in range(t_order + 1)
-    ]
-    fp_t = PowerSeries("t", fp_consts, xzero)
-    u = fp_t / v
-    us = u.pow_param(exponent)
-
-    pzero = ParamPoly()
-    out = []
-    for n in range(n_max + 1):
-        coeffs = [
-            ParamPoly.coerce(us.coefficient(j).coefficient(n))
-            for j in range(t_order + 1)
-        ]
-        out.append(PowerSeries("t", coeffs, pzero).scale(Fraction(factorial(n))))
-    return tuple(out)
+    return tuple(
+        wn.map_coeffs(ParamPoly.coerce).scale(factorial(n)) for n, wn in enumerate(w)
+    )
 
 
 @per_family

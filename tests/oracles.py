@@ -22,7 +22,9 @@ the route ``operators.apply_Tn``'s right-to-left matrix scheme replaced;
 ``naive_apply_Tn`` is that scheme over ``Fraction`` series, with operators
 added, scaled, multiplied and differentiated by ``op_add``, ``op_scale``,
 ``op_lmul`` and ``op_derive``, which share no code with ``umbralog``'s
-integer kernel.
+integer kernel.  ``q_table_by_powers`` builds the q tables at integer
+exponents from the binomial expansion of f(x+t) and plain two-dimensional
+products, without ``umbral.q_table``'s power recurrence.
 """
 
 from __future__ import annotations
@@ -180,6 +182,37 @@ def naive_p_seq(fam: BinomialFamily, N: int) -> list:
                 acc = acc + polys[k] * c
         polys.append(acc.mul_x())
     return polys
+
+
+def q_table_by_powers(f: PowerSeries, n_max: int, t_order: int, m: int) -> list:
+    """n! [x^n t^j] (x f'(t) / (f(x+t) - f(t)))^(-m) for an integer m >= 0,
+    as rows n = 0..n_max of t-coefficients j = 0..t_order: f(x+t) expanded
+    binomially, [x^i t^j] f(x+t) = f_{i+j} C(i+j, i), each x-row of
+    (f(x+t) - f(t)) / x divided by f'(t), and that raised to the m-th power
+    by plain two-dimensional products."""
+    fk = [f.coefficient(k) for k in range(n_max + t_order + 2)]
+    fp = [(j + 1) * fk[j + 1] for j in range(t_order + 1)]
+
+    def row(i):  # x^i of (f(x+t) - f(t)) / (x f'(t))
+        num = [fk[i + 1 + j] * comb(i + 1 + j, i + 1) for j in range(t_order + 1)]
+        out: list = []
+        for j in range(t_order + 1):
+            acc = num[j] - sum(out[k] * fp[j - k] for k in range(j))
+            out.append(acc / fp[0])
+        return out
+
+    g = [row(i) for i in range(n_max + 1)]
+    power = [[Fraction(int(i == j == 0)) for j in range(t_order + 1)]
+             for i in range(n_max + 1)]
+    for _ in range(m):
+        nxt = [[Fraction(0)] * (t_order + 1) for _ in range(n_max + 1)]
+        for i1 in range(n_max + 1):
+            for j1 in range(t_order + 1):
+                for i2 in range(n_max + 1 - i1):
+                    for j2 in range(t_order + 1 - j1):
+                        nxt[i1 + i2][j1 + j2] += power[i1][j1] * g[i2][j2]
+        power = nxt
+    return [[factorial(i) * x for x in power[i]] for i in range(n_max + 1)]
 
 
 def naive_tau_polys(fam: BinomialFamily, ell: PowerSeries, N: int) -> list:

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from oracles import abel_poly, falling_factorial_poly
+from oracles import abel_poly, falling_factorial_poly, q_table_by_powers
 from umbralog.parampoly import ParamPoly
 from umbralog.polys import Poly
 from umbralog.presets import f_poly, family, x_exp_minus_x
@@ -184,6 +184,22 @@ class TestQCoefficients:
             for j in range(7):
                 expected = S * ratio.coefficient(j) * Q(-1, 2)
                 assert ParamPoly.coerce(table[1].coefficient(j)) == expected
+
+    @pytest.mark.parametrize("spec", ["exp1", "geom", "nu", "poly:1,1/2,-1/3"])
+    def test_against_two_dimensional_powers(self, spec):
+        # q_n^t(s) has degree n in s, so n_max + 2 integer points pin it down
+        n_max, t_order = 4, 3
+        fam = family(spec, n_max + 1 + t_order)
+        in_s = q_table(fam, n_max, t_order, S)
+        in_h = q_table(fam, n_max, t_order, H + 1)
+        for m in range(n_max + 2):
+            expected = q_table_by_powers(fam.f, n_max, t_order, m)
+            rational = q_table(fam, n_max, t_order, Q(-m))
+            for n in range(n_max + 1):
+                for j in range(t_order + 1):
+                    assert rational[n].coefficient(j) == expected[n][j]
+                    assert in_s[n].coefficient(j).eval(s=-m) == expected[n][j]
+                    assert in_h[n].coefficient(j).eval(H=-m - 1) == expected[n][j]
 
     def test_exp1_q2_against_direct_power(self):
         fam = family("exp1", 12)
