@@ -56,9 +56,10 @@ class ConjugationContext:
             )
         om = fam.omega.truncate(need)
         f_at_om = fam.f.truncate(need + 1).compose(om)
-        ratio = f_at_om.div_var(1) / om.div_var(1)  # f(omega)/omega, unit
-        self.conj = ratio.pow_param(self.s_val).truncate(self.x_order)
-        self.conj_inv = ratio.pow_param(-self.s_val).truncate(self.x_order)
+        # f(omega)/omega, a unit, to the order the two powers keep
+        ratio = (f_at_om.div_var(1) / om.div_var(1)).truncate(self.x_order)
+        self.conj = ratio.pow_param(self.s_val)
+        self.conj_inv = ratio.pow_param(-self.s_val)
         self.omega = om.truncate(self.x_order + 1)
         self.tau = fam.tau_f.truncate(self.x_order + 1)
         self.omega_pows = [PowerSeries.one(fam.f.var, self.x_order)]

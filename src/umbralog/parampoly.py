@@ -46,6 +46,18 @@ def _canonical(num: dict, den: int) -> tuple:
     return num, den
 
 
+def _convolve(a: dict, b: dict) -> dict:
+    """The product of two numerator dicts, without its zero terms."""
+    nb = list(b.items())
+    out: dict = {}
+    get = out.get
+    for (i, j, l), x in a.items():
+        for (i2, j2, l2), y in nb:
+            k = (i + i2, j + j2, l + l2)
+            out[k] = get(k, 0) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
 def _shift(k: tuple, i: int) -> tuple:
     """The multi-degree ``k`` with one less in symbol ``i``."""
     return k[:i] + (k[i] - 1,) + k[i + 1:]
@@ -187,18 +199,10 @@ class ParamPoly:
             return self._scale(other.numerator, other.denominator)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        a, b = self.num, other.num
-        if not a or not b:
+        if not self.num or not other.num:
             return ParamPoly()
-        nb = list(b.items())
-        out: dict = {}
-        get = out.get
-        for (i, j, l), x in a.items():
-            for (i2, j2, l2), y in nb:
-                k = (i + i2, j + j2, l + l2)
-                out[k] = get(k, 0) + x * y
         return ParamPoly._make(
-            {k: c for k, c in out.items() if c}, self.den * other.den
+            _convolve(self.num, other.num), self.den * other.den
         )
 
     __rmul__ = __mul__
@@ -268,6 +272,29 @@ class ParamPoly:
             acc += c * t0[i] * t1[j] * t2[l]
         return Fraction(acc, den)
 
+    def _values_of(self, polys, den: int) -> list:
+        """[P(self) / den for P in polys], P integer coefficient lists in
+        one variable: each value sums integer multiples of the numerator
+        dicts of the powers of self, over den times a power of self.den."""
+        powers = [{_CONST_KEY: 1}]
+        for _ in range(max(map(len, polys)) - 1):
+            powers.append(_convolve(powers[-1], self.num))
+        out = []
+        for poly in polys:
+            acc: dict = {}
+            get = acc.get
+            up = 1  # self.den ** (deg poly - j)
+            for j in range(len(poly) - 1, -1, -1):
+                c = poly[j] * up
+                if c:
+                    for k, v in powers[j].items():
+                        acc[k] = get(k, 0) + c * v
+                up *= self.den
+            out.append(ParamPoly._make(
+                {k: v for k, v in acc.items() if v}, den * up // self.den
+            ))
+        return out
+
     def derive(self, name: str) -> "ParamPoly":
         """Partial derivative with respect to one symbol."""
         i = SYMBOLS.index(name)
@@ -305,6 +332,27 @@ class ParamPoly:
                 bits.append(f"{v}")
         text = " + ".join(bits).replace("+ -", "- ")
         return text
+
+
+def values_at(polys, den: int, e) -> list:
+    """The values P(e) / den of integer polynomials P in one variable, given
+    as coefficient lists (lowest degree first).
+
+    An ``int`` or ``Fraction`` e = p/q gives ``Fraction`` values by integer
+    Horner, sum_j P_j p^j q^(deg P - j) over den q^(deg P); a ``ParamPoly``
+    e gives ``ParamPoly`` values (``ParamPoly._values_of``).
+    """
+    if isinstance(e, ParamPoly):
+        return e._values_of(polys, den)
+    p, q = e.numerator, e.denominator
+    out = []
+    for poly in polys:
+        acc, up = 0, 1  # up = q ** (deg poly - j)
+        for c in reversed(poly):
+            acc = acc * p + c * up
+            up *= q
+        out.append(Fraction(acc, den * up // q))
+    return out
 
 
 def falling(base: ParamPoly, m: int) -> ParamPoly:

@@ -15,8 +15,10 @@ keeps the wider one.
 Products, quotients and compositions whose coefficients are all
 ``Fraction`` run on integer numerators over one common denominator instead
 of one normalising ``Fraction`` operation per term; so do ``inv``, ``log``
-and the Newton step of ``revert``, which divide.  They return the same
-rationals as the generic loops, which every other domain still uses.
+and the Newton step of ``revert``, which divide, and ``pow_param``, which
+runs its power recurrence on integer polynomials in the exponent.  They
+return the same rationals as the generic loops, which every other domain
+still uses.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .parampoly import _lift
+from .parampoly import _lift, values_at
 
 
 class SeriesError(ValueError):
@@ -125,6 +127,45 @@ def _div_rational(a, b) -> list:
         g = gcd(num, dk)
         q, den = _place(q, den, k, num // g, dk // g)
     return [Fraction(x, den) for x in q]
+
+
+def _power_polys(g) -> tuple:
+    """Miller's recurrence for g^e, g a unit series over ``Fraction``, with
+    the exponent e kept as a variable.
+
+    Returns integer coefficient lists W_n (lowest degree in e first) and one
+    denominator den with [x^n] g^e = W_n(e) / den.  With g = a / d in
+    integers, each step is n d w_n = (e+1) sum_k k a_k w_{n-k}
+    - n sum_k a_k w_{n-k}: two integer sums, one gcd, and a rescale of the
+    earlier W only when w_n's reduced denominator does not divide den.
+    """
+    a, d = _lift(g)
+    tail = [(k, x) for k, x in enumerate(a) if k and x]
+    polys, den = [[1]], 1
+    for n in range(1, len(a)):
+        weighted, total = [0] * n, [0] * n
+        for k, x in tail:
+            if k > n:
+                break
+            kx = k * x
+            for j, c in enumerate(polys[n - k]):
+                weighted[j] += kx * c
+                total[j] += x * c
+        num = [0] * (n + 1)
+        for j, c in enumerate(weighted):
+            num[j + 1] += c
+            num[j] += c - n * total[j]
+        dn = n * d * den
+        h = gcd(dn, *num)
+        dn //= h
+        common = lcm(den, dn)
+        if common != den:
+            up = common // den
+            polys = [[c * up for c in w] for w in polys]
+            den = common
+        up = common // dn
+        polys.append([c // h * up for c in num])
+    return polys, den
 
 
 class PowerSeries:
@@ -426,7 +467,7 @@ class PowerSeries:
         return PowerSeries(
             self.var,
             (self.czero,)
-            + tuple(c / Fraction(k + 1) for k, c in enumerate(self.coeffs)),
+            + tuple(c / (k + 1) for k, c in enumerate(self.coeffs)),
             self.czero,
         )
 
@@ -456,10 +497,35 @@ class PowerSeries:
         return body._add_scalar(l0)
 
     def pow_param(self, e) -> "PowerSeries":
-        """Raise a unit series to a symbolic or rational power: exp(e*log)."""
+        """Raise a unit series g to a power e: an ``int``, a ``Fraction`` or
+        a ``ParamPoly``.
+
+        J. C. P. Miller's recurrence for the powers of a series (Knuth,
+        TAOCP vol. 2, §4.7) gives w = g^e as w_0 = 1 and
+
+            n w_n = sum_{k=1..n} ((e+1) k - n) g_k w_{n-k}.
+
+        Over ``Fraction`` it runs on integer polynomials in e
+        (``_power_polys``), and each w_n is evaluated at e once.
+        """
         if self.coeffs[0] != _QONE:
             raise SeriesError("symbolic powers need constant term 1")
-        return self.log().scale(e).exp()
+        # the domain that holds the zero, the constant term and e
+        zero = _join_zero(_join_zero(self.czero, self.coeffs[0] * _QZERO), e)
+        if type(self.czero) is Fraction and _rational(self.coeffs):
+            polys, den = _power_polys(self.coeffs)
+            return PowerSeries(self.var, values_at(polys, den, e), zero)
+        g = self.coeffs
+        e1 = e + 1
+        w = [zero + 1]
+        for n in range(1, self.order + 1):
+            total = weighted = zero
+            for k in range(1, n + 1):
+                if g[k]:
+                    p = g[k] * w[n - k]
+                    total, weighted = total + p, weighted + p * k
+            w.append(weighted * (e1 * Fraction(1, n)) - total)
+        return PowerSeries(self.var, w, zero)
 
     # -- evaluation / reshaping -------------------------------------------------------
 

@@ -46,11 +46,15 @@ def omega_in_alpha(fam: BinomialFamily) -> PowerSeries:
     return rename(fam.omega, ALPHA)
 
 
+@per_family
+def _tn_omega(fam: BinomialFamily, n: int) -> PowerSeries:
+    """(T_n omega)(alpha), kept on the family for every depth that asks."""
+    return apply_Tn(omega_in_alpha(fam), n, fam.sigma(ALPHA))
+
+
 def t_n_omega(fam: BinomialFamily, n_max: int) -> list:
     """(T_n omega)(alpha) as exact alpha-series, n = 0..n_max."""
-    om = omega_in_alpha(fam)
-    sigma = fam.sigma(ALPHA)
-    return [apply_Tn(om, n, sigma) for n in range(n_max + 1)]
+    return [_tn_omega(fam, n) for n in range(n_max + 1)]
 
 
 @dataclass(frozen=True)

@@ -232,7 +232,7 @@ def q_zero_table(fam: BinomialFamily, n_max: int, exponent=S) -> tuple:
     """q_n at t = 0: coefficients of (x/f(x))^exponent, times n!."""
     if fam.f.order < n_max + 1:
         raise OrderError("family order too small for the requested q table")
-    x_over_f = fam.f.div_var(1).inv()
+    x_over_f = fam.f.truncate(n_max + 1).div_var(1).inv()
     u = x_over_f.pow_param(exponent)
     return tuple(
         factorial(n) * ParamPoly.coerce(u.coefficient(n)) for n in range(n_max + 1)

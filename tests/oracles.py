@@ -25,6 +25,8 @@ added, scaled, multiplied and differentiated by ``op_add``, ``op_scale``,
 integer kernel.  ``q_table_by_powers`` builds the q tables at integer
 exponents from the binomial expansion of f(x+t) and plain two-dimensional
 products, without ``umbral.q_table``'s power recurrence.
+``pow_by_exp_log`` is the route ``PowerSeries.pow_param`` had before it ran
+Miller's power recurrence: exp(e log g).
 """
 
 from __future__ import annotations
@@ -94,6 +96,13 @@ def exp_by_partial_sums(u: PowerSeries) -> PowerSeries:
         term = term * u
         acc = acc + term.scale(Fraction(1, factorial(k)))
     return acc
+
+
+def pow_by_exp_log(g: PowerSeries, e) -> PowerSeries:
+    """g^e for a unit series g as exp(e log g)."""
+    if g.coeffs[0] != 1:
+        raise SeriesError("symbolic powers need constant term 1")
+    return g.log().scale(e).exp()
 
 
 def falling_factorial_poly(n: int):

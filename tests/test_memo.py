@@ -10,7 +10,7 @@ from umbralog.polys import Poly
 from umbralog.presets import FAMILY_CACHE_SIZE, build_f, family
 from umbralog.series import OrderError, PowerSeries
 from umbralog.sheffer import ShefferFamily, bernoulli_weight, tau_seq
-from umbralog.stirling import _lhs_log_coeffs, limit_check
+from umbralog.stirling import _lhs_log_coeffs, _tn_omega, limit_check
 from umbralog.umbral import (
     BinomialFamily,
     PSequence,
@@ -34,6 +34,7 @@ CALLS = [
     (target_powers_image_shifted, (2, 3, 5)),
     (tau_seq, (bernoulli_weight(ORDER), 5)),
     (_lhs_log_coeffs, (4,)),
+    (_tn_omega, (3,)),
     (p_seq, (9,)),
     (BinomialFamily.fprime_at_omega, (6,)),
 ]
