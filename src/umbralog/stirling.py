@@ -19,7 +19,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import factorial
 
-from .asymptotic import AsymptoticSeries
 from .operators import apply_Tn, build_Tn
 from .parampoly import H, S, ParamPoly
 from .presets import family
@@ -27,9 +26,8 @@ from .series import OrderError, PowerSeries, SeriesError
 from .umbral import (
     BinomialFamily,
     build_family,
-    op_L,
+    growing,
     p_seq,
-    p_symbolic,
     per_family,
     q_at_omega,
     rename,
@@ -65,17 +63,11 @@ class StirlingExpansion:
     g: dict = field(default_factory=dict)  # k >= 2 -> g_k(alpha), coeff of s^{2-k}
 
 
-def stirling_terms(fam: BinomialFamily, N: int) -> StirlingExpansion:
-    """Termwise alpha-integration of the graded derivative expansion.
-
-    N is the depth in 1/s: terms g_2..g_N are produced.  The only
-    alpha^{-1} resonance sits in the leading grade (it integrates to the
-    s*ln(s/alpha) tag, carried symbolically); any other resonance raises.
-    """
-    if N < 2:
-        raise StirlingError("need N >= 2 for at least the g_2 term")
-    tn = t_n_omega(fam, N - 1)
-    om = tn[0]
+@per_family
+def _stirling_head(fam: BinomialFamily) -> tuple:
+    """I(alpha), R(alpha) and g_2, each checked against a second route:
+    the part of every expansion that no depth changes."""
+    om = _tn_omega(fam, 0)
 
     # grade 0: -s omega(alpha)/alpha^2; the 1/alpha resonance integrates to
     # the -s ln(alpha) part of the symbolic leading tag s*ln(s/alpha)
@@ -94,16 +86,29 @@ def stirling_terms(fam: BinomialFamily, N: int) -> StirlingExpansion:
             "-I(alpha)/alpha"
         )
 
-    g: dict = {}
     # grade 1 integrates to (1/2) ln omega'(alpha)
-    g2 = tn[1].div_var(1).integrate()
+    g2 = _tn_omega(fam, 1).div_var(1).integrate()
     half_log = om.derive().log().scale(Fraction(1, 2))
     if not g2.prefix_equal(half_log):
         raise StirlingError(
             "internal check failed: the grade-1 integral is not "
             "half the log-derivative"
         )
-    g[2] = g2
+    return integral_term, s1_regular, g2
+
+
+def stirling_terms(fam: BinomialFamily, N: int) -> StirlingExpansion:
+    """Termwise alpha-integration of the graded derivative expansion.
+
+    N is the depth in 1/s: terms g_2..g_N are produced.  The only
+    alpha^{-1} resonance sits in the leading grade (it integrates to the
+    s*ln(s/alpha) tag, carried symbolically); any other resonance raises.
+    """
+    if N < 2:
+        raise StirlingError("need N >= 2 for at least the g_2 term")
+    tn = t_n_omega(fam, N - 1)
+    integral_term, s1_regular, g2 = _stirling_head(fam)
+    g = {2: g2}
     for n in range(2, N):
         integrand = tn[n].mul_var(n - 2)
         g[n + 1] = integrand.integrate().scale(Fraction((-1) ** (n - 1)))
@@ -140,17 +145,97 @@ def g4_closed_form(fam: BinomialFamily, order: int) -> PowerSeries:
 # -- the two operator-logarithm identities ------------------------------------------
 
 
-@per_family
-def _lhs_log_coeffs(fam: BinomialFamily, depth: int) -> tuple:
-    """(1/s) ln(alpha^{-s} p_s(alpha)) as Q[s] coefficients of alpha^{-k}."""
-    ps = p_symbolic(fam, depth)
-    regular = AsymptoticSeries(0, ps.coeffs)
-    lg = regular.log()
-    out = []
-    for k in range(depth + 1):
-        c = lg.coefficient(k)
-        out.append(ParamPoly() if c.is_zero() else c.div_exact_symbol("s"))
-    return tuple(out)
+# Each side is a table grown one index per depth (``growing``); a row's
+# first entry is the side's coefficient of alpha^{-n}, the rest is what
+# the deeper rows are computed from.
+
+
+@growing
+def _lhs_side(fam: BinomialFamily, depth: int, known=()) -> tuple:
+    """Rows (lhs_n, l_n, c_n, w_n, F_n) of (1/s) ln(alpha^{-s} p_s(alpha)).
+
+    With g = x/f, Miller's recurrence n w_n = sum_k ((s+1)k - n) g_k w_{n-k}
+    gives w_n = [x^n] g^s; F_n = (s-1)(s-2)...(s-n) and c_n = F_n w_n is
+    the coefficient of alpha^{s-n} in p_s.  Its logarithm l has
+    l_n = c_n - (1/n) sum_{k<n} k l_k c_{n-k}, and lhs_n = l_n / s.
+    """
+    g = fam.f.truncate(depth + 1).div_var(1).inv().coeffs
+    one = ParamPoly.const(1)
+    rows = list(known) or [(ParamPoly(), ParamPoly(), one, one, one)]
+    for n in range(len(rows), depth + 1):
+        weighted = total = ParamPoly()
+        for k in range(1, n + 1):
+            if g[k]:
+                p = rows[n - k][3] * g[k]
+                weighted, total = weighted + p * k, total + p
+        w = (S * weighted + weighted) / n - total
+        falling = rows[n - 1][4] * (S - n)
+        c = falling * w
+        acc = ParamPoly()
+        for k in range(1, n):
+            acc = acc + rows[k][1] * rows[n - k][2] * k
+        ln = c - acc / n
+        rows.append((ln.div_exact_symbol("s"), ln, c, w, falling))
+    return tuple(rows)
+
+
+@growing
+def _log_side(fam: BinomialFamily, depth: int, known=()) -> tuple:
+    """Rows (rhs_m, T[0][m], T[1][m-1], ..., T[m][0]) of the log route.
+
+    T[i][j] = [x^j] (s L - d/domega)^i (omega/x), so that row m holds the
+    antidiagonal i + j = m and rhs_m = -T[m][0]/m.  With iota = 1/omega',
+    T[0][j] = omega_{j+1} and
+
+        T[i][j] = s T[i-1][j+1] - sum_{a+b=j} (a+1) T[i-1][a+1] iota_b.
+    """
+    om, iota = fam.omega.coeffs, fam.inv_omega_prime.coeffs
+    diags = [row[1:] for row in known]
+    rows = list(known)
+    for m in range(len(rows), depth + 1):
+        diag = [ParamPoly.coerce(om[m + 1])]
+        diags.append(diag)
+        for i in range(1, m + 1):
+            j = m - i
+            acc = S * diag[i - 1]
+            for a in range(j + 1):
+                if iota[j - a]:
+                    acc = acc - diags[i + a][i - 1] * ((a + 1) * iota[j - a])
+            diag.append(acc)
+        rhs = diag[m] * Fraction(-1, m) if m else ParamPoly()
+        rows.append((rhs, *diag))
+    return tuple(rows)
+
+
+@growing
+def _exp_side(fam: BinomialFamily, depth: int, known=()) -> tuple:
+    """Rows (rhs_m, U[0][m], U[1][m-1], ..., U[m][0]) of the exp route.
+
+    U[i][j] = [x^j] g_i for g_0 = u = x/(f/f') and g_i = g_{i-1}' - s u L g_{i-1},
+    so that row m holds the antidiagonal i + j = m and
+    rhs_m = (-1)^{m-1} U[m][0]/m:
+
+        U[i][j] = (j+1) U[i-1][j+1] - s sum_{a+b=j} u_a U[i-1][b+1].
+    """
+    u = fam.tau_f.truncate(depth + 1).div_var(1).inv().coeffs
+    diags = [row[1:] for row in known]
+    rows = list(known)
+    for m in range(len(rows), depth + 1):
+        diag = [ParamPoly.coerce(u[m])]
+        diags.append(diag)
+        for i in range(1, m + 1):
+            j = m - i
+            acc = ParamPoly()
+            for a in range(j + 1):
+                if u[a]:
+                    acc = acc + diags[i + j - a][i - 1] * u[a]
+            diag.append(diag[i - 1] * (j + 1) - S * acc)
+        rhs = diag[m] * Fraction((-1) ** (m - 1), m) if m else ParamPoly()
+        rows.append((rhs, *diag))
+    return tuple(rows)
+
+
+_RHS_SIDES = {"log": _log_side, "exp": _exp_side}
 
 
 def verify_log_identity(fam: BinomialFamily, variant: str, depth: int):
@@ -161,32 +246,21 @@ def verify_log_identity(fam: BinomialFamily, variant: str, depth: int):
     variant "exp": expand exp(d/dalpha (d/dx - s u L)) u |_{x=0} with
     u = x f'(x)/f(x), then hit ln(alpha) with the formal rule
     (d/dalpha)^m ln alpha = (-1)^{m-1} (m-1)! alpha^{-m}.
-    """
-    lhs = _lhs_log_coeffs(fam, depth)
-    x_order = depth + 2
-    if fam.omega.order < x_order + 1:
-        raise OrderError("family truncation too small for the requested depth")
-    rhs = [ParamPoly()]
-    if variant == "log":
-        g = fam.omega.truncate(x_order + 1).div_var(1)
-        for k in range(1, depth + 1):
-            g = fam.x_op(g, S)
-            rhs.append(ParamPoly.coerce(g.coefficient(0)) * Fraction(-1, k))
-    elif variant == "exp":
-        u = fam.tau_f.truncate(x_order + 1).div_var(1).inv()
-        g = u
-        for m in range(1, depth + 1):
-            ell = op_L(g)
-            g = g.derive() - (u.truncate(ell.order) * ell).scale(S)
-            c_m = ParamPoly.coerce(g.coefficient(0)) / Fraction(factorial(m))
-            rhs.append(c_m * Fraction((-1) ** (m - 1) * factorial(m - 1)))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
 
-    diffs = []
-    for k in range(depth + 1):
-        if lhs[k] != rhs[k]:
-            diffs.append({"k": k, "lhs": repr(lhs[k]), "rhs": repr(rhs[k])})
+    Both sides are kept on the family, so a deeper depth only adds its
+    own coefficients.
+    """
+    if variant not in _RHS_SIDES:
+        raise ValueError(f"unknown variant {variant!r}")
+    if fam.omega.order < depth + 3:
+        raise OrderError("family truncation too small for the requested depth")
+    lhs = _lhs_side(fam, depth)
+    rhs = _RHS_SIDES[variant](fam, depth)
+    diffs = [
+        {"k": k, "lhs": repr(a[0]), "rhs": repr(b[0])}
+        for k, (a, b) in enumerate(zip(lhs, rhs))
+        if a[0] != b[0]
+    ]
     return not diffs, {"variant": variant, "depth": depth, "diffs": diffs}
 
 

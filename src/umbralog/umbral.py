@@ -58,6 +58,12 @@ def per_family(fn):
     an immutable value (a series, a tuple of series, a frozen dataclass),
     since every caller shares it.  The undecorated function is
     ``__wrapped__``.
+
+    A table whose entry k does not depend on how far it was asked for is
+    memoized by ``growing`` instead, one entry per family: it is swapped
+    for a longer immutable table when a call asks further, and is never
+    mutated, so a prefix handed out earlier stays valid.  A call that
+    raises leaves the entry as it was.
     """
     sig = inspect.signature(fn)
 
@@ -73,6 +79,32 @@ def per_family(fn):
         return tables[key]
 
     return memoized
+
+
+def growing(fn):
+    """Memoize on the family the table ``fn(fam, n)``, rows 0..n, grown on
+    demand (the contract is in ``per_family``).
+
+    ``fn(fam, n, known)`` must return rows 0..n as an immutable sequence
+    whose slices are tables too (a tuple, a ``PSequence``), starting with
+    ``known``: the rows the family holds, fewer than n + 1 of them, which
+    it continues and does not recompute.  A shorter request reads a
+    prefix of the longest table held.  The undecorated function is
+    ``__wrapped__``; ``fn(fam, n)`` computes the table from nothing.
+    """
+
+    @wraps(fn)
+    def grown(fam, n: int):
+        if n < 0:
+            raise FamilyError(f"a table holds rows 0..n for n >= 0, not n = {n}")
+        tables = fam._tables
+        key = (fn,)
+        held = tables.get(key, ())
+        if len(held) <= n:
+            held = tables[key] = fn(fam, n, held)
+        return held if len(held) == n + 1 else held[: n + 1]
+
+    return grown
 
 
 @dataclass(frozen=True)
@@ -153,7 +185,8 @@ def tau_inverse(g: PowerSeries) -> PowerSeries:
 
 
 class PSequence:
-    """p_0..p_N with p_0 = 1, deg p_n = n, monic."""
+    """p_0..p_N with p_0 = 1, deg p_n = n, monic.  A slice is a
+    ``PSequence`` too."""
 
     __slots__ = ("polys",)
 
@@ -165,11 +198,16 @@ class PSequence:
             if p.degree() != n or p.leading() != 1:
                 raise FamilyError(f"p_{n} is not monic of degree {n}")
 
-    def __getitem__(self, n: int) -> Poly:
+    def __len__(self) -> int:
+        return len(self.polys)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return PSequence(self.polys[n])
         return self.polys[n]
 
 
-def sheffer_polys(d: list, e: list, N: int) -> tuple:
+def sheffer_polys(d: list, e: list, N: int, known=()) -> tuple:
     """tau_0..tau_N from tau_0 = 1 and the convolution recurrence
 
         tau_{n+1} = sum_k C(n, k) (x d_{n-k} + e_{n-k}) tau_k
@@ -177,11 +215,16 @@ def sheffer_polys(d: list, e: list, N: int) -> tuple:
     for rationals d_0..d_{N-1} and e_0..e_{N-1}, with each tau_k held as
     integer numerators over one reduced denominator.  A zero e_j costs
     nothing, so e = 0 (the binomial-type case) runs only the x d terms.
+    ``known``, the polynomials tau_0..tau_m of an earlier call, is
+    continued from tau_{m+1} on.
     """
     nums, den = _lift([*d, *e])
     dn, en = nums[: len(d)], nums[len(d):]
-    taus, dens = [[1]], [1]
-    for n in range(N):
+    # a polynomial's reduced coefficients lift to its reduced numerators
+    rows = [_lift(p.coeffs) for p in known] or [([1], 1)]
+    taus, dens = [t for t, _ in rows], [dk for _, dk in rows]
+    start = len(known)
+    for n in range(len(taus) - 1, N):
         common = lcm(*dens)
         acc = [0] * (n + 2)
         for k, tau in enumerate(taus):
@@ -201,13 +244,14 @@ def sheffer_polys(d: list, e: list, N: int) -> tuple:
         g = gcd(top, *acc)
         taus.append([x // g for x in acc])
         dens.append(top // g)
-    return tuple(
-        Poly([Fraction(x, dk) for x in tau]) for tau, dk in zip(taus, dens)
-    )
+    return (*known, *(
+        Poly([Fraction(x, dk) for x in tau])
+        for tau, dk in zip(taus[start:], dens[start:])
+    ))
 
 
-@per_family
-def p_seq(fam: BinomialFamily, N: int) -> PSequence:
+@growing
+def p_seq(fam: BinomialFamily, N: int, known=()) -> PSequence:
     """Binomial-type sequence from sum p_n(a) x^n / n! = exp(a*phi(x)).
 
     Computed through the equivalent convolution recurrence obtained by
@@ -215,13 +259,14 @@ def p_seq(fam: BinomialFamily, N: int) -> PSequence:
 
         p_{n+1} = x * sum_k C(n, k) d_{n-k} p_k,   d_j = j! [x^j] phi',
 
-    which is ``sheffer_polys`` with e = 0.
+    which is ``sheffer_polys`` with e = 0.  One table per family grows
+    with the largest N asked.
     """
     if fam.phi.order < N:
         raise OrderError(f"family order {fam.order} too small for p_{N}")
     phip = fam.phi.derive()
     d = [factorial(j) * phip.coefficient(j) for j in range(N)]
-    return PSequence(sheffer_polys(d, [0] * N, N))
+    return PSequence(sheffer_polys(d, [0] * N, N, known))
 
 
 # -- q coefficients ------------------------------------------------------------

@@ -26,7 +26,12 @@ integer kernel.  ``q_table_by_powers`` builds the q tables at integer
 exponents from the binomial expansion of f(x+t) and plain two-dimensional
 products, without ``umbral.q_table``'s power recurrence.
 ``pow_by_exp_log`` is the route ``PowerSeries.pow_param`` had before it ran
-Miller's power recurrence: exp(e log g).
+Miller's power recurrence: exp(e log g).  ``lhs_log_by_series``,
+``rhs_log_by_x_op`` and ``rhs_exp_by_derive`` are the sides of
+``stirling.verify_log_identity`` as whole-series operations, the routes its
+per-family coefficient recurrences replaced: the logarithm of
+``p_symbolic`` by ``AsymptoticSeries.log``, and the iterates of the step
+s L - d/domega and of g -> g' - s u L g on truncated series.
 """
 
 from __future__ import annotations
@@ -35,13 +40,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from umbralog.asymptotic import AsymptoticSeries
 from umbralog.ncwords import D, LAM, LAMINV, SIGMA, NCPoly, head_word_poly, nu_bar_step
 from umbralog.operators import DiffOperator
-from umbralog.parampoly import SYMBOLS, ParamPoly, binom_poly, falling
+from umbralog.parampoly import SYMBOLS, S, ParamPoly, binom_poly, falling
 from umbralog.polys import Poly
 from umbralog.presets import family
 from umbralog.series import OrderError, PowerSeries, SeriesError
-from umbralog.umbral import BinomialFamily, q_zero_table
+from umbralog.umbral import BinomialFamily, op_L, p_symbolic, q_zero_table
 
 
 def bernoulli_numbers(n_max: int) -> list:
@@ -103,6 +109,35 @@ def pow_by_exp_log(g: PowerSeries, e) -> PowerSeries:
     if g.coeffs[0] != 1:
         raise SeriesError("symbolic powers need constant term 1")
     return g.log().scale(e).exp()
+
+
+def lhs_log_by_series(fam: BinomialFamily, depth: int) -> list:
+    """(1/s) ln(alpha^{-s} p_s(alpha)): Q[s] coefficients of alpha^0..alpha^{-depth}."""
+    lg = AsymptoticSeries(0, p_symbolic(fam, depth).coeffs).log()
+    return [lg.coefficient(k).div_exact_symbol("s") for k in range(depth + 1)]
+
+
+def rhs_log_by_x_op(fam: BinomialFamily, depth: int) -> list:
+    """-(1/k) (s L - d/domega)^k (omega(x)/x) at x = 0, for k = 0..depth."""
+    g = fam.omega.truncate(depth + 3).div_var(1)
+    out = [ParamPoly()]
+    for k in range(1, depth + 1):
+        g = fam.x_op(g, S)
+        out.append(ParamPoly.coerce(g.coefficient(0)) * Fraction(-1, k))
+    return out
+
+
+def rhs_exp_by_derive(fam: BinomialFamily, depth: int) -> list:
+    """(-1)^{m-1} (m-1)!/m! [x^0] g_m for g_0 = u = x f'/f and
+    g_m = g_{m-1}' - s u L g_{m-1}, for m = 0..depth."""
+    u = fam.tau_f.truncate(depth + 3).div_var(1).inv()
+    g = u
+    out = [ParamPoly()]
+    for m in range(1, depth + 1):
+        ell = op_L(g)
+        g = g.derive() - (u.truncate(ell.order) * ell).scale(S)
+        out.append(ParamPoly.coerce(g.coefficient(0)) * Fraction((-1) ** (m - 1), m))
+    return out
 
 
 def falling_factorial_poly(n: int):

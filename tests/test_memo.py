@@ -1,18 +1,31 @@
 """Memoized families and per-family tables: shared results equal fresh ones."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
 
+from oracles import lhs_log_by_series, rhs_exp_by_derive, rhs_log_by_x_op
 from umbralog.grading import GradedSeries, target_powers_image, target_powers_image_shifted
 from umbralog.parampoly import H, ParamPoly
 from umbralog.polys import Poly
-from umbralog.presets import FAMILY_CACHE_SIZE, build_f, family
+from umbralog.presets import FAMILY_CACHE_SIZE, build_f, f_random, family
 from umbralog.series import OrderError, PowerSeries
 from umbralog.sheffer import ShefferFamily, bernoulli_weight, tau_seq
-from umbralog.stirling import _lhs_log_coeffs, _tn_omega, limit_check
+from umbralog.stirling import (
+    StirlingExpansion,
+    _exp_side,
+    _lhs_side,
+    _log_side,
+    _stirling_head,
+    _tn_omega,
+    limit_check,
+    stirling_terms,
+    verify_log_identity,
+)
 from umbralog.umbral import (
     BinomialFamily,
+    FamilyError,
     PSequence,
     build_family,
     p_seq,
@@ -33,7 +46,10 @@ CALLS = [
     (target_powers_image, (2, 3, 5)),
     (target_powers_image_shifted, (2, 3, 5)),
     (tau_seq, (bernoulli_weight(ORDER), 5)),
-    (_lhs_log_coeffs, (4,)),
+    (_lhs_side, (4,)),
+    (_log_side, (4,)),
+    (_exp_side, (4,)),
+    (_stirling_head, ()),
     (_tn_omega, (3,)),
     (p_seq, (9,)),
     (BinomialFamily.fprime_at_omega, (6,)),
@@ -52,6 +68,9 @@ def exact(x):
         return (PSequence, exact(x.polys))
     if isinstance(x, GradedSeries):
         return (GradedSeries, x.base, tuple((n, exact(x.parts[n])) for n in sorted(x.parts)))
+    if isinstance(x, StirlingExpansion):
+        return (StirlingExpansion, exact(x.integral_term), exact(x.s1_regular),
+                tuple((k, exact(x.g[k])) for k in sorted(x.g)))
     if isinstance(x, ShefferFamily):
         sym = x.tau_symbolic
         return (ShefferFamily, exact(x.ell), exact(x.tau_polys), sym.exponent, exact(sym.coeffs))
@@ -168,3 +187,119 @@ class TestErrorsAreNotCached:
                 p_seq(fam, 9)
         assert fam._tables == {}
         assert exact(p_seq(fam, 8)) == exact(p_seq.__wrapped__(fam, 8))
+
+
+# -- tables grown one index per depth ------------------------------------------------
+
+SIDE_SPECS = SPECS + ["random6"]
+SIDES = (_lhs_side, _log_side, _exp_side)
+ROUTES = {"log": (_log_side, rhs_log_by_x_op), "exp": (_exp_side, rhs_exp_by_derive)}
+MAX_DEPTH = 8  # the deepest identity an order-12 family allows
+
+
+def fresh_family(spec: str) -> BinomialFamily:
+    f = f_random(6, 991, ORDER) if spec == "random6" else build_f(spec, ORDER)
+    return build_family(f)
+
+
+def shuffled(values) -> list:
+    values = list(values)
+    random.Random(len(values)).shuffle(values)
+    return values
+
+
+def side(rows) -> tuple:
+    """A side's coefficients, the first entry of each row."""
+    return tuple(row[0] for row in rows)
+
+
+class TestGrowingTables:
+    @pytest.mark.parametrize("spec", SIDE_SPECS)
+    def test_log_identity_sides_equal_the_series_routes(self, spec):
+        fam = fresh_family(spec)
+        for depth in shuffled(range(MAX_DEPTH + 1)):
+            lhs = side(_lhs_side(fam, depth))
+            assert exact(lhs) == exact(tuple(lhs_log_by_series(fam, depth)))
+            for variant, (table, route) in ROUTES.items():
+                ok, det = verify_log_identity(fam, variant, depth)
+                assert ok, det["diffs"]
+                assert exact(side(table(fam, depth))) == exact(tuple(route(fam, depth)))
+
+    @pytest.mark.parametrize("depths", [
+        range(MAX_DEPTH + 1),
+        range(MAX_DEPTH, -1, -1),
+        shuffled(range(MAX_DEPTH + 1)),
+    ], ids=["ascending", "descending", "shuffled"])
+    def test_any_order_of_depths_gives_the_fresh_tables(self, depths):
+        fam = fresh_family("geom")
+        deepest = -1
+        for depth in depths:
+            deepest = max(deepest, depth)
+            for fn in SIDES:
+                got = fn(fam, depth)
+                assert exact(got) == exact(fn.__wrapped__(fam, depth)), fn.__name__
+                held = fam._tables[(fn.__wrapped__,)]
+                assert len(held) == deepest + 1 and got == held[: depth + 1]
+                assert all(a is b for a, b in zip(got, held))
+
+    def test_stirling_terms_and_p_seq_in_any_order_equal_a_fresh_family(self):
+        fam = fresh_family("nu")
+        for N in shuffled(range(2, 6)):
+            assert exact(stirling_terms(fam, N)) == exact(
+                stirling_terms(fresh_family("nu"), N)
+            )
+        for N in shuffled(range(ORDER + 1)):
+            assert exact(p_seq(fam, N)) == exact(p_seq(fresh_family("nu"), N))
+        fns = [key[0] for key in fam._tables]
+        assert fns.count(p_seq.__wrapped__) == 1
+        assert fns.count(_stirling_head.__wrapped__) == 1
+
+    def test_a_shorter_request_reads_a_prefix(self):
+        fam = fresh_family("exp1")
+        longest = p_seq(fam, 10)
+        assert p_seq(fam, 10) is longest
+        assert all(a is b for a, b in zip(p_seq(fam, 4).polys, longest.polys[:5]))
+        assert len(p_seq(fam, 4).polys) == 5
+
+    def test_a_negative_length_is_rejected(self):
+        fam = fresh_family("exp1")
+        with pytest.raises(FamilyError, match="not n = -1"):
+            p_seq(fam, -1)
+        with pytest.raises(FamilyError, match="not n = -2"):
+            verify_log_identity(fam, "exp", -2)
+        assert fam._tables == {}
+
+    def test_order_errors_leave_the_tables_usable(self):
+        fam = fresh_family("exp1")
+        for variant in ROUTES:
+            verify_log_identity(fam, variant, 3)
+        p_seq(fam, 5)
+        held = dict(fam._tables)
+        with pytest.raises(OrderError):
+            verify_log_identity(fam, "log", MAX_DEPTH + 1)
+        with pytest.raises(OrderError):
+            p_seq(fam, ORDER + 1)
+        assert fam._tables.keys() == held.keys()
+        assert all(fam._tables[key] is table for key, table in held.items())
+        for variant in ROUTES:
+            assert verify_log_identity(fam, variant, MAX_DEPTH)[0]
+        for fn in SIDES:
+            assert exact(fn(fam, MAX_DEPTH)) == exact(fn.__wrapped__(fam, MAX_DEPTH))
+        assert exact(p_seq(fam, ORDER)) == exact(p_seq.__wrapped__(fam, ORDER))
+
+
+class TestUnknownVariant:
+    def test_rejected_before_any_work(self):
+        fam = fresh_family("exp1")
+        with pytest.raises(ValueError, match="unknown variant 'sideways'"):
+            verify_log_identity(fam, "sideways", 4)
+        assert fam._tables == {}
+
+    def test_tables_unchanged(self):
+        fam = fresh_family("exp1")
+        verify_log_identity(fam, "log", 4)
+        held = dict(fam._tables)
+        with pytest.raises(ValueError):
+            verify_log_identity(fam, "sideways", 6)
+        assert fam._tables.keys() == held.keys()
+        assert all(fam._tables[key] is table for key, table in held.items())
