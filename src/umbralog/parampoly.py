@@ -355,17 +355,12 @@ def values_at(polys, den: int, e) -> list:
     return out
 
 
-def falling(base: ParamPoly, m: int) -> ParamPoly:
-    """Falling product base*(base-1)*...*(base-m+1)."""
-    out = ParamPoly.const(1)
-    for j in range(m):
-        out = out * (base - Fraction(j))
-    return out
-
-
 def binom_poly(base: ParamPoly, k: int) -> ParamPoly:
     """Binomial coefficient of a polynomial argument, expanded eagerly."""
-    return falling(base, k) / Fraction(factorial(k))
+    out = ParamPoly.const(1)
+    for j in range(k):
+        out = out * (base - Fraction(j))
+    return out / Fraction(factorial(k))
 
 
 S = ParamPoly.symbol("s")

@@ -19,6 +19,11 @@ and the Newton step of ``revert``, which divide, and ``pow_param``, which
 runs its power recurrence on integer polynomials in the exponent.  They
 return the same rationals as the generic loops, which every other domain
 still uses.
+
+That power recurrence (``_power_polys``) takes coefficients that are
+integer vectors in a second variable t: ``pow_param`` is its t-free
+caller, and ``umbral.q_table`` and the symbolic continuation of
+``umbral``/``sheffer`` read its polynomials directly.
 """
 
 from __future__ import annotations
@@ -129,42 +134,57 @@ def _div_rational(a, b) -> list:
     return [Fraction(x, den) for x in q]
 
 
-def _power_polys(g) -> tuple:
-    """Miller's recurrence for g^e, g a unit series over ``Fraction``, with
-    the exponent e kept as a variable.
+def _power_polys(a, d: int) -> tuple:
+    """Miller's recurrence for g^e with the exponent e kept as a variable,
+    for the unit series g = sum_k a_k x^k / d whose coefficients a_k are
+    integer t-vectors of one length T + 1 (a_0 = d, 0, ..., 0): series in t
+    to order T, and for T = 0 plain rationals.
 
-    Returns integer coefficient lists W_n (lowest degree in e first) and one
-    denominator den with [x^n] g^e = W_n(e) / den.  With g = a / d in
-    integers, each step is n d w_n = (e+1) sum_k k a_k w_{n-k}
-    - n sum_k a_k w_{n-k}: two integer sums, one gcd, and a rescale of the
-    earlier W only when w_n's reduced denominator does not divide den.
+    Returns, for each n, the t-indexed integer coefficient lists W_n[j]
+    (lowest degree in e first, degree n) and one denominator den with
+    [x^n t^j] g^e = W_n[j](e) / den.  Each step is
+    n d w_n = (e+1) sum_k k a_k w_{n-k} - n sum_k a_k w_{n-k}, with every
+    product truncated in t at T: two integer sums, one gcd, and a rescale of
+    the earlier W only when w_n's reduced denominator does not divide den.
     """
-    a, d = _lift(g)
-    tail = [(k, x) for k, x in enumerate(a) if k and x]
-    polys, den = [[1]], 1
+    width = len(a[0])
+    tail = []
+    for k in range(1, len(a)):
+        entries = [(j, x) for j, x in enumerate(a[k]) if x]
+        if entries:
+            tail.append((k, entries))
+    polys, den = [[[1]] + [[0]] * (width - 1)], 1
     for n in range(1, len(a)):
-        weighted, total = [0] * n, [0] * n
-        for k, x in tail:
+        weighted = [[0] * n for _ in range(width)]
+        total = [[0] * n for _ in range(width)]
+        for k, entries in tail:
             if k > n:
                 break
-            kx = k * x
-            for j, c in enumerate(polys[n - k]):
-                weighted[j] += kx * c
-                total[j] += x * c
-        num = [0] * (n + 1)
-        for j, c in enumerate(weighted):
-            num[j + 1] += c
-            num[j] += c - n * total[j]
+            w = polys[n - k]
+            for j, x in entries:
+                kx = k * x
+                for i in range(width - j):
+                    wt, tt = weighted[i + j], total[i + j]
+                    for m, c in enumerate(w[i]):
+                        wt[m] += kx * c
+                        tt[m] += x * c
+        rows = []
+        for wt, tt in zip(weighted, total):
+            num = [0] * (n + 1)
+            for m, c in enumerate(wt):
+                num[m + 1] += c
+                num[m] += c - n * tt[m]
+            rows.append(num)
         dn = n * d * den
-        h = gcd(dn, *num)
+        h = gcd(dn, *[c for num in rows for c in num])
         dn //= h
         common = lcm(den, dn)
         if common != den:
             up = common // den
-            polys = [[c * up for c in w] for w in polys]
+            polys = [[[c * up for c in p] for p in w] for w in polys]
             den = common
         up = common // dn
-        polys.append([c // h * up for c in num])
+        polys.append([[c // h * up for c in num] for num in rows])
     return polys, den
 
 
@@ -513,8 +533,9 @@ class PowerSeries:
         # the domain that holds the zero, the constant term and e
         zero = _join_zero(_join_zero(self.czero, self.coeffs[0] * _QZERO), e)
         if type(self.czero) is Fraction and _rational(self.coeffs):
-            polys, den = _power_polys(self.coeffs)
-            return PowerSeries(self.var, values_at(polys, den, e), zero)
+            a, d = _lift(self.coeffs)
+            polys, den = _power_polys([[x] for x in a], d)
+            return PowerSeries(self.var, values_at([w[0] for w in polys], den, e), zero)
         g = self.coeffs
         e1 = e + 1
         w = [zero + 1]

@@ -17,15 +17,15 @@ from .grading import (
     target_conjugated,
 )
 from .operators import DiffOperator, apply_Tn
-from .parampoly import S, ParamPoly
+from .parampoly import S, ParamPoly, values_at
 from .polys import Poly
 from .presets import family
 from .series import OrderError, PowerSeries, SeriesError
 from .umbral import (
     BinomialFamily,
+    _continuation,
     op_L,
     per_family,
-    q_zero_table,
     rename,
     sheffer_polys,
 )
@@ -66,36 +66,20 @@ def tau_seq(fam: BinomialFamily, ell: PowerSeries, N: int) -> ShefferFamily:
         if p.degree() != n or p.leading() != 1:
             raise SeriesError(f"tau_{n} is not monic of degree {n}")
 
-    # symbolic: coefficient of alpha^{s-j} is
-    #   sum_{k+m=j} binom(s-1,k) q_k(s) ell_m (s-k)(s-k-1)...(s-k-m+1)
-    # with binom(s-1,k) and the falling factorial each grown by one factor
-    # per step, so O(depth^2) products in all
-    depth = N
-    q = q_zero_table(fam, depth)
-    if ell.order < depth:
-        raise OrderError("ell truncation too small for the symbolic tau")
-    ells = [ell.coefficient(m) for m in range(depth + 1)]
-    coeffs = [ParamPoly() for _ in range(depth + 1)]
-    binom = ParamPoly.const(1)
-    for k in range(depth + 1):
-        if k:
-            binom = binom * (S - k) / k
-        lead = binom * q[k]
-        fall = ParamPoly.const(1)
-        for m in range(depth + 1 - k):
-            if m:
-                fall = fall * (S - (k + m - 1))
-            if ells[m]:
-                coeffs[k + m] = coeffs[k + m] + lead * fall * ells[m]
-    tau_symbolic = AsymptoticSeries(S, coeffs)
-
-    sf = ShefferFamily(fam, ell, polys, tau_symbolic)
-    for n in range(min(N, depth) + 1):
-        if tau_symbolic.specialize_to_poly(s=n) != polys[n]:
-            raise SeriesError(
-                f"symbolic tau does not specialize to tau_{n}"
-            )
-    return sf
+    # the symbolic continuation, and the check that it specializes to
+    # tau_n at s = n: its integer numerators at s = n by Horner's rule
+    nums, den = _continuation(fam, N, ell.coeffs)
+    for n, p in enumerate(polys):
+        for j, num in enumerate(nums):
+            v = 0
+            for c in reversed(num):
+                v = v * n + c
+            want = p.coefficient(n - j) if j <= n else Fraction(0)
+            if v * want.denominator != want.numerator * den:
+                raise SeriesError(
+                    f"symbolic tau does not specialize to tau_{n}"
+                )
+    return ShefferFamily(fam, ell, polys, AsymptoticSeries(S, values_at(nums, den, S)))
 
 
 # -- operators on alpha-polynomials ------------------------------------------------

@@ -6,7 +6,7 @@ from the coefficient-extraction inversion formula, exponentials from raw
 partial sums.  ``naive_mul``, ``naive_div``, ``naive_compose``,
 ``naive_revert``, ``naive_p_seq``, ``naive_tau_polys``,
 ``naive_parampoly_mul``, ``naive_parampoly_eval`` and ``naive_tau_symbolic``
-are the term-by-term loops the integer kernels (and the O(depth^2) symbolic
+are the term-by-term loops the integer kernels (and the integer symbolic
 continuation of ``tau_seq``) replaced, kept to check that the fast paths
 return the same rationals.  ``naive_terms_add``, ``naive_terms_scale``,
 ``naive_terms_derive`` and ``naive_terms_div_symbol`` do the other
@@ -25,6 +25,11 @@ added, scaled, multiplied and differentiated by ``op_add``, ``op_scale``,
 integer kernel.  ``q_table_by_powers`` builds the q tables at integer
 exponents from the binomial expansion of f(x+t) and plain two-dimensional
 products, without ``umbral.q_table``'s power recurrence.
+``q_table_by_series`` is that recurrence on ``Fraction`` series in t, and
+``p_symbolic_by_binom`` sums binom(s-1, k) q_k(s) as ``ParamPoly``
+products: the routes ``q_table`` and ``p_symbolic`` had before they ran on
+integer polynomials in the exponent.  ``falling`` is the falling product
+``naive_tau_symbolic`` and ``p_symbolic_by_binom`` rebuild.
 ``pow_by_exp_log`` is the route ``PowerSeries.pow_param`` had before it ran
 Miller's power recurrence: exp(e log g).  ``lhs_log_by_series``,
 ``rhs_log_by_x_op`` and ``rhs_exp_by_derive`` are the sides of
@@ -43,11 +48,11 @@ from math import comb, factorial
 from umbralog.asymptotic import AsymptoticSeries
 from umbralog.ncwords import D, LAM, LAMINV, SIGMA, NCPoly, head_word_poly, nu_bar_step
 from umbralog.operators import DiffOperator
-from umbralog.parampoly import SYMBOLS, S, ParamPoly, binom_poly, falling
+from umbralog.parampoly import SYMBOLS, S, ParamPoly, binom_poly
 from umbralog.polys import Poly
 from umbralog.presets import family
 from umbralog.series import OrderError, PowerSeries, SeriesError
-from umbralog.umbral import BinomialFamily, op_L, p_symbolic, q_zero_table
+from umbralog.umbral import BinomialFamily, op_L, p_symbolic, q_zero_table, rename
 
 
 def bernoulli_numbers(n_max: int) -> list:
@@ -257,6 +262,54 @@ def q_table_by_powers(f: PowerSeries, n_max: int, t_order: int, m: int) -> list:
                         nxt[i1 + i2][j1 + j2] += power[i1][j1] * g[i2][j2]
         power = nxt
     return [[factorial(i) * x for x in power[i]] for i in range(n_max + 1)]
+
+
+def q_table_by_series(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> tuple:
+    """``umbral.q_table`` by Miller's recurrence on ``Fraction`` series in t:
+    with c_k = f^{(k+1)}(t) / ((k+1)! f'(t)) and a = -exponent, w_0 = 1 and
+    n w_n = sum_{k=1..n} ((a+1) k - n) c_k w_{n-k}, one series product and
+    sum per term; entry n is n! w_n over ``ParamPoly``."""
+    need = n_max + 1 + t_order
+    if fam.f.order < need:
+        raise OrderError(
+            f"family order {fam.order} too small (need {need}) for the q table"
+        )
+    deriv = rename(fam.fprime, "t")
+    fp_t = deriv.truncate(t_order)
+    c = [PowerSeries.one("t", t_order)]
+    for k in range(1, n_max + 1):
+        deriv = deriv.derive()
+        c_k = deriv.truncate(t_order) / fp_t
+        c.append(c_k.scale(Fraction(1, factorial(k + 1))))
+
+    a1 = 1 - exponent  # a + 1
+    w = [PowerSeries.one("t", t_order, fam.f.czero + exponent * 0)]
+    for n in range(1, n_max + 1):
+        total = weighted = c[1] * w[n - 1]
+        for k in range(2, n + 1):
+            p = c[k] * w[n - k]
+            total, weighted = total + p, weighted + p.scale(k)
+        w.append(weighted.scale(a1 * Fraction(1, n)) - total)
+
+    return tuple(
+        wn.map_coeffs(ParamPoly.coerce).scale(factorial(n)) for n, wn in enumerate(w)
+    )
+
+
+def falling(base: ParamPoly, m: int) -> ParamPoly:
+    """Falling product base*(base-1)*...*(base-m+1)."""
+    out = ParamPoly.const(1)
+    for j in range(m):
+        out = out * (base - Fraction(j))
+    return out
+
+
+def p_symbolic_by_binom(fam: BinomialFamily, N: int) -> AsymptoticSeries:
+    """``umbral.p_symbolic`` as the sum of binom(s-1, k) q_k(s) alpha^{s-k},
+    each binomial expanded by ``binom_poly`` and multiplied by the q_k of
+    ``q_zero_table``."""
+    q = q_zero_table(fam, N)
+    return AsymptoticSeries(S, [binom_poly(S - Fraction(1), k) * q[k] for k in range(N + 1)])
 
 
 def naive_tau_polys(fam: BinomialFamily, ell: PowerSeries, N: int) -> list:

@@ -11,10 +11,11 @@ from oracles import (
     same_series,
     word_Tn_ell,
 )
+from umbralog import sheffer
 from umbralog.operators import DiffOperator, apply_Tn
 from umbralog.parampoly import ParamPoly
 from umbralog.polys import Poly
-from umbralog.presets import family
+from umbralog.presets import build_f, family
 from umbralog.series import OrderError, PowerSeries, SeriesError
 from umbralog.sheffer import (
     bernoulli_log_experiment,
@@ -26,7 +27,7 @@ from umbralog.sheffer import (
     theta_check,
     tn_ell_trend_check,
 )
-from umbralog.umbral import p_seq, rename
+from umbralog.umbral import build_family, p_seq, rename
 
 
 def bernoulli_ell(order):
@@ -84,6 +85,43 @@ class TestTauSeq:
         assert set(fam._tables) == keys
         sf = tau_seq(fam, bernoulli_weight(12), 6)
         assert len(sf.tau_polys) == 7 and sf[1] == Poly([Q(-1, 2), Q(1)])
+
+
+class TestSymbolicCheck:
+    """``tau_seq`` checks that its symbolic continuation gives tau_n at s = n."""
+
+    WEIGHTS = {
+        "bernoulli": bernoulli_ell,
+        "1+x": lambda order: PowerSeries("x", [Q(1), Q(1)] + [Q(0)] * (order - 1)),
+    }
+
+    @pytest.mark.parametrize("spec", ["exp1", "geom", "nu"])
+    @pytest.mark.parametrize("weight", sorted(WEIGHTS))
+    def test_continuation_specializes_to_tau_n(self, spec, weight):
+        N = 10
+        sf = tau_seq(family(spec, 14), self.WEIGHTS[weight](14), N)
+        for n in range(N + 1):
+            assert sf.tau_symbolic.specialize_to_poly(s=n) == sf[n]
+
+    def test_a_wrong_tau_n_is_caught(self, monkeypatch):
+        real = sheffer.sheffer_polys
+
+        def perturbed(d, e, N, known=()):
+            polys = list(real(d, e, N, known))
+            polys[3] = polys[3] + Poly([Q(0), Q(1, 7)])
+            return tuple(polys)
+
+        monkeypatch.setattr(sheffer, "sheffer_polys", perturbed)
+        fam = build_family(build_f("exp1", 12))
+        p_seq(fam, 6)
+        held = dict(fam._tables)
+        with pytest.raises(SeriesError, match="symbolic tau does not specialize to tau_3"):
+            tau_seq(fam, bernoulli_weight(12), 6)
+        assert fam._tables.keys() == held.keys()
+        assert all(fam._tables[key] is table for key, table in held.items())
+        monkeypatch.undo()
+        sf = tau_seq(fam, bernoulli_weight(12), 6)
+        assert sf.tau_polys == tau_seq(family("exp1", 12), bernoulli_weight(12), 6).tau_polys
 
 
 class TestTheta:

@@ -6,11 +6,18 @@ from math import comb, factorial
 
 import pytest
 
-from oracles import abel_poly, falling_factorial_poly, q_table_by_powers
+from oracles import (
+    abel_poly,
+    falling_factorial_poly,
+    p_symbolic_by_binom,
+    q_table_by_powers,
+    q_table_by_series,
+)
 from umbralog.parampoly import ParamPoly
 from umbralog.polys import Poly
-from umbralog.presets import f_poly, family, x_exp_minus_x
-from umbralog.series import OrderError, PowerSeries
+from umbralog.presets import build_f, f_poly, family, x_exp_minus_x
+from umbralog.series import OrderError, PowerSeries, SeriesError
+from umbralog.stirling import _lhs_side
 from umbralog.umbral import (
     FamilyError,
     build_family,
@@ -26,6 +33,20 @@ from umbralog.umbral import (
 
 S = ParamPoly.symbol("s")
 H = ParamPoly.symbol("H")
+
+KERNEL_SPECS = [
+    "id", "exp1", "geom", "nu",
+    "poly:1,1/2,-1/3,1/5,1/6", "poly:1,-1/2,1/3,-1/5,-1/6",
+]
+
+
+def typed(u: PowerSeries) -> tuple:
+    """u with the type of its zero and of every coefficient."""
+    return (
+        u.var,
+        (type(u.czero), u.czero),
+        tuple((type(c), c) for c in u.coeffs),
+    )
 
 
 class TestBuildFamily:
@@ -209,6 +230,38 @@ class TestQCoefficients:
         assert q2 == ParamPoly.coerce(direct.coefficient(2)) * 2
 
 
+class TestQTableAgainstSeries:
+    """``q_table`` runs Miller's recurrence on integer polynomials in the
+    exponent; the series-in-t loop it replaced is the oracle."""
+
+    SIZES = [(0, 3), (3, 0), (4, 4), (12, 4), (16, 6)]
+    EXPONENTS = [S, -S, H, H + 1, Q(2, 3) * S + 1, 2, Q(-2), Q(1, 2), ParamPoly.const(2)]
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    @pytest.mark.parametrize("n_max,t_order", SIZES)
+    def test_equals_series_loop(self, spec, n_max, t_order):
+        fam = build_family(build_f(spec, n_max + t_order + 3))
+        for e in self.EXPONENTS:
+            got = q_table(fam, n_max, t_order, e)
+            want = q_table_by_series(fam, n_max, t_order, e)
+            assert type(got) is tuple and len(got) == n_max + 1
+            assert [typed(g) for g in got] == [typed(w) for w in want], e
+
+    def test_order_error_text_is_unchanged(self):
+        fam = family("nu", 10)
+        with pytest.raises(OrderError) as got:
+            q_table(fam, 6, 4)
+        with pytest.raises(OrderError) as want:
+            q_table_by_series(fam, 6, 4)
+        assert str(got.value) == str(want.value)
+        assert "family order 10 too small (need 11)" in str(got.value)
+
+    def test_rejects_a_family_over_parampoly(self):
+        fam = build_family(build_f("exp1", 8).map_coeffs(ParamPoly.coerce))
+        with pytest.raises(SeriesError, match="Fraction.*ParamPoly"):
+            q_table(fam, 2, 2)
+
+
 class TestContinuations:
     def test_pht_low_cases(self):
         fam = family("exp1", 14)
@@ -230,6 +283,30 @@ class TestContinuations:
         fam = family("exp1", 10)
         ps = p_symbolic(fam, 6)
         assert ps.coefficient(1) == (S - 1) * S * Q(-1, 2)
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    def test_p_symbolic_equals_binomial_sum(self, spec):
+        fam = family(spec, 22)
+        for N in (0, 1, 6, 10, 20):
+            got, want = p_symbolic(fam, N), p_symbolic_by_binom(fam, N)
+            assert (type(got.exponent), got.exponent) == (type(want.exponent), want.exponent)
+            assert typed(got.body) == typed(want.body)
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    def test_p_symbolic_equals_the_log_identity_side(self, spec):
+        # _lhs_side row n holds c_n = (s-1)...(s-n) [x^n] (x/f)^s from a
+        # ParamPoly recurrence of its own
+        fam = build_family(build_f(spec, 12))
+        rows = _lhs_side(fam, 8)
+        ps = p_symbolic(fam, 8)
+        for n in range(9):
+            assert ps.coeffs[n] == rows[n][2]
+
+    def test_p_symbolic_order_error(self):
+        fam = family("geom", 8)
+        p_symbolic(fam, 7)
+        with pytest.raises(OrderError, match="family order too small"):
+            p_symbolic(fam, 8)
 
 
 class TestRatio:
