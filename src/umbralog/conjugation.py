@@ -21,9 +21,9 @@ from .grading import (
     op_shifted_eval,
     target_conjugated,
 )
-from .parampoly import S, ParamPoly, binom_poly
+from .parampoly import S, ParamPoly, _lift, binom_poly
 from .polys import Poly
-from .series import OrderError, PowerSeries, SeriesError
+from .series import OrderError, PowerSeries, SeriesError, _combine, _conv, _to_series
 from .sheffer import apply_T
 from .umbral import BinomialFamily, p_seq, q_zero_table
 
@@ -223,42 +223,7 @@ def resolvent_closed_form(
     target = GradedSeries(0, {0: target_series})
     lhs = geometric_sum(op_ratio_split(fam, s_val), target, depth_a)
 
-    # ell_s to enough depth that all positive alpha powers cancel
-    ell_depth = depth_a + depth_x + 2
-    col0 = [g.coefficient(n) * Fraction(factorial(n)) for n in range(ell_depth + 1)]
-    table = g_table(fam, col0, ell_depth, s_val)
-    ell = [table[k][0] for k in range(ell_depth + 1)]
-    q = q_zero_table(fam, depth_x + 1, exponent=s_val)
-
-    # grades[m] multiplies alpha^{-m}; negative m = positive powers, which
-    # must cancel identically
-    zero_x = PowerSeries.zero(fam.f.var, ctx.x_order)
-    grades: dict = {m: zero_x + ell[m] for m in range(depth_a + 1)}
-    om = ctx.omega.truncate(ctx.x_order)
-    om_pows = [PowerSeries.one(fam.f.var, ctx.x_order)]
-    for _ in range(depth_x + 1):
-        om_pows.append((om_pows[-1] * om).truncate(ctx.x_order))
-
-    for k in range(depth_x + 1):
-        # c_k(alpha) = g_k - ell_s(alpha) q_k(s), carried grade by grade
-        for j in range(depth_x + 1 - k):
-            beta = Fraction(factorial(j))
-            for i in range(j + 1):
-                beta /= k + 1 + i - s_val
-            base = (
-                ctx.conj
-                * om_pows[k + 1 + j].scale(
-                    Fraction((-1) ** j, factorial(k) * factorial(j)) * beta
-                )
-            ).truncate(ctx.x_order)
-            # alpha^{1+j} * (g_k - sum_m ell_m alpha^{-m} q_k)
-            m0 = -(1 + j)
-            add_to(grades, m0, base.scale(col0[k]))
-            for m in range(ell_depth + 1):
-                mm = m0 + m
-                if mm > depth_a:
-                    continue
-                add_to(grades, mm, base.scale(-ell[m] * q[k]))
+    grades = _closed_form_grades(ctx, g, depth_x)
 
     diffs = []
     for m in sorted(grades):
@@ -281,11 +246,51 @@ def resolvent_closed_form(
                        "diffs": diffs}
 
 
-def add_to(grades: dict, m: int, series: PowerSeries):
-    if m in grades:
-        grades[m] = grades[m] + series
-    else:
-        grades[m] = series
+def _closed_form_grades(ctx: ConjugationContext, g: PowerSeries, depth_x: int) -> dict:
+    """The right side of ``resolvent_closed_form`` grade by grade: entry m
+    multiplies alpha^{-m}, for m from -(depth_x + 1) to the context's depth."""
+    fam, s_val, depth_a, x_order = ctx.fam, ctx.s_val, ctx.depth, ctx.x_order
+    # ell_s to enough depth that all positive alpha powers cancel
+    ell_depth = depth_a + depth_x + 2
+    col0 = [g.coefficient(n) * Fraction(factorial(n)) for n in range(ell_depth + 1)]
+    table = g_table(fam, col0, ell_depth, s_val)
+    ell = [table[k][0] for k in range(ell_depth + 1)]
+    q = q_zero_table(fam, depth_x + 1, exponent=s_val)
+
+    # weights[m, i] multiplies conj * omega^i at alpha^{-m}; negative m =
+    # positive powers, which must cancel identically
+    weights: dict = {}
+    for k in range(depth_x + 1):
+        # c_k(alpha) = g_k - ell_s(alpha) q_k(s), carried grade by grade
+        ell_q = [e * q[k] for e in ell]
+        for j in range(depth_x + 1 - k):
+            beta = Fraction(factorial(j))
+            for i in range(j + 1):
+                beta /= k + 1 + i - s_val
+            w = Fraction((-1) ** j, factorial(k) * factorial(j)) * beta
+            # alpha^{1+j} * (g_k - sum_m ell_m alpha^{-m} q_k)
+            m0, i = -(1 + j), k + 1 + j
+            weights[m0, i] = weights.get((m0, i), 0) + w * col0[k]
+            for m in range(min(ell_depth, depth_a - m0) + 1):
+                weights[m0 + m, i] = weights.get((m0 + m, i), 0) - w * ell_q[m]
+
+    # conj * omega^i on the integer lift; every grade is summed there, over
+    # one common denominator, and converted to a series once
+    vec, den = _lift(ctx.conj.coeffs)
+    om, om_den = _lift(ctx.omega.truncate(x_order).coeffs)
+    pows = [(vec, den)]
+    for _ in range(depth_x + 1):
+        vec, den = _conv(vec, om, x_order), den * om_den
+        pows.append((vec, den))
+    zeros = [0] * x_order
+    parts = [
+        (({m: [e.numerator, *zeros]}, e.denominator), 1)
+        for m, e in enumerate(ell[: depth_a + 1])
+    ]
+    for (m, i), c in weights.items():
+        vec, den = pows[i]
+        parts.append((({m: [c.numerator * y for y in vec]}, c.denominator * den), 1))
+    return _to_series(fam.f.var, _combine(parts))
 
 
 # -- the conjugated-expectation identity -------------------------------------------------

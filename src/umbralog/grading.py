@@ -1,11 +1,20 @@
 """Alpha-graded series of x-series and geometric inversion of graded operators.
 
 A ``GradedSeries`` is sum_n alpha^{base-n} * part_n(x).  A ``GradedOp`` is a
-sum of pieces, each raising the alpha^{-1} grade by at least one, so that
-(1 - X)^{-1} = sum X^k terminates grade by grade; this is the engine behind
-every resolvent identity in the package.  The pieces are assembled from the
-omega-side operators of ``BinomialFamily`` (d/domega, the step
-s L - d/domega, f'(omega(x))) and the 0-derivative ``umbral.op_L``.
+sum of pieces (delta, word), each raising the alpha^{-1} grade by delta >= 1,
+so that (1 - X)^{-1} = sum X^k terminates grade by grade; this is the engine
+behind every resolvent identity in the package.
+
+A word lists a piece's steps, first step first: ``L``, the 0-derivative
+(g - g(0))/x, which drops numerator 0; ``D``, d/domega, the index and then
+the lifted factor 1/omega'(x); a ``Fraction`` scalar, folded into the
+numerators and the denominator; and a lifted series factor.  So the step
+s L - d/domega of ``BinomialFamily.x_op`` is the pieces (1, [L, s]) and
+(1, [D, -1]).  ``geometric_sum`` lifts the target once to a ``series`` entry
+keyed by grade and runs the words on it, adding shared grades truncated to
+the shorter vector and dropping all-zero grades after each step, as
+``PowerSeries`` addition and ``GradedSeries`` do; it builds ``Fraction``
+series once, at the end.
 """
 
 from __future__ import annotations
@@ -15,9 +24,19 @@ from math import comb
 from types import MappingProxyType
 
 from .asymptotic import AsymptoticSeries
-from .parampoly import S, ParamPoly
-from .series import OrderError, PowerSeries, SeriesError
-from .umbral import BinomialFamily, op_L, per_family, q_at_omega
+from .parampoly import S, ParamPoly, _lift
+from .series import (
+    OrderError,
+    PowerSeries,
+    SeriesError,
+    _combine,
+    _derive,
+    _lift_terms,
+    _lmul,
+    _reduce,
+    _to_series,
+)
+from .umbral import BinomialFamily, per_family, q_at_omega
 
 
 class GradedSeries:
@@ -31,25 +50,6 @@ class GradedSeries:
         self.parts = MappingProxyType(
             {n: p for n, p in parts.items() if not p.is_zero()}
         )
-
-    def is_empty(self) -> bool:
-        return not self.parts
-
-    def truncate(self, depth: int) -> "GradedSeries":
-        return GradedSeries(
-            self.base, {n: p for n, p in self.parts.items() if n <= depth}
-        )
-
-    def add(self, other: "GradedSeries") -> "GradedSeries":
-        if self.base != other.base:
-            raise SeriesError("graded series with different bases")
-        parts = dict(self.parts)
-        for n, p in other.parts.items():
-            parts[n] = parts[n] + p if n in parts else p
-        return GradedSeries(self.base, parts)
-
-    def scale(self, c) -> "GradedSeries":
-        return GradedSeries(self.base, {n: p.scale(c) for n, p in self.parts.items()})
 
     def at_x0(self, depth: int) -> AsymptoticSeries:
         coeffs = []
@@ -77,8 +77,66 @@ class GradedSeries:
         return AsymptoticSeries(self.base, coeffs)
 
 
+# -- step words on lifted graded entries -------------------------------------------
+
+_L = "L"
+_DX = "d/dx"
+
+
+def _require_fraction(name: str, s: PowerSeries) -> None:
+    for c in (s.czero, *s.coeffs):
+        if type(c) is not Fraction:
+            raise SeriesError(
+                f"graded inversion needs {name} over Fraction coefficients, "
+                f"not {type(c).__name__}"
+            )
+
+
+def _lifted(name: str, s: PowerSeries) -> tuple:
+    """A series factor step: s's numerators over one denominator."""
+    _require_fraction(name, s)
+    return _lift(s.coeffs)
+
+
+def _scalar(c) -> Fraction:
+    if type(c) not in (int, Fraction):
+        raise SeriesError(
+            f"graded inversion needs rational scalars, not {type(c).__name__}"
+        )
+    return Fraction(c)
+
+
+def _d_omega(fam: BinomialFamily) -> list:
+    """The step D: d/dx, then the factor 1/omega'(x)."""
+    return [_DX, _lifted("1/omega'", fam.inv_omega_prime)]
+
+
+def _drop_constant(c: list) -> list:
+    if len(c) < 2:
+        raise OrderError("0-derivative of an order-0 series")
+    return c[1:]
+
+
+def _step(entry: tuple, step) -> tuple:
+    terms, den = entry
+    if isinstance(step, Fraction):
+        p = step.numerator
+        return {n: [p * y for y in c] for n, c in terms.items()}, den * step.denominator
+    if step == _L:
+        return {n: _drop_constant(c) for n, c in terms.items()}, den
+    if step == _DX:
+        error = "derivative of an order-0 series"
+        return {n: _derive(c, error) for n, c in terms.items()}, den
+    return _lmul(step, entry)
+
+
+def _nonzero(entry: tuple) -> tuple:
+    terms, den = entry
+    return {n: c for n, c in terms.items() if any(c)}, den
+
+
 class GradedOp:
-    """Pieces (delta >= 1, series transform); applying sums over pieces."""
+    """Pieces (delta >= 1, word); applying sums over pieces."""
 
     __slots__ = ("pieces",)
 
@@ -90,27 +148,39 @@ class GradedOp:
                 )
         self.pieces = list(pieces)
 
-    def apply(self, gs: GradedSeries, depth: int) -> GradedSeries:
-        out: dict = {}
-        for n, p in gs.parts.items():
-            for delta, fn in self.pieces:
-                m = n + delta
-                if m > depth:
-                    continue
-                q = fn(p)
-                out[m] = out[m] + q if m in out else q
-        return GradedSeries(gs.base, out)
+    def apply(self, entry: tuple, depth: int) -> tuple:
+        """The operator on a lifted entry keyed by grade, to grade depth,
+        without its all-zero grades."""
+        terms, den = entry
+        out = []
+        for delta, word in self.pieces:
+            part = ({n: c for n, c in terms.items() if n + delta <= depth}, den)
+            if not part[0]:
+                continue
+            for step in word:
+                part = _step(part, step)
+            out.append((({n + delta: c for n, c in part[0].items()}, part[1]), 1))
+        if not out:
+            return {}, 1
+        return _nonzero(_reduce(_combine(out)))
 
 
 def geometric_sum(op: GradedOp, target: GradedSeries, depth: int) -> GradedSeries:
-    """(1 - op)^{-1} target = sum_k op^k target, exact to the given depth."""
-    total = target.truncate(depth)
-    frontier = total
+    """(1 - op)^{-1} target = sum_k op^k target, exact to the given depth.
+
+    The target's parts must be ``Fraction`` series; any other domain is a
+    ``SeriesError``."""
+    parts = {n: p for n, p in target.parts.items() if n <= depth}
+    var = None
+    for p in parts.values():
+        _require_fraction("the target", p)
+        var = p.var
+    total = frontier = _lift_terms(parts)
     while True:
         frontier = op.apply(frontier, depth)
-        if frontier.is_empty():
-            return total
-        total = total.add(frontier)
+        if not frontier[0]:
+            return GradedSeries(target.base, _to_series(var, total))
+        total = _nonzero(_combine([(total, 1), (frontier, 1)]))
 
 
 # -- resolvent operators ----------------------------------------------------------
@@ -119,50 +189,27 @@ def geometric_sum(op: GradedOp, target: GradedSeries, depth: int) -> GradedSerie
 def op_ratio_nested(fam: BinomialFamily, s_val, depth: int) -> GradedOp:
     """X = (s/alpha) (1 + alpha^{-1} d/domega)^{-1} L, with the inner
     geometric series expanded and fused into the grade table."""
-
-    def piece(m: int):
-        sign = Fraction((-1) ** m)
-
-        def fn(g: PowerSeries) -> PowerSeries:
-            h = op_L(g)
-            for _ in range(m):
-                h = fam.d_domega(h)
-            return h.scale(sign).scale(s_val)
-
-        return (1 + m, fn)
-
-    return GradedOp([piece(m) for m in range(depth)])
+    s, D = _scalar(s_val), _d_omega(fam)
+    return GradedOp([(1 + m, [_L, *D * m, (-1) ** m * s]) for m in range(depth)])
 
 
 def op_ratio_split(fam: BinomialFamily, s_val) -> GradedOp:
     """X = s alpha^{-1} L - alpha^{-1} d/domega."""
-    return GradedOp([(1, lambda g: fam.x_op(g, s_val))])
+    return GradedOp([(1, [_L, _scalar(s_val)]), (1, [*_d_omega(fam), Fraction(-1)])])
 
 
 def op_shifted_eval(fam: BinomialFamily, s_val, depth: int) -> GradedOp:
     """X = -alpha^{-1} (d/domega) (1 - s alpha^{-1} L)^{-1}, fused."""
-
-    def piece(j: int):
-        def fn(g: PowerSeries) -> PowerSeries:
-            h = g
-            for _ in range(j):
-                h = op_L(h).scale(s_val)
-            return -fam.d_domega(h)
-
-        return (1 + j, fn)
-
-    return GradedOp([piece(j) for j in range(depth)])
+    s, D = _scalar(s_val), _d_omega(fam)
+    return GradedOp([(1 + j, [_L, s] * j + [*D, Fraction(-1)]) for j in range(depth)])
 
 
 def op_sheffer(fam: BinomialFamily, ell_omega: PowerSeries, s_val) -> GradedOp:
     """X = s alpha^{-1} ell(omega) L ell(omega)^{-1} - alpha^{-1} d/domega."""
-    inv_ell = ell_omega.inv()
-
+    ell = _lifted("ell(omega)", ell_omega)
+    inv_ell = _lift(ell_omega.inv().coeffs)
     return GradedOp(
-        [
-            (1, lambda g: (ell_omega * op_L(g * inv_ell)).scale(s_val)),
-            (1, lambda g: -fam.d_domega(g)),
-        ]
+        [(1, [inv_ell, _L, ell, _scalar(s_val)]), (1, [*_d_omega(fam), Fraction(-1)])]
     )
 
 

@@ -18,12 +18,21 @@ result, which equals the same scheme over ``Fraction`` series term for term.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial
 
 from .ncwords import D, LAM, LAMINV, SIGMA
 from .parampoly import _lift
 from .polys import Poly, divided_difference
-from .series import OrderError, PowerSeries, SeriesError, _conv
+from .series import (
+    PowerSeries,
+    SeriesError,
+    _combine,
+    _derive,
+    _lift_terms,
+    _lmul,
+    _reduce,
+    _to_series,
+)
 from .umbral import BinomialFamily, rename
 
 
@@ -79,23 +88,9 @@ class DiffOperator:
 
 # -- the grade operators on integer numerators ----------------------------------
 #
-# A vector entry of the matrix scheme is a pair (terms, den): ``terms`` maps
-# each derivative order j to the integer numerators of its coefficient series,
-# all over the one positive denominator ``den``; a series is the entry {0: c}.
-# A coefficient's truncation order is its length minus one, as in PowerSeries.
-
-
-def _lift_terms(terms: dict) -> tuple:
-    """Series coefficients as integer numerators over one denominator."""
-    flat, den = _lift([c for s in terms.values() for c in s.coeffs])
-    it = iter(flat)
-    return {j: [next(it) for _ in s.coeffs] for j, s in terms.items()}, den
-
-
-def _derive(c: list, error: str) -> list:
-    if len(c) < 2:
-        raise OrderError(error)
-    return [k * c[k] for k in range(1, len(c))]
+# A vector entry of the matrix scheme is a lifted entry of ``series`` keyed by
+# derivative order j: the integer numerators of each coefficient series over
+# one denominator; a series is the entry {0: c}.
 
 
 def _derive_series(entry: tuple) -> tuple:
@@ -112,43 +107,6 @@ def _derive_operator(entry: tuple) -> tuple:
     for j, c in terms.items():
         out[j + 1] = [a + b for a, b in zip(out[j + 1], c)] if j + 1 in out else c
     return out, den
-
-
-def _combine(parts) -> tuple:
-    """The sum of entry / w over the (entry, w) pairs, for nonzero integers
-    w, over the lcm of the entries' denominators times w.  Shared orders
-    add, truncated to the shorter coefficient."""
-    den = lcm(*[e[1] * w for e, w in parts])
-    out: dict = {}
-    for (terms, d), w in parts:
-        up = den // (d * w)
-        for j, c in terms.items():
-            c = [up * y for y in c]
-            out[j] = [a + b for a, b in zip(out[j], c)] if j in out else c
-    return out, den
-
-
-def _lmul(m: tuple, entry: tuple) -> tuple:
-    """m∘y: every coefficient of y times the lifted series m."""
-    mn, md = m
-    terms, den = entry
-    out = {j: _conv(c, mn, min(len(c), len(mn)) - 1) for j, c in terms.items()}
-    return out, den * md
-
-
-def _reduce(entry: tuple) -> tuple:
-    """The entry divided through by the gcd of its numerators and denominator."""
-    terms, den = entry
-    g = gcd(den, *[y for c in terms.values() for y in c])
-    if g == 1:
-        return entry
-    return {j: [y // g for y in c] for j, c in terms.items()}, den // g
-
-
-def _to_series(var: str, entry: tuple) -> dict:
-    """The entry's coefficients as ``Fraction`` series in var."""
-    terms, den = entry
-    return {j: PowerSeries(var, [Fraction(y, den) for y in c]) for j, c in terms.items()}
 
 
 def _require_fraction(name: str, s: PowerSeries, var: str) -> None:

@@ -24,6 +24,14 @@ That power recurrence (``_power_polys``) takes coefficients that are
 integer vectors in a second variable t: ``pow_param`` is its t-free
 caller, and ``umbral.q_table`` and the symbolic continuation of
 ``umbral``/``sheffer`` read its polynomials directly.
+
+Lifted entries, a dict of integer vectors over one denominator, are the
+shape ``operators.apply_Tn`` (keyed by derivative order) and the graded
+inversion of ``grading`` and ``conjugation`` (keyed by alpha grade) share:
+``_lift_terms`` lifts series to an entry, ``_derive`` differentiates one
+vector, ``_combine`` sums entries over the lcm of their denominators,
+``_lmul`` multiplies by a lifted series, ``_reduce`` divides out a common
+gcd, and ``_to_series`` builds ``Fraction`` series once, at the end.
 """
 
 from __future__ import annotations
@@ -70,6 +78,65 @@ def _conv(a, b, n: int) -> list:
                     break
                 out[i + j] += x * y
     return out
+
+
+# -- lifted entries ---------------------------------------------------------------
+#
+# An entry is a pair (terms, den): ``terms`` maps each key to the integer
+# numerators of a series, all over the one positive denominator ``den``.
+# ``operators.apply_Tn`` keys its entries by derivative order and
+# ``grading.geometric_sum`` by alpha grade.  A series' truncation order is
+# its length minus one, as in ``PowerSeries``.
+
+
+def _lift_terms(terms: dict) -> tuple:
+    """Series coefficients as integer numerators over one denominator."""
+    flat, den = _lift([c for s in terms.values() for c in s.coeffs])
+    it = iter(flat)
+    return {j: [next(it) for _ in s.coeffs] for j, s in terms.items()}, den
+
+
+def _derive(c: list, error: str) -> list:
+    if len(c) < 2:
+        raise OrderError(error)
+    return [k * c[k] for k in range(1, len(c))]
+
+
+def _combine(parts) -> tuple:
+    """The sum of entry / w over the (entry, w) pairs, for nonzero integers
+    w, over the lcm of the entries' denominators times w.  Shared keys
+    add, truncated to the shorter coefficient."""
+    den = lcm(*[e[1] * w for e, w in parts])
+    out: dict = {}
+    for (terms, d), w in parts:
+        up = den // (d * w)
+        for j, c in terms.items():
+            c = [up * y for y in c]
+            out[j] = [a + b for a, b in zip(out[j], c)] if j in out else c
+    return out, den
+
+
+def _lmul(m: tuple, entry: tuple) -> tuple:
+    """m∘y: every coefficient of y times the lifted series m."""
+    mn, md = m
+    terms, den = entry
+    out = {j: _conv(c, mn, min(len(c), len(mn)) - 1) for j, c in terms.items()}
+    return out, den * md
+
+
+def _reduce(entry: tuple) -> tuple:
+    """The entry divided through by the gcd of its numerators and denominator."""
+    terms, den = entry
+    g = gcd(den, *[y for c in terms.values() for y in c])
+    if g == 1:
+        return entry
+    return {j: [y // g for y in c] for j, c in terms.items()}, den // g
+
+
+def _to_series(var: str, entry: tuple) -> dict:
+    """The entry's coefficients as ``Fraction`` series in var."""
+    terms, den = entry
+    return {j: PowerSeries(var, [Fraction(y, den) for y in c]) for j, c in terms.items()}
 
 
 def _place(vec: list, den: int, i: int, num: int, d: int) -> tuple:

@@ -22,7 +22,7 @@ from math import comb, factorial, gcd, lcm
 from .asymptotic import AsymptoticSeries
 from .parampoly import H, S, ParamPoly, _lift, binom_poly, values_at
 from .polys import Poly
-from .series import OrderError, PowerSeries, SeriesError, _conv, _power_polys
+from .series import OrderError, PowerSeries, SeriesError, _conv, _join_zero, _power_polys
 
 
 def rename(u: PowerSeries, var: str) -> PowerSeries:
@@ -274,14 +274,14 @@ def p_seq(fam: BinomialFamily, N: int, known=()) -> PSequence:
 
 @per_family
 def q_zero_table(fam: BinomialFamily, n_max: int, exponent=S) -> tuple:
-    """q_n at t = 0: coefficients of (x/f(x))^exponent, times n!."""
+    """q_n at t = 0: coefficients of (x/f(x))^exponent, times n!, in the
+    exponent's domain (``Fraction`` for an ``int`` or ``Fraction``, as
+    ``pow_param``)."""
     if fam.f.order < n_max + 1:
         raise OrderError("family order too small for the requested q table")
     x_over_f = fam.f.truncate(n_max + 1).div_var(1).inv()
     u = x_over_f.pow_param(exponent)
-    return tuple(
-        factorial(n) * ParamPoly.coerce(u.coefficient(n)) for n in range(n_max + 1)
-    )
+    return tuple(factorial(n) * u.coefficient(n) for n in range(n_max + 1))
 
 
 def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> tuple:
@@ -293,7 +293,10 @@ def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> tuple:
     c_k = f^{(k+1)}(t) / ((k+1)! f'(t)).  The c_k are lifted to integer
     t-vectors over one denominator, and J. C. P. Miller's recurrence for the
     powers of a series (``series._power_polys``) gives the slices of G^e as
-    t-indexed integer polynomials in e, evaluated once at e = a.
+    t-indexed integer polynomials in e, evaluated once at e = a.  The values
+    and the zero are in the exponent's domain, as for ``pow_param``:
+    ``Fraction`` for an ``int`` or ``Fraction`` exponent, ``ParamPoly`` for
+    a ``ParamPoly`` one.
     """
     need = n_max + 1 + t_order
     if fam.f.order < need:
@@ -317,11 +320,10 @@ def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> tuple:
     a = [[d] + [0] * t_order] + [nums[i : i + width] for i in range(0, len(nums), width)]
     polys, den = _power_polys(a, d)
     values = values_at([p for w in polys for p in w], den, -exponent)
+    zero = _join_zero(Fraction(0), exponent)
     return tuple(
         PowerSeries(
-            "t",
-            [factorial(n) * ParamPoly.coerce(v) for v in values[n * width : (n + 1) * width]],
-            ParamPoly(),
+            "t", [factorial(n) * v for v in values[n * width : (n + 1) * width]], zero
         )
         for n in range(n_max + 1)
     )

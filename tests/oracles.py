@@ -37,6 +37,13 @@ Miller's power recurrence: exp(e log g).  ``lhs_log_by_series``,
 per-family coefficient recurrences replaced: the logarithm of
 ``p_symbolic`` by ``AsymptoticSeries.log``, and the iterates of the step
 s L - d/domega and of g -> g' - s u L g on truncated series.
+``naive_op_ratio_nested``, ``naive_op_ratio_split``,
+``naive_op_shifted_eval`` and ``naive_op_sheffer`` are the graded operators
+as series closures, and ``naive_geometric_sum`` sums (1 - X)^{-1} with them
+by ``PowerSeries`` operations; ``closed_form_grades_by_series`` is the
+right side of ``conjugation.resolvent_closed_form`` as series sums: the
+routes ``grading`` and ``conjugation`` had before they ran on integer
+entries keyed by alpha grade.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ from functools import lru_cache
 from math import comb, factorial
 
 from umbralog.asymptotic import AsymptoticSeries
+from umbralog.conjugation import ConjugationContext, g_table
+from umbralog.grading import GradedSeries
 from umbralog.ncwords import D, LAM, LAMINV, SIGMA, NCPoly, head_word_poly, nu_bar_step
 from umbralog.operators import DiffOperator
 from umbralog.parampoly import SYMBOLS, S, ParamPoly, binom_poly
@@ -268,7 +277,8 @@ def q_table_by_series(fam: BinomialFamily, n_max: int, t_order: int, exponent=S)
     """``umbral.q_table`` by Miller's recurrence on ``Fraction`` series in t:
     with c_k = f^{(k+1)}(t) / ((k+1)! f'(t)) and a = -exponent, w_0 = 1 and
     n w_n = sum_{k=1..n} ((a+1) k - n) c_k w_{n-k}, one series product and
-    sum per term; entry n is n! w_n over ``ParamPoly``."""
+    sum per term; entry n is n! w_n in the exponent's domain (``Fraction``
+    for an ``int`` or ``Fraction`` exponent)."""
     need = n_max + 1 + t_order
     if fam.f.order < need:
         raise OrderError(
@@ -291,9 +301,7 @@ def q_table_by_series(fam: BinomialFamily, n_max: int, t_order: int, exponent=S)
             total, weighted = total + p, weighted + p.scale(k)
         w.append(weighted.scale(a1 * Fraction(1, n)) - total)
 
-    return tuple(
-        wn.map_coeffs(ParamPoly.coerce).scale(factorial(n)) for n, wn in enumerate(w)
-    )
+    return tuple(wn.scale(factorial(n)) for n, wn in enumerate(w))
 
 
 def falling(base: ParamPoly, m: int) -> ParamPoly:
@@ -637,3 +645,122 @@ def naive_apply_Tn(x, n: int, sigma: PowerSeries, lam: PowerSeries | None = None
             new.append(mul(sigma, row))
         vec = new
     return vec[0]
+
+
+# -- graded inversion, closure by closure ----------------------------------------
+
+
+def naive_op_ratio_nested(fam: BinomialFamily, s_val, depth: int) -> list:
+    """The pieces of ``grading.op_ratio_nested`` as series closures."""
+
+    def piece(m: int):
+        sign = Fraction((-1) ** m)
+
+        def fn(g: PowerSeries) -> PowerSeries:
+            h = op_L(g)
+            for _ in range(m):
+                h = fam.d_domega(h)
+            return h.scale(sign).scale(s_val)
+
+        return (1 + m, fn)
+
+    return [piece(m) for m in range(depth)]
+
+
+def naive_op_ratio_split(fam: BinomialFamily, s_val) -> list:
+    """``grading.op_ratio_split`` as one closure, the step s L - d/domega."""
+    return [(1, lambda g: fam.x_op(g, s_val))]
+
+
+def naive_op_shifted_eval(fam: BinomialFamily, s_val, depth: int) -> list:
+    """The pieces of ``grading.op_shifted_eval`` as series closures."""
+
+    def piece(j: int):
+        def fn(g: PowerSeries) -> PowerSeries:
+            h = g
+            for _ in range(j):
+                h = op_L(h).scale(s_val)
+            return -fam.d_domega(h)
+
+        return (1 + j, fn)
+
+    return [piece(j) for j in range(depth)]
+
+
+def naive_op_sheffer(fam: BinomialFamily, ell_omega: PowerSeries, s_val) -> list:
+    """The pieces of ``grading.op_sheffer`` as series closures."""
+    inv_ell = ell_omega.inv()
+    return [
+        (1, lambda g: (ell_omega * op_L(g * inv_ell)).scale(s_val)),
+        (1, lambda g: -fam.d_domega(g)),
+    ]
+
+
+def _nonzero_parts(parts: dict) -> dict:
+    return {n: p for n, p in parts.items() if not p.is_zero()}
+
+
+def naive_geometric_sum(pieces: list, target: GradedSeries, depth: int) -> GradedSeries:
+    """(1 - X)^{-1} target = sum_k X^k target by ``PowerSeries`` operations,
+    the route ``grading.geometric_sum`` had: each closure piece (delta, fn)
+    maps a part at grade n to one at n + delta, shared grades add (truncated
+    to the shorter order, as series addition does), and zero parts are
+    dropped after every sum."""
+    total = frontier = {n: p for n, p in target.parts.items() if n <= depth}
+    while True:
+        out: dict = {}
+        for n, p in frontier.items():
+            for delta, fn in pieces:
+                m = n + delta
+                if m <= depth:
+                    q = fn(p)
+                    out[m] = out[m] + q if m in out else q
+        frontier = _nonzero_parts(out)
+        if not frontier:
+            return GradedSeries(target.base, total)
+        parts = dict(total)
+        for n, p in frontier.items():
+            parts[n] = parts[n] + p if n in parts else p
+        total = _nonzero_parts(parts)
+
+
+def closed_form_grades_by_series(ctx: ConjugationContext, g: PowerSeries, depth_x: int) -> dict:
+    """The right side of ``conjugation.resolvent_closed_form`` by series
+    sums, the loop its integer lift replaced: grade m (alpha^{-m}) starts
+    at ell_m, and each (k, j) adds conj * omega^{k+1+j} scaled by
+    (-1)^j beta / (k! j!) times g_k at grade -(1+j) and times -ell_m q_k at
+    grade m - (1+j)."""
+    fam, s_val, depth_a, x_order = ctx.fam, ctx.s_val, ctx.depth, ctx.x_order
+    ell_depth = depth_a + depth_x + 2
+    col0 = [g.coefficient(n) * Fraction(factorial(n)) for n in range(ell_depth + 1)]
+    table = g_table(fam, col0, ell_depth, s_val)
+    ell = [table[k][0] for k in range(ell_depth + 1)]
+    q = q_zero_table(fam, depth_x + 1, exponent=s_val)
+
+    zero_x = PowerSeries.zero(fam.f.var, x_order)
+    grades: dict = {m: zero_x + ell[m] for m in range(depth_a + 1)}
+    om = ctx.omega.truncate(x_order)
+    om_pows = [PowerSeries.one(fam.f.var, x_order)]
+    for _ in range(depth_x + 1):
+        om_pows.append((om_pows[-1] * om).truncate(x_order))
+
+    def add_to(m: int, series: PowerSeries):
+        grades[m] = grades[m] + series if m in grades else series
+
+    for k in range(depth_x + 1):
+        for j in range(depth_x + 1 - k):
+            beta = Fraction(factorial(j))
+            for i in range(j + 1):
+                beta /= k + 1 + i - s_val
+            base = (
+                ctx.conj
+                * om_pows[k + 1 + j].scale(
+                    Fraction((-1) ** j, factorial(k) * factorial(j)) * beta
+                )
+            ).truncate(x_order)
+            m0 = -(1 + j)
+            add_to(m0, base.scale(col0[k]))
+            for m in range(ell_depth + 1):
+                if m0 + m <= depth_a:
+                    add_to(m0 + m, base.scale(-ell[m] * q[k]))
+    return grades

@@ -5,8 +5,12 @@ from fractions import Fraction as Q
 
 import pytest
 
+from oracles import closed_form_grades_by_series
+from umbralog import conjugation
 from umbralog.asymptotic import AsymptoticSeries
 from umbralog.conjugation import (
+    ConjugationContext,
+    _closed_form_grades,
     binomial_recurrence_check,
     conjugated_expectation,
     conjugated_step,
@@ -15,9 +19,10 @@ from umbralog.conjugation import (
     resolvent_closed_form,
 )
 from umbralog.parampoly import ParamPoly
-from umbralog.presets import family
+from umbralog.grading import GradedSeries
+from umbralog.presets import build_f, family
 from umbralog.series import PowerSeries, SeriesError
-from umbralog.umbral import p_seq, q_zero_table
+from umbralog.umbral import build_family, p_seq, q_zero_table
 
 S = ParamPoly.symbol("s")
 
@@ -124,6 +129,82 @@ class TestClosedFormResolvent:
             fam, PowerSeries.identity("x", 16), Q(1, 2), 5, 5
         )
         assert ok, det["diffs"]
+
+
+class TestClosedFormGrades:
+    """The right side runs on one integer lift; the series loop it replaced
+    is the oracle, grade for grade."""
+
+    G = {
+        "zero": PowerSeries.zero("x", 20),
+        "one": PowerSeries.one("x", 20),
+        "x": PowerSeries.identity("x", 20),
+        "mixed": PowerSeries("x", [Q(2), Q(-1, 3), Q(0), Q(5, 4)] + [Q(1, 9)] * 17),
+    }
+
+    @pytest.mark.parametrize("spec", ["id", "exp1", "geom", "nu", "poly:1,1/2,-1/3"])
+    @pytest.mark.parametrize("s_val", [Q(1, 2), Q(3, 2), Q(-1, 2), Q(2, 3)])
+    def test_equals_the_series_loop(self, spec, s_val):
+        fam = build_family(build_f(spec, 20))
+        for depth_x, depth_a in ((0, 0), (2, 5), (4, 3), (6, 6)):
+            ctx = ConjugationContext(fam, depth_a, s_val, x_margin=depth_x + 2)
+            for name, g in self.G.items():
+                got = _closed_form_grades(ctx, g, depth_x)
+                want = closed_form_grades_by_series(ctx, g, depth_x)
+                assert sorted(got) == sorted(want), name
+                for m, u in want.items():
+                    assert (got[m].var, got[m].coeffs) == (u.var, u.coeffs), (name, m)
+                    assert type(got[m].czero) is type(u.czero), (name, m)
+                    assert all(type(c) is Q for c in got[m].coeffs), (name, m)
+
+
+def bumped_q(original):
+    """q_zero_table with q_2 raised by 1/7."""
+
+    def table(fam, n_max, exponent):
+        q = list(original(fam, n_max, exponent=exponent))
+        if n_max >= 2:
+            q[2] += Q(1, 7)
+        return tuple(q)
+
+    return table
+
+
+def bumped_target(original):
+    """target_conjugated with coefficient 1 of its grade-0 part raised by 1/7."""
+
+    def target(*args):
+        gs = original(*args)
+        parts = dict(gs.parts)
+        c = list(parts[0].coeffs)
+        c[1] += Q(1, 7)
+        parts[0] = PowerSeries(parts[0].var, c)
+        return GradedSeries(gs.base, parts)
+
+    return target
+
+
+class TestLiveness:
+    """A perturbed q or target makes each graded check fail."""
+
+    @pytest.mark.parametrize("s_val", [Q(1, 2), Q(3, 2), Q(-1, 2)])
+    def test_closed_form_reports_diffs(self, monkeypatch, s_val):
+        monkeypatch.setattr(conjugation, "q_zero_table", bumped_q(q_zero_table))
+        fam = build_family(build_f("exp1", 20))
+        ok, det = resolvent_closed_form(fam, PowerSeries.one("x", 16), s_val, 6, 6)
+        assert not ok and det["diffs"]
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_conjugated_expectation_fails_both_forms(self, monkeypatch, s):
+        monkeypatch.setattr(conjugation, "target_conjugated",
+                            bumped_target(conjugation.target_conjugated))
+        fam = build_family(build_f("exp1", 18))
+        one = PowerSeries.one("x", 8)
+        Dh = PowerSeries.identity("x", 8)
+        D2 = PowerSeries("x", [0, 0, 1] + [0] * 5)
+        for T in ([(0, one)], [(0, Dh)], [(1, D2)]):
+            ok, det = conjugated_expectation(fam, T, s, 5)
+            assert not ok and not det["x0_form_ok"] and not det["shifted_form_ok"], T
 
 
 class TestConjugatedExpectation:

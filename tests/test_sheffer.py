@@ -164,6 +164,27 @@ class TestResolvent:
             assert ok, det
 
 
+def test_a_perturbed_ell_fails_the_resolvent_check(monkeypatch):
+    # ell(omega) enters both the operator and the target weight; at s = 1 a
+    # change in its x coefficient cancels for T = D, so s >= 2 is used
+    original = sheffer.ell_at_omega
+
+    def bumped(sf, x_order):
+        c = list(original(sf, x_order).coeffs)
+        c[1] += Q(1, 7)
+        return PowerSeries("x", c)
+
+    monkeypatch.setattr(sheffer, "ell_at_omega", bumped)
+    fam = build_family(build_f("exp1", 16))
+    sf = tau_seq(fam, bernoulli_ell(16), 8)
+    one = PowerSeries.one("x", 10)
+    Dh = PowerSeries.identity("x", 10)
+    for s in (2, 3):
+        for T in ([(0, one)], [(0, Dh)], [(1, one)]):
+            ok, det = sheffer_resolvent_check(sf, T, s, 5)
+            assert not ok, (s, T)
+
+
 class TestLamOperators:
     def test_weight_one_reduction(self):
         from umbralog.operators import build_Tn

@@ -262,6 +262,31 @@ class TestQTableAgainstSeries:
             q_table(fam, 2, 2)
 
 
+class TestQTableDomain:
+    """q_table and q_zero_table give values in the exponent's domain, as
+    ``pow_param`` does: ``Fraction`` for an ``int`` or ``Fraction`` exponent,
+    ``ParamPoly`` for a ``ParamPoly`` one."""
+
+    RATIONAL = [2, Q(-2), Q(1, 2)]
+    SYMBOLIC = [ParamPoly.const(2), S, H + 1]
+
+    @pytest.mark.parametrize("spec", ["exp1", "nu", "poly:1,1/2,-1/3,1/5,1/6"])
+    def test_values_and_zero_follow_the_exponent(self, spec):
+        fam = build_family(build_f(spec, 10))
+        for domain, exponents in ((Q, self.RATIONAL), (ParamPoly, self.SYMBOLIC)):
+            for e in exponents:
+                for row in q_table(fam, 4, 3, e):
+                    assert type(row.czero) is domain, e
+                    assert all(type(c) is domain for c in row.coeffs), e
+                assert all(type(c) is domain for c in q_zero_table(fam, 6, e)), e
+
+    def test_equal_exponents_give_equal_values(self):
+        fam = build_family(build_f("geom", 10))
+        rational, symbolic = q_table(fam, 4, 3, 2), q_table(fam, 4, 3, ParamPoly.const(2))
+        assert [r.coeffs for r in rational] == [p.coeffs for p in symbolic]
+        assert q_zero_table(fam, 6, Q(2)) == q_zero_table(fam, 6, ParamPoly.const(2))
+
+
 class TestContinuations:
     def test_pht_low_cases(self):
         fam = family("exp1", 14)
