@@ -14,11 +14,12 @@ keeps the wider one.
 
 Products, quotients and compositions whose coefficients are all
 ``Fraction`` run on integer numerators over one common denominator instead
-of one normalising ``Fraction`` operation per term; so do ``inv``, ``log``
-and the Newton step of ``revert``, which divide, and ``pow_param``, which
-runs its power recurrence on integer polynomials in the exponent.  They
-return the same rationals as the generic loops, which every other domain
-still uses.
+of one normalising ``Fraction`` operation per term; so do ``inv`` and
+``log``, which divide, ``revert``, whose Newton loop (``_revert``) keeps
+its iterate as one integer vector and shares ``compose``'s Horner core
+(``_horner``), and ``pow_param``, which runs its power recurrence on
+integer polynomials in the exponent.  They return the same rationals as
+the generic loops, which every other domain still uses.
 
 That power recurrence (``_power_polys``) takes coefficients that are
 integer vectors in a second variable t: ``pow_param`` is its t-free
@@ -149,8 +150,9 @@ def _place(vec: list, den: int, i: int, num: int, d: int) -> tuple:
     return vec, common
 
 
-def _compose_rational(outer, inner, n: int) -> list:
-    """Horner evaluation of outer(inner) to order n in integers.
+def _horner(on: list, od: int, b: list, d: int, n: int) -> tuple:
+    """Horner evaluation of outer(inner) to order n in integers, for the
+    lifted outer = on / od and inner = b / d; returns (numerators, den).
 
     The accumulator is one integer vector over a single denominator, kept
     reduced.  ``inner`` has zero constant term, so ``outer[k]`` reaches the
@@ -158,18 +160,52 @@ def _compose_rational(outer, inner, n: int) -> list:
     the step that adds ``outer[k]`` only the first ``n - k + 1`` coefficients
     of the accumulator are kept.
     """
-    b, d = _lift(inner[: n + 1])
     acc, den = [0], 1
     for k in range(n, -1, -1):
         acc = _conv(acc, b, n - k)
         den *= d
-        c = outer[k]
-        acc, den = _place(acc, den, 0, c.numerator, c.denominator)
+        acc, den = _place(acc, den, 0, on[k], od)
         g = gcd(den, *acc)
         if g != 1:
             acc = [x // g for x in acc]
             den //= g
-    return [Fraction(x, den) for x in acc]
+    return acc, den
+
+
+def _ladder(n: int) -> list:
+    """The Newton orders up to n, taken downward m <- ceil(m/2) from n, so
+    each step from order k to m has k < m <= 2k: 36 gives 2, 3, 5, 9, 18, 36."""
+    out = []
+    while n > 1:
+        out.append(n)
+        n = (n + 1) // 2
+    return out[::-1]
+
+
+def _revert(un: list, ud: int, n: int) -> tuple:
+    """The inverse of u = un / ud (u_0 = 0, u_1 = 1) to order n, in integers;
+    returns (numerators, den).
+
+    v stays one reduced integer vector over one denominator.  Each step from
+    order k to m is v <- v - x^(k+1) [(u(v) - x) / x^(k+1)] v', with the
+    product truncated at m - k - 1: the correction and v's own coefficients
+    do not overlap, so the new vector is v over the error's denominator with
+    the negated correction appended.
+    """
+    v, den = [0, 1], 1
+    for m in _ladder(n):
+        k = len(v) - 1  # v is correct through order k
+        err, e = _horner(un, ud, v, den, m)
+        err[1] -= e  # u(v) - x, of valuation k + 1
+        dv = [j * v[j] for j in range(1, m - k + 1)]
+        fix = _conv(err[k + 1 :], dv, m - k - 1)
+        v = [y * e for y in v] + [-y for y in fix]
+        den *= e
+        g = gcd(den, *v)
+        if g != 1:
+            v = [y // g for y in v]
+            den //= g
+    return v, den
 
 
 def _div_rational(a, b) -> list:
@@ -491,10 +527,10 @@ class PowerSeries:
             and _rational(self.coeffs)
             and _rational(inner.coeffs[: n + 1])
         ):
+            on, od = _lift(self.coeffs[: n + 1])
+            acc, den = _horner(on, od, *_lift(inner.coeffs[: n + 1]), n)
             return PowerSeries(
-                inner.var,
-                _compose_rational(self.coeffs, inner.coeffs, n),
-                inner.czero,
+                inner.var, [Fraction(x, den) for x in acc], inner.czero
             )
         zero = _join_zero(inner.czero, self.coeffs[0] * inner.coeffs[0])
         acc = PowerSeries.zero(inner.var, n, zero)
@@ -504,11 +540,12 @@ class PowerSeries:
         return acc
 
     def revert(self) -> "PowerSeries":
-        """Functional inverse by Newton iteration with order doubling.
-
-        Each step from order k to m divides the error, of valuation k + 1,
-        by u'(v); the correction keeps only order m - k - 1, so u'(v) is
-        composed only to that order.
+        """Functional inverse by Newton iteration (Brent and Kung), on the
+        orders of ``_ladder``.  If v is correct through order k, then
+        1/u'(v) = v' mod x^k, so a step to order m <= 2k subtracts
+        x^(k+1) times the error over x^(k+1) times v', truncated at
+        m - k - 1: one composition and one product, and no division.  Over
+        ``Fraction`` the loop runs in integers (``_revert``).
 
         Requires a zero constant term and linear coefficient 1; any other
         linear coefficient is a ``SeriesError``.
@@ -519,20 +556,20 @@ class PowerSeries:
             raise SeriesError("reversion requires zero constant term")
         if self.coeffs[1] != self.czero + 1:
             raise SeriesError("reversion requires linear coefficient 1")
-        target = self.order
-        v = PowerSeries.identity(self.var, 1, self.czero)
-        while v.order < target:
-            k = v.order  # v is correct through order k
-            m = min(2 * k + 1, target)
-            u = self.truncate(m)
-            v = PowerSeries(
-                self.var, v.coeffs + (self.czero,) * (m - k), self.czero
+        if type(self.czero) is Fraction and _rational(self.coeffs):
+            v, den = _revert(*_lift(self.coeffs), self.order)
+            return PowerSeries(
+                self.var, [Fraction(y, den) for y in v], self.czero
             )
-            x = PowerSeries.identity(self.var, m, self.czero)
-            err = u.compose(v) - x  # valuation >= k + 1
-            keep = m - k - 1
-            denom = u.derive().truncate(keep).compose(v.truncate(keep))
-            v = v - (err.div_var(k + 1) / denom).mul_var(k + 1)
+        v = PowerSeries.identity(self.var, 1, self.czero)
+        for m in _ladder(self.order):
+            k, dv = v.order, v.derive()
+            pad = (v.czero,) * (m - k)
+            v = PowerSeries(self.var, v.coeffs + pad, v.czero)
+            err = self.truncate(m).compose(v) - PowerSeries.identity(
+                self.var, m, self.czero
+            )
+            v = v - (err.div_var(k + 1) * dv).mul_var(k + 1)
         return v
 
     # -- calculus ----------------------------------------------------------------

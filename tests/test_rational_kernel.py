@@ -1,14 +1,16 @@
 """The integer kernels of the Fraction domain against the term-by-term loops.
 
 ``PowerSeries.__mul__``, ``PowerSeries.__truediv__`` (and through it
-``inv``, ``log`` and the Newton step of ``revert``), ``PowerSeries.compose``
-(and through it ``revert``) and ``umbral.sheffer_polys`` (behind ``p_seq``
-and ``tau_seq``) compute on integer numerators over a common denominator
-when every coefficient is a ``Fraction``; they must return the very
-rationals of the loops in ``oracles.py``, as ``Fraction`` objects.
-``naive_revert`` composes each Newton denominator to the full order, where
-``revert`` stops at the order of the correction.  Every other coefficient
-domain keeps the generic loops and the wider domain.
+``inv`` and ``log``), ``PowerSeries.compose``, ``PowerSeries.revert`` and
+``umbral.sheffer_polys`` (behind ``p_seq`` and ``tau_seq``) compute on
+integer numerators over a common denominator when every coefficient is a
+``Fraction``; they must return the very rationals of the loops in
+``oracles.py``, as ``Fraction`` objects.  ``naive_revert`` doubles its
+order 1 -> 3 -> 7 -> ... and divides each error by u'(v), composed to the
+full order; ``revert`` climbs a halving ladder from the target and
+multiplies the error by v' instead, with no composition of u' and no
+division.  Every other coefficient domain keeps the generic loops and the
+wider domain.
 """
 
 from fractions import Fraction as Q
@@ -25,11 +27,13 @@ from oracles import (
     naive_revert,
     naive_tau_polys,
 )
+from umbralog import series
 from umbralog.parampoly import ParamPoly
-from umbralog.presets import PRESET_NAMES, family
+from umbralog.presets import PRESET_NAMES, build_f, family
 from umbralog.series import OrderError, PowerSeries, SeriesError
 from umbralog.sheffer import bernoulli_weight, tau_seq
-from umbralog.umbral import p_seq
+from umbralog.umbral import FamilyError, build_family, p_seq
+from umbralog.verify import suite_series
 
 S = ParamPoly.symbol("s")
 
@@ -128,9 +132,11 @@ def unit_linear_series(order: int) -> PowerSeries:
     return PowerSeries("x", [Q(0), Q(1)] + tail)
 
 
-# every doubling boundary of the Newton iteration: 1 -> 3 -> 7 -> 15 -> 31,
-# and orders one past, where the last step keeps order m - k - 1 = 0
-REVERT_ORDERS = (1, 2, 3, 4, 7, 8, 9, 16, 17, 33)
+# The Newton orders run m <- ceil(m/2) down from the target (36: 2, 3, 5, 9,
+# 18, 36; 37: 2, 3, 5, 10, 19, 37), so a step from k to m has m <= 2k, and
+# at m = 2k the correction is as long as v' mod x^k allows.  1 runs no step.
+# The oracle's doubling boundaries (3, 7, 15, 31, and one past) stay too.
+REVERT_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 18, 19, 33, 36, 37, 65)
 
 
 class TestRevertFixedCases:
@@ -146,6 +152,41 @@ class TestRevertFixedCases:
         fam = family(spec, 40)
         assert_same_rationals(fam.phi, naive_revert(fam.f))
         assert_same_rationals(fam.omega, naive_revert(fam.tau_f))
+
+    @pytest.mark.parametrize("order", (2, 5, 10, 19))
+    def test_parampoly_constants_give_the_fraction_result(self, order):
+        u = unit_linear_series(order)
+        lifted = PowerSeries("x", [ParamPoly.const(c) for c in u.coeffs], ParamPoly())
+        got = lifted.revert()
+        assert got.order == order
+        assert all(type(c) is ParamPoly for c in got.coeffs)
+        assert type(got.czero) is ParamPoly
+        assert got.coeffs == tuple(ParamPoly.const(c) for c in u.revert().coeffs)
+
+
+class TestRoundTripChecksStayLive:
+    """A reversion off by one in its last coefficient is a named failure."""
+
+    @pytest.fixture
+    def bumped(self, monkeypatch):
+        original = series._revert
+
+        def bumped(un, ud, n):
+            v, den = original(un, ud, n)
+            return v[:-1] + [v[-1] + den], den
+
+        monkeypatch.setattr(series, "_revert", bumped)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_build_family_raises(self, bumped, spec):
+        f = build_f(spec, 12)  # fresh: presets.family is memoized
+        with pytest.raises(FamilyError, match=r"^internal check failed: f\(phi\(x\)\) != x$"):
+            build_family(f)
+
+    def test_suite_series_records_the_failure(self, bumped):
+        rep = suite_series()
+        failed = [c.name for c in rep.checks if c.status == "fail"]
+        assert failed == ["reversion is a two-sided compositional inverse"]
 
 
 @pytest.mark.parametrize("spec", SPECS)
