@@ -30,7 +30,7 @@ class AsymptoticSeries:
         if not coeffs:
             raise SeriesError("an asymptotic series needs a leading coefficient")
         self.exponent = ParamPoly.coerce(exponent)
-        self.body = PowerSeries(_VAR, coeffs, _ZERO)
+        self.body = PowerSeries(_VAR, coeffs)
 
     @staticmethod
     def _of(exponent: ParamPoly, body: PowerSeries) -> "AsymptoticSeries":

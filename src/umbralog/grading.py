@@ -33,6 +33,7 @@ from .series import (
     _derive,
     _lift_terms,
     _lmul,
+    _need_fraction,
     _reduce,
     _to_series,
 )
@@ -83,18 +84,9 @@ _L = "L"
 _DX = "d/dx"
 
 
-def _require_fraction(name: str, s: PowerSeries) -> None:
-    for c in (s.czero, *s.coeffs):
-        if type(c) is not Fraction:
-            raise SeriesError(
-                f"graded inversion needs {name} over Fraction coefficients, "
-                f"not {type(c).__name__}"
-            )
-
-
 def _lifted(name: str, s: PowerSeries) -> tuple:
     """A series factor step: s's numerators over one denominator."""
-    _require_fraction(name, s)
+    _need_fraction(s, f"graded inversion needs {name}")
     return _lift(s.coeffs)
 
 
@@ -173,7 +165,7 @@ def geometric_sum(op: GradedOp, target: GradedSeries, depth: int) -> GradedSerie
     parts = {n: p for n, p in target.parts.items() if n <= depth}
     var = None
     for p in parts.values():
-        _require_fraction("the target", p)
+        _need_fraction(p, "graded inversion needs the target")
         var = p.var
     total = frontier = _lift_terms(parts)
     while True:

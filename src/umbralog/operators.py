@@ -30,6 +30,7 @@ from .series import (
     _derive,
     _lift_terms,
     _lmul,
+    _need_fraction,
     _reduce,
     _to_series,
 )
@@ -110,12 +111,7 @@ def _derive_operator(entry: tuple) -> tuple:
 
 
 def _require_fraction(name: str, s: PowerSeries, var: str) -> None:
-    for c in s.coeffs:
-        if type(c) is not Fraction:
-            raise SeriesError(
-                f"the grade operators need {name} over Fraction coefficients, "
-                f"not {type(c).__name__}"
-            )
+    _need_fraction(s, f"the grade operators need {name}")
     if s.var != var:
         raise SeriesError(f"variable mismatch: {s.var} vs {var}")
 

@@ -9,8 +9,13 @@ producing zero.
 Coefficient domains: ``fractions.Fraction``, ``ParamPoly`` and ``Poly``.
 Each is reached only through Python's numeric operators, with ``Fraction``'s
 meaning: ``not c`` tests for zero, ``c * 0`` and ``z + 1`` give the domain's
-zero and one, and ``Fraction(1) / c`` inverts a unit.  Mixing two domains
-keeps the wider one.
+zero and one, and ``Fraction(1) / c`` inverts a unit.  A series' coefficients
+are the only record of its domain: they all have one type, since the
+constructor turns ``int`` into ``Fraction`` and lifts a mixed list to the
+widest domain in it, and ``czero`` is the zero of that type.  So mixing two
+domains keeps the wider one, each fast path below tests one type, and
+``_need_fraction`` is the one check that rejects a series outside
+``Fraction``.
 
 Products, quotients and compositions whose coefficients are all
 ``Fraction`` run on integer numerators over one common denominator instead
@@ -60,11 +65,23 @@ def _join_zero(zero, c):
     return zero if type(zero) is type(c) else zero + c * 0
 
 
+def _widen(coeffs) -> tuple:
+    """``coeffs`` in the widest of their domains, with ``int`` as ``Fraction``."""
+    coeffs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
+    zero = _QZERO
+    for c in coeffs:
+        zero = _join_zero(zero, c)
+    return tuple(c if type(c) is type(zero) else zero + c for c in coeffs)
+
+
+def _need_fraction(s, need: str) -> None:
+    """Reject a series whose coefficients are not ``Fraction``."""
+    domain = type(s.coeffs[0])
+    if domain is not Fraction:
+        raise SeriesError(f"{need} over Fraction coefficients, not {domain.__name__}")
+
+
 # -- integer kernel for the Fraction domain -------------------------------------
-
-
-def _rational(coeffs) -> bool:
-    return all(type(c) is Fraction for c in coeffs)
 
 
 def _conv(a, b, n: int) -> list:
@@ -292,37 +309,39 @@ def _power_polys(a, d: int) -> tuple:
 
 
 class PowerSeries:
-    __slots__ = ("var", "coeffs", "czero")
+    __slots__ = ("var", "coeffs")
 
-    def __init__(self, var: str, coeffs, czero=_QZERO):
-        coeffs = tuple(
-            Fraction(c) if isinstance(c, int) else c for c in coeffs
-        )
+    def __init__(self, var: str, coeffs):
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise SeriesError("a series needs at least its constant term")
+        domain, *others = {*map(type, coeffs)}
+        if others or issubclass(domain, int):
+            coeffs = _widen(coeffs)
         self.var = var
         self.coeffs = coeffs
-        self.czero = czero
+
+    @property
+    def czero(self):
+        """The zero of the coefficients' domain."""
+        c = self.coeffs[0]
+        return _QZERO if type(c) is Fraction else c * 0
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(var: str, order: int, czero=_QZERO) -> "PowerSeries":
-        return PowerSeries(var, (czero,) * (order + 1), czero)
+        return PowerSeries(var, (czero,) * (order + 1))
 
     @staticmethod
     def one(var: str, order: int, czero=_QZERO) -> "PowerSeries":
-        return PowerSeries(
-            var, (czero + 1,) + (czero,) * order, czero
-        )
+        return PowerSeries(var, (czero + 1,) + (czero,) * order)
 
     @staticmethod
     def identity(var: str, order: int, czero=_QZERO) -> "PowerSeries":
         if order < 1:
             raise SeriesError("identity needs order >= 1")
-        return PowerSeries(
-            var, (czero, czero + 1) + (czero,) * (order - 1), czero
-        )
+        return PowerSeries(var, (czero, czero + 1) + (czero,) * (order - 1))
 
     def zero_like(self) -> "PowerSeries":
         return PowerSeries.zero(self.var, self.order, self.czero)
@@ -353,7 +372,7 @@ class PowerSeries:
             )
         if n == self.order:
             return self
-        return PowerSeries(self.var, self.coeffs[: n + 1], self.czero)
+        return PowerSeries(self.var, self.coeffs[: n + 1])
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -400,20 +419,18 @@ class PowerSeries:
         self._check_var(other)
         n = min(self.order, other.order)
         return PowerSeries(
-            self.var,
-            [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)],
-            _join_zero(self.czero, other.czero),
+            self.var, [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)]
         )
 
     def _add_scalar(self, c):
         coeffs = list(self.coeffs)
         coeffs[0] = coeffs[0] + c
-        return PowerSeries(self.var, coeffs, _join_zero(self.czero, c))
+        return PowerSeries(self.var, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PowerSeries(self.var, [-c for c in self.coeffs], self.czero)
+        return PowerSeries(self.var, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, PowerSeries):
@@ -424,8 +441,7 @@ class PowerSeries:
         return (-self)._add_scalar(other)
 
     def scale(self, c) -> "PowerSeries":
-        zero = _join_zero(self.czero, c)
-        return PowerSeries(self.var, [x * c for x in self.coeffs], zero)
+        return PowerSeries(self.var, [x * c for x in self.coeffs])
 
     # -- multiplication / division --------------------------------------------
 
@@ -435,13 +451,10 @@ class PowerSeries:
         self._check_var(other)
         n = min(self.order, other.order)
         zero = _join_zero(self.czero, other.czero)
-        lhs, rhs = self.coeffs[: n + 1], other.coeffs[: n + 1]
-        if type(zero) is Fraction and _rational(lhs) and _rational(rhs):
-            (an, da), (bn, db) = _lift(lhs), _lift(rhs)
+        if type(zero) is Fraction:
+            (an, da), (bn, db) = _lift(self.coeffs[: n + 1]), _lift(other.coeffs[: n + 1])
             den = da * db
-            return PowerSeries(
-                self.var, [Fraction(c, den) for c in _conv(an, bn, n)], zero
-            )
+            return PowerSeries(self.var, [Fraction(c, den) for c in _conv(an, bn, n)])
         out = [zero] * (n + 1)
         for i in range(n + 1):
             a = self.coeffs[i]
@@ -452,7 +465,7 @@ class PowerSeries:
                 if not b:
                     continue
                 out[i + j] = out[i + j] + a * b
-        return PowerSeries(self.var, out, zero)
+        return PowerSeries(self.var, out)
 
     __rmul__ = scale
 
@@ -465,10 +478,10 @@ class PowerSeries:
                 "division by a series with zero constant term"
             )
         n = min(self.order, other.order)
-        zero = _join_zero(self.czero, other.czero)
-        lhs, rhs = self.coeffs[: n + 1], other.coeffs[: n + 1]
-        if type(zero) is Fraction and _rational(lhs) and _rational(rhs):
-            return PowerSeries(self.var, _div_rational(lhs, rhs), zero)
+        if type(_join_zero(self.czero, other.czero)) is Fraction:
+            return PowerSeries(
+                self.var, _div_rational(self.coeffs[: n + 1], other.coeffs[: n + 1])
+            )
         inv0 = _QONE / other.coeffs[0]
         out: list = []
         for k in range(n + 1):
@@ -476,7 +489,7 @@ class PowerSeries:
             for j in range(k):
                 acc = acc - out[j] * other.coeffs[k - j]
             out.append(acc * inv0)
-        return PowerSeries(self.var, out, zero)
+        return PowerSeries(self.var, out)
 
     def __rtruediv__(self, c):
         return self.inv().scale(c)
@@ -500,9 +513,7 @@ class PowerSeries:
 
     def mul_var(self, k: int = 1) -> "PowerSeries":
         """Multiply by var^k (order grows by k: those coefficients are exact)."""
-        return PowerSeries(
-            self.var, (self.czero,) * k + self.coeffs, self.czero
-        )
+        return PowerSeries(self.var, (self.czero,) * k + self.coeffs)
 
     def div_var(self, k: int = 1) -> "PowerSeries":
         """Divide by var^k; the first k coefficients must vanish."""
@@ -511,7 +522,7 @@ class PowerSeries:
                 raise SeriesError(
                     f"series not divisible by {self.var}^{k}"
                 )
-        return PowerSeries(self.var, self.coeffs[k:], self.czero)
+        return PowerSeries(self.var, self.coeffs[k:])
 
     # -- composition / reversion ------------------------------------------------
 
@@ -522,17 +533,11 @@ class PowerSeries:
                 "composition requires inner constant term zero"
             )
         n = min(self.order, inner.order)
-        if (
-            type(inner.czero) is Fraction
-            and _rational(self.coeffs)
-            and _rational(inner.coeffs[: n + 1])
-        ):
+        zero = _join_zero(self.czero, inner.czero)
+        if type(zero) is Fraction:
             on, od = _lift(self.coeffs[: n + 1])
             acc, den = _horner(on, od, *_lift(inner.coeffs[: n + 1]), n)
-            return PowerSeries(
-                inner.var, [Fraction(x, den) for x in acc], inner.czero
-            )
-        zero = _join_zero(inner.czero, self.coeffs[0] * inner.coeffs[0])
+            return PowerSeries(inner.var, [Fraction(x, den) for x in acc])
         acc = PowerSeries.zero(inner.var, n, zero)
         trunc_inner = inner.truncate(n)
         for k in range(self.order, -1, -1):
@@ -556,16 +561,13 @@ class PowerSeries:
             raise SeriesError("reversion requires zero constant term")
         if self.coeffs[1] != self.czero + 1:
             raise SeriesError("reversion requires linear coefficient 1")
-        if type(self.czero) is Fraction and _rational(self.coeffs):
+        if type(self.czero) is Fraction:
             v, den = _revert(*_lift(self.coeffs), self.order)
-            return PowerSeries(
-                self.var, [Fraction(y, den) for y in v], self.czero
-            )
+            return PowerSeries(self.var, [Fraction(y, den) for y in v])
         v = PowerSeries.identity(self.var, 1, self.czero)
         for m in _ladder(self.order):
             k, dv = v.order, v.derive()
-            pad = (v.czero,) * (m - k)
-            v = PowerSeries(self.var, v.coeffs + pad, v.czero)
+            v = PowerSeries(self.var, v.coeffs + (v.czero,) * (m - k))
             err = self.truncate(m).compose(v) - PowerSeries.identity(
                 self.var, m, self.czero
             )
@@ -580,9 +582,7 @@ class PowerSeries:
             if out.order < 1:
                 raise OrderError("derivative of an order-0 series")
             out = PowerSeries(
-                out.var,
-                [out.coeffs[k] * k for k in range(1, out.order + 1)],
-                out.czero,
+                out.var, [out.coeffs[k] * k for k in range(1, out.order + 1)]
             )
         return out
 
@@ -590,9 +590,7 @@ class PowerSeries:
         """Termwise integral with zero constant term (order grows by one)."""
         return PowerSeries(
             self.var,
-            (self.czero,)
-            + tuple(c / (k + 1) for k, c in enumerate(self.coeffs)),
-            self.czero,
+            (self.czero,) + tuple(c / (k + 1) for k, c in enumerate(self.coeffs)),
         )
 
     # -- exp / log / powers ---------------------------------------------------------
@@ -608,7 +606,7 @@ class PowerSeries:
             for k in range(1, n + 1):
                 acc = acc + (k * self.coeffs[k]) * out[n - k]
             out.append(acc / Fraction(n))
-        return PowerSeries(self.var, out, self.czero)
+        return PowerSeries(self.var, out)
 
     def log(self) -> "PowerSeries":
         c0 = self.coeffs[0]
@@ -616,7 +614,7 @@ class PowerSeries:
             raise SeriesError("log requires constant term 1")
         l0 = c0 * _QZERO
         if self.order == 0:
-            return PowerSeries(self.var, (l0,), self.czero)
+            return PowerSeries(self.var, (l0,))
         body = (self.derive() / self.truncate(self.order - 1)).integrate()
         return body._add_scalar(l0)
 
@@ -634,12 +632,11 @@ class PowerSeries:
         """
         if self.coeffs[0] != _QONE:
             raise SeriesError("symbolic powers need constant term 1")
-        # the domain that holds the zero, the constant term and e
-        zero = _join_zero(_join_zero(self.czero, self.coeffs[0] * _QZERO), e)
-        if type(self.czero) is Fraction and _rational(self.coeffs):
+        if type(self.czero) is Fraction:
             a, d = _lift(self.coeffs)
             polys, den = _power_polys([[x] for x in a], d)
-            return PowerSeries(self.var, values_at([w[0] for w in polys], den, e), zero)
+            return PowerSeries(self.var, values_at([w[0] for w in polys], den, e))
+        zero = _join_zero(self.czero, e)
         g = self.coeffs
         e1 = e + 1
         w = [zero + 1]
@@ -650,22 +647,20 @@ class PowerSeries:
                     p = g[k] * w[n - k]
                     total, weighted = total + p, weighted + p * k
             w.append(weighted * (e1 * Fraction(1, n)) - total)
-        return PowerSeries(self.var, w, zero)
+        return PowerSeries(self.var, w)
 
     # -- evaluation / reshaping -------------------------------------------------------
 
     def eval_truncated(self, x0: Fraction) -> Fraction:
         """Evaluate the truncating polynomial at a rational point."""
+        _need_fraction(self, "numeric evaluation needs a series")
         acc = _QZERO
         for c in reversed(self.coeffs):
-            if not isinstance(c, Fraction):
-                raise SeriesError("numeric evaluation needs Fraction coefficients")
             acc = acc * x0 + c
         return acc
 
     def map_coeffs(self, fn) -> "PowerSeries":
-        coeffs = [fn(c) for c in self.coeffs]
-        return PowerSeries(self.var, coeffs, coeffs[0] * _QZERO)
+        return PowerSeries(self.var, [fn(c) for c in self.coeffs])
 
     def __repr__(self):
         bits = []

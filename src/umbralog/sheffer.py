@@ -20,7 +20,7 @@ from .operators import DiffOperator, apply_Tn
 from .parampoly import S, ParamPoly, values_at
 from .polys import Poly
 from .presets import family
-from .series import OrderError, PowerSeries, SeriesError
+from .series import OrderError, PowerSeries, SeriesError, _need_fraction
 from .umbral import (
     BinomialFamily,
     _continuation,
@@ -46,11 +46,8 @@ class ShefferFamily:
 def tau_seq(fam: BinomialFamily, ell: PowerSeries, N: int) -> ShefferFamily:
     """Polynomials from sum tau_n(a) x^n / n! = ell(phi(x)) exp(a phi(x)),
     plus the symbolic continuation ell(d/da) applied to the alpha^s series."""
-    for c in ell.coeffs:
-        if type(c) is not Fraction:
-            raise SeriesError(
-                f"tau_seq needs ell over Fraction coefficients, not {type(c).__name__}"
-            )
+    _need_fraction(fam.f, "tau_seq needs f")
+    _need_fraction(ell, "tau_seq needs ell")
     if ell.coefficient(0) != 1:
         raise SeriesError("ell must have constant term 1")
     if fam.phi.order < N or ell.order < N:

@@ -159,7 +159,7 @@ def _lhs_side(fam: BinomialFamily, depth: int, known=()) -> tuple:
     the coefficient of alpha^{s-n} in p_s.  Its logarithm l has
     l_n = c_n - (1/n) sum_{k<n} k l_k c_{n-k}, and lhs_n = l_n / s.
     """
-    g = fam.f.truncate(depth + 1).div_var(1).inv().coeffs
+    g = fam.x_over_f.truncate(depth).coeffs
     one = ParamPoly.const(1)
     rows = list(known) or [(ParamPoly(), ParamPoly(), one, one, one)]
     for n in range(len(rows), depth + 1):
@@ -217,7 +217,7 @@ def _exp_side(fam: BinomialFamily, depth: int, known=()) -> tuple:
 
         U[i][j] = (j+1) U[i-1][j+1] - s sum_{a+b=j} u_a U[i-1][b+1].
     """
-    u = fam.tau_f.truncate(depth + 1).div_var(1).inv().coeffs
+    u = fam.x_over_tau.truncate(depth).coeffs
     diags = [row[1:] for row in known]
     rows = list(known)
     for m in range(len(rows), depth + 1):
@@ -385,6 +385,17 @@ class LimitReport:
     ok: bool
 
 
+def _ln_at(q: Fraction, what: str, alpha: Fraction) -> Decimal:
+    """ln q for the second limit; a q <= 0 is a ``StirlingError`` naming alpha."""
+    if q <= 0:
+        raise StirlingError(
+            f"{what} is not positive at alpha = {alpha}, so its log is undefined: "
+            f"1/alpha = {1 / alpha} lies outside omega's disc of convergence for "
+            "this family; try a larger alpha (--alpha)"
+        )
+    return ln_decimal(q)
+
+
 def _doubling(n_max: int) -> list:
     out = []
     n = 4
@@ -444,13 +455,15 @@ def limit_check(
         elif which == "second":
             fw = fam.fprime_at_omega(fam.order - 2)
             i_val = fw.log().integrate().eval_truncated(point)
-            series, value = om.derive(), lambda u: ln_decimal(u.eval_truncated(point)) / 2
+            series, value = om.derive(), lambda u: (
+                _ln_at(u.eval_truncated(point), "omega'(1/alpha)", alpha) / 2
+            )
             quantity = "ln p_n(alpha*n) - n*ln(alpha*n) + n*alpha*I(1/alpha)"
             tstr = "(1/2) ln omega'(1/alpha)"
             for n in ns:
                 p_val = seq[n].eval(alpha * n)
                 lhs = (
-                    ln_decimal(p_val)
+                    _ln_at(p_val, f"p_{n}({n}*alpha)", alpha)
                     - n * ln_decimal(alpha * n)
                     + to_decimal(n * alpha * i_val)
                 )

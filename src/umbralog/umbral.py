@@ -22,11 +22,11 @@ from math import comb, factorial, gcd, lcm
 from .asymptotic import AsymptoticSeries
 from .parampoly import H, S, ParamPoly, _lift, binom_poly, values_at
 from .polys import Poly
-from .series import OrderError, PowerSeries, SeriesError, _conv, _join_zero, _power_polys
+from .series import OrderError, PowerSeries, SeriesError, _conv, _need_fraction, _power_polys
 
 
 def rename(u: PowerSeries, var: str) -> PowerSeries:
-    return PowerSeries(var, u.coeffs, u.czero)
+    return PowerSeries(var, u.coeffs)
 
 
 def op_L(g: PowerSeries) -> PowerSeries:
@@ -44,8 +44,7 @@ def _exact_key(x):
     1, Fraction(1) and ParamPoly.const(1) compare equal, but as exponents or
     coefficients they give results in different coefficient domains."""
     if isinstance(x, PowerSeries):
-        return (PowerSeries, x.var, _exact_key(x.czero),
-                tuple(_exact_key(c) for c in x.coeffs))
+        return (PowerSeries, x.var, tuple(_exact_key(c) for c in x.coeffs))
     return (type(x), x)
 
 
@@ -125,6 +124,17 @@ class BinomialFamily:
     def inv_omega_prime(self) -> PowerSeries:
         """1/omega'(x), computed once: every d/domega step multiplies by it."""
         return self.omega.derive().inv()
+
+    @cached_property
+    def x_over_f(self) -> PowerSeries:
+        """x/f(x), computed once.  Tables read prefixes of it: a truncated
+        inverse holds the same rationals as the inverse of a truncation."""
+        return self.f.div_var(1).inv()
+
+    @cached_property
+    def x_over_tau(self) -> PowerSeries:
+        """x/(f/f')(x), computed once and read as ``x_over_f`` is."""
+        return self.tau_f.div_var(1).inv()
 
     def sigma(self, var: str = "s") -> PowerSeries:
         """The series v/omega'(v) (zero constant, unit linear term)."""
@@ -262,6 +272,7 @@ def p_seq(fam: BinomialFamily, N: int, known=()) -> PSequence:
     which is ``sheffer_polys`` with e = 0.  One table per family grows
     with the largest N asked.
     """
+    _need_fraction(fam.f, "p_seq needs f")
     if fam.phi.order < N:
         raise OrderError(f"family order {fam.order} too small for p_{N}")
     phip = fam.phi.derive()
@@ -279,8 +290,7 @@ def q_zero_table(fam: BinomialFamily, n_max: int, exponent=S) -> tuple:
     ``pow_param``)."""
     if fam.f.order < n_max + 1:
         raise OrderError("family order too small for the requested q table")
-    x_over_f = fam.f.truncate(n_max + 1).div_var(1).inv()
-    u = x_over_f.pow_param(exponent)
+    u = fam.x_over_f.truncate(n_max).pow_param(exponent)
     return tuple(factorial(n) * u.coefficient(n) for n in range(n_max + 1))
 
 
@@ -303,12 +313,8 @@ def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> tuple:
         raise OrderError(
             f"family order {fam.order} too small (need {need}) for the q table"
         )
+    _need_fraction(fam.f, "q_table needs f")
     f = fam.f.coeffs[: need + 1]
-    for c in f:
-        if type(c) is not Fraction:
-            raise SeriesError(
-                f"q_table needs f over Fraction coefficients, not {type(c).__name__}"
-            )
     # [t^j] f^{(k+1)}(t) / (k+1)! = C(k+1+j, j) f_{k+1+j}; row 0 is f'(t)
     rows = [
         PowerSeries("t", [comb(k + 1 + j, j) * f[k + 1 + j] for j in range(t_order + 1)])
@@ -320,11 +326,8 @@ def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> tuple:
     a = [[d] + [0] * t_order] + [nums[i : i + width] for i in range(0, len(nums), width)]
     polys, den = _power_polys(a, d)
     values = values_at([p for w in polys for p in w], den, -exponent)
-    zero = _join_zero(Fraction(0), exponent)
     return tuple(
-        PowerSeries(
-            "t", [factorial(n) * v for v in values[n * width : (n + 1) * width]], zero
-        )
+        PowerSeries("t", [factorial(n) * v for v in values[n * width : (n + 1) * width]])
         for n in range(n_max + 1)
     )
 
@@ -377,9 +380,10 @@ def _continuation(fam: BinomialFamily, N: int, ell) -> tuple:
     (s-1)...(s-k) W_k(s), and both it and the falling factorial grow by one
     linear factor per step.
     """
+    _need_fraction(fam.f, "the symbolic continuation needs f")
     if fam.f.order < N + 1:
         raise OrderError("family order too small for the requested q table")
-    a, d = _lift(fam.f.truncate(N + 1).div_var(1).inv().coeffs)
+    a, d = _lift(fam.x_over_f.truncate(N).coeffs)
     polys, den = _power_polys([[x] for x in a], d)
     ells, dl = _lift(ell[: N + 1])
     top = max(m for m, x in enumerate(ells) if x)

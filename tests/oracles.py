@@ -175,7 +175,7 @@ def abel_poly(n: int, a: Fraction):
 def naive_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Truncated product, one ring operation per term."""
     n = min(a.order, b.order)
-    out = [Fraction(0)] * (n + 1)
+    out = [a.czero + b.czero] * (n + 1)
     for i in range(n + 1):
         x = a.coeffs[i]
         if x == 0:
@@ -185,7 +185,7 @@ def naive_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
             if y == 0:
                 continue
             out[i + j] = out[i + j] + x * y
-    return PowerSeries(a.var, out, a.czero)
+    return PowerSeries(a.var, out)
 
 
 def naive_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
@@ -199,7 +199,7 @@ def naive_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
         for j in range(k):
             acc = acc - out[j] * b.coeffs[k - j]
         out.append(acc * inv0)
-    return PowerSeries(a.var, out, a.czero)
+    return PowerSeries(a.var, out)
 
 
 def naive_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:

@@ -306,6 +306,19 @@ def test_limits_alpha_not_a_rational(capsys):
     assert captured.err == "error: 'x/2' is not a rational\n"
 
 
+@pytest.mark.parametrize("spec", ["geom", "nu"])
+def test_limits_alpha_outside_omegas_disc_names_alpha(capsys, spec):
+    code = main(["limits", "--f", spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: p_8(8*alpha) is not positive at alpha = 2, so its log is undefined: "
+        "1/alpha = 1/2 lies outside omega's disc of convergence for this family; "
+        "try a larger alpha (--alpha)\n"
+    )
+
+
 def test_input_past_the_digit_limit_is_too_long_not_malformed(capsys):
     limit = sys.get_int_max_str_digits()
     digits = "7" * (limit + 1)

@@ -178,7 +178,7 @@ class TestLiftedInversion:
     def test_rejects_a_parampoly_target_and_changes_nothing(self):
         fam = build_family(build_f("exp1", 12))
         op = op_ratio_split(fam, Q(1))
-        part = PowerSeries("x", [ParamPoly.const(1), S, ParamPoly(), S * S], ParamPoly())
+        part = PowerSeries("x", [ParamPoly.const(1), S, ParamPoly(), S * S])
         target = GradedSeries(0, {0: part})
         tables = dict(fam._tables)
         with pytest.raises(SeriesError, match="Fraction.*ParamPoly"):

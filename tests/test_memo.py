@@ -10,7 +10,7 @@ from umbralog.grading import GradedSeries, target_powers_image, target_powers_im
 from umbralog.parampoly import H, ParamPoly
 from umbralog.polys import Poly
 from umbralog.presets import FAMILY_CACHE_SIZE, build_f, f_random, family
-from umbralog.series import OrderError, PowerSeries
+from umbralog.series import OrderError, PowerSeries, SeriesError
 from umbralog.sheffer import ShefferFamily, bernoulli_weight, tau_seq
 from umbralog.stirling import (
     StirlingExpansion,
@@ -27,6 +27,7 @@ from umbralog.umbral import (
     BinomialFamily,
     FamilyError,
     PSequence,
+    _exact_key,
     build_family,
     p_seq,
     q_at_omega,
@@ -161,12 +162,16 @@ class TestExactKeys:
         fam = build_family(build_f("exp1", ORDER))
         ell = bernoulli_weight(ORDER)
         renamed = rename(ell, "t")
-        # the same Fraction coefficients, with a zero from another domain
-        widened = PowerSeries(ell.var, ell.coeffs, ParamPoly())
+        # the same values as ParamPoly constants: an equal series, another key
+        widened = ell.map_coeffs(ParamPoly.const)
         assert ell == widened and renamed.coeffs == ell.coeffs
-        got = [tau_seq(fam, e, 5) for e in (ell, renamed, widened)]
-        assert len({id(sf) for sf in got}) == 3
-        assert got[1].ell.var == "t" and type(got[2].ell.czero) is ParamPoly
+        assert _exact_key(widened) != _exact_key(ell)
+        got = [tau_seq(fam, e, 5) for e in (ell, renamed)]
+        assert got[0] is not got[1] and got[1].ell.var == "t"
+        keys = set(fam._tables)
+        with pytest.raises(SeriesError, match="over Fraction coefficients, not ParamPoly$"):
+            tau_seq(fam, widened, 5)
+        assert set(fam._tables) == keys
         assert tau_seq(fam, bernoulli_weight(ORDER), 5) is got[0]
 
 

@@ -33,7 +33,7 @@ def unit_series(draw):
         ParamPoly(draw(st.dictionaries(keys, small_rationals, max_size=2)))
         for _ in tail
     ]
-    return PowerSeries("x", [ParamPoly.const(1)] + polys, ParamPoly())
+    return PowerSeries("x", [ParamPoly.const(1)] + polys)
 
 
 def typed(u: PowerSeries) -> tuple:
@@ -62,8 +62,8 @@ class TestMillerAgainstExpLog:
             for e in EXPONENTS:
                 assert typed(g.pow_param(e)) == typed(pow_by_exp_log(g, e))
 
-    def test_fraction_base_with_symbolic_zero_widens(self):
-        g = PowerSeries("x", [Q(1), Q(1, 2), Q(-3)], ParamPoly())
+    def test_parampoly_constant_base_keeps_its_domain(self):
+        g = PowerSeries("x", [Q(1), Q(1, 2), Q(-3)]).map_coeffs(ParamPoly.const)
         for e in (2, Q(1, 3), S):
             got = g.pow_param(e)
             assert typed(got) == typed(pow_by_exp_log(g, e))

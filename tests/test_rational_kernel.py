@@ -156,7 +156,7 @@ class TestRevertFixedCases:
     @pytest.mark.parametrize("order", (2, 5, 10, 19))
     def test_parampoly_constants_give_the_fraction_result(self, order):
         u = unit_linear_series(order)
-        lifted = PowerSeries("x", [ParamPoly.const(c) for c in u.coeffs], ParamPoly())
+        lifted = u.map_coeffs(ParamPoly.const)
         got = lifted.revert()
         assert got.order == order
         assert all(type(c) is ParamPoly for c in got.coeffs)
@@ -261,10 +261,9 @@ class TestDivisionContract:
 
     def test_fraction_by_parampoly_keeps_the_wider_domain(self):
         a = PowerSeries("x", [Q(1), Q(2, 3), Q(0), Q(-5)])
-        b = PowerSeries("x", [ParamPoly.const(2), S, ParamPoly(), S * S], ParamPoly())
-        # the last pair: Fraction coefficients over a ParamPoly zero, as in
-        # the memo's type-separation tests
-        widened = PowerSeries("x", a.coeffs, ParamPoly())
+        b = PowerSeries("x", [ParamPoly.const(2), S, ParamPoly(), S * S])
+        # the last pair: rational values written as ParamPoly constants
+        widened = a.map_coeffs(ParamPoly.const)
         c = PowerSeries("x", [Q(2), Q(1), Q(0), Q(0)])
         for x, y in ((a, b), (b, a), (widened, c)):
             got = x / y
@@ -276,16 +275,18 @@ class TestDivisionContract:
 class TestOtherDomainsStayGeneric:
     def test_fraction_times_parampoly_domain(self):
         a = PowerSeries("x", [Q(1), Q(2, 3), Q(0), Q(-5)])
-        b = PowerSeries("x", [ParamPoly.const(1), S, ParamPoly(), S * S], ParamPoly())
+        b = PowerSeries("x", [ParamPoly.const(1), S, ParamPoly(), S * S])
         for got in (a * b, b * a):
             assert isinstance(got.czero, ParamPoly)
             assert got == naive_mul(a, b)
         assert (a * b).coefficient(1) == S + Q(2, 3)
 
-    def test_parampoly_coefficient_over_fraction_zero(self):
+    def test_mixed_coefficients_widen_to_parampoly(self):
         a = PowerSeries("x", [Q(1), S, Q(2)])
         b = PowerSeries("x", [Q(0), Q(1, 2), Q(3)])
-        assert type(a.czero) is Q
+        assert a.coeffs == (ParamPoly.const(1), S, ParamPoly.const(2))
+        assert all(type(c) is ParamPoly for c in a.coeffs)
+        assert type(a.czero) is ParamPoly
         for got in (a * b, b * a):
             assert got == naive_mul(a, b)
             assert got.coefficient(2) == S * Q(1, 2) + Q(3)

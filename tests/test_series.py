@@ -257,7 +257,7 @@ def domain_series(draw, head):
     zero = ParamPoly()
     fixed = [zero, zero + 1] if head == "tangent" else [zero + 1]
     rest = [draw(small_param_polys()) for _ in range(n + 1 - len(fixed))]
-    return PowerSeries("x", fixed + rest, zero)
+    return PowerSeries("x", fixed + rest)
 
 
 def assert_order(u, n):
@@ -307,10 +307,10 @@ class TestHash:
     def test_equal_series_hash_equal_across_domains(self):
         pzero = ParamPoly()
         pairs = [
-            (series([0, 1]), PowerSeries("x", [pzero, ParamPoly.const(1)], pzero)),
+            (series([0, 1]), PowerSeries("x", [pzero, ParamPoly.const(1)])),
             (series([2, 0, Q(1, 3)]),
-             PowerSeries("x", [ParamPoly.const(2), pzero, ParamPoly.const(Q(1, 3))], pzero)),
-            (series([1, 2]), PowerSeries("x", [Q(1), Q(2)], pzero)),
+             PowerSeries("x", [ParamPoly.const(2), pzero, ParamPoly.const(Q(1, 3))])),
+            (series([1, 2]), PowerSeries("x", [Poly.const(1), Poly.const(2)])),
         ]
         for a, b in pairs:
             assert a == b
@@ -345,3 +345,69 @@ class TestCoefficientProtocol:
         u = PowerSeries.zero("x", 2) + S
         assert type(u.czero) is ParamPoly
         assert all(type(c) is ParamPoly for c in (u * u).coeffs)
+
+
+# each domain with a value that is not a rational constant in it
+DOMAINS = {Q: Q(1, 3), ParamPoly: S, Poly: Poly.x()}
+
+
+def in_domain(coeffs, domain):
+    """A series in x over ``domain``: each rational coefficient lifted to it,
+    and the string "sym" replaced by the domain's non-constant value."""
+    lift = {Q: Q, ParamPoly: ParamPoly.const, Poly: Poly.const}[domain]
+    return PowerSeries("x", [DOMAINS[domain] if c == "sym" else lift(c) for c in coeffs])
+
+
+def assert_uniform(u, domain):
+    assert {type(c) for c in u.coeffs} == {domain}
+    assert type(u.czero) is domain and not u.czero
+
+
+class TestOneDomainPerSeries:
+    """A series' coefficients all have one type, the join of its inputs'
+    domains; ``czero`` is that type's zero."""
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @pytest.mark.parametrize("other", [Q, "same"])
+    def test_every_operation_returns_the_joined_domain(self, domain, other):
+        other = domain if other == "same" else other
+        unit = in_domain([1, "sym", Q(1, 2), -2, 0, 5], domain)
+        tangent = in_domain([0, 1, "sym", 3, 0, Q(-1, 7)], domain)
+        unit2 = in_domain([2, Q(1, 5), 0, "sym", 1, 1], other)
+        tangent2 = in_domain([0, 1, Q(2, 3), 0, "sym", 4], other)
+        results = [
+            unit * unit2, unit2 * unit, unit * Q(3), unit.scale(Q(-1, 2)),
+            unit + unit2, unit2 - unit, unit + 1, 1 - unit,
+            unit / unit2, unit2 / unit, unit.inv(), unit.pow_int(3),
+            unit.compose(tangent2), unit2.compose(tangent), tangent.revert(),
+            unit.pow_param(Q(1, 3)), unit.pow_param(-2), tangent.exp(), unit.log(),
+            unit.derive(), tangent.integrate(), tangent.div_var(1), unit.mul_var(2),
+            unit.truncate(2), unit.map_coeffs(lambda c: c * 2),
+        ]
+        for got in results:
+            assert_uniform(got, domain)
+
+    @pytest.mark.parametrize("wider", [ParamPoly, Poly])
+    def test_a_wider_scalar_or_factor_widens_every_coefficient(self, wider):
+        sym = DOMAINS[wider]
+        u = in_domain([1, Q(1, 2), 0, -3], Q)
+        v = in_domain([0, 1, Q(1, 4), 2], Q)
+        w = in_domain([1, "sym", 0, 2], wider)
+        results = [
+            u + sym, u - sym, u.scale(sym), u * w, w * u, u / w,
+            u.compose(in_domain([0, 1, "sym", 0], wider)), w.compose(v),
+            u.map_coeffs(lambda c: c * sym if c else c),
+        ]
+        if wider is ParamPoly:
+            results += [u.pow_param(S), (v * S + v).exp(), (u + S * v).log()]
+        for got in results:
+            assert_uniform(got, wider)
+
+    def test_the_constructor_states_one_domain(self):
+        assert PowerSeries("x", [1, 0, True]).coeffs == (Q(1), Q(0), Q(1))
+        assert_uniform(PowerSeries("x", [1, 0, True]), Q)
+        mixed = PowerSeries("x", [Q(1), 2, S, ParamPoly()])
+        assert_uniform(mixed, ParamPoly)
+        assert mixed.coeffs == (ParamPoly.const(1), ParamPoly.const(2), S, ParamPoly())
+        assert_uniform(PowerSeries("x", [Poly.x(), Q(1, 2)]), Poly)
+        assert PowerSeries.__slots__ == ("var", "coeffs")

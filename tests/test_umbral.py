@@ -13,10 +13,12 @@ from oracles import (
     q_table_by_powers,
     q_table_by_series,
 )
+from umbralog.operators import apply_Tn
 from umbralog.parampoly import ParamPoly
 from umbralog.polys import Poly
 from umbralog.presets import build_f, f_poly, family, x_exp_minus_x
 from umbralog.series import OrderError, PowerSeries, SeriesError
+from umbralog.sheffer import bernoulli_weight, tau_seq
 from umbralog.stirling import _lhs_side
 from umbralog.umbral import (
     FamilyError,
@@ -111,6 +113,17 @@ class TestOmegaSideOperators:
         assert fam.inv_omega_prime is fam.inv_omega_prime
         assert fam == family("nu", 8)
         assert hash(fam) == hash(family("nu", 8))
+
+    @pytest.mark.parametrize("spec", ["exp1", "nu", "poly:1,1/2,-1/3,1/5,1/6"])
+    def test_held_inverses_truncate_to_the_inverse_of_a_truncation(self, spec):
+        fam = build_family(build_f(spec, 12))
+        assert fam.x_over_f is fam.x_over_f and fam.x_over_tau is fam.x_over_tau
+        for k in range(fam.x_over_f.order + 1):
+            want = fam.f.truncate(k + 1).div_var(1).inv()
+            assert fam.x_over_f.truncate(k).coeffs == want.coeffs
+        for k in range(fam.x_over_tau.order + 1):
+            want = fam.tau_f.truncate(k + 1).div_var(1).inv()
+            assert fam.x_over_tau.truncate(k).coeffs == want.coeffs
 
 
 class TestTauInverse:
@@ -257,9 +270,20 @@ class TestQTableAgainstSeries:
         assert "family order 10 too small (need 11)" in str(got.value)
 
     def test_rejects_a_family_over_parampoly(self):
+        """build_family runs over ParamPoly; the tables that lift f to
+        integers name the domain instead of failing inside the lift."""
         fam = build_family(build_f("exp1", 8).map_coeffs(ParamPoly.coerce))
-        with pytest.raises(SeriesError, match="Fraction.*ParamPoly"):
-            q_table(fam, 2, 2)
+        entry_points = {
+            "p_seq": lambda: p_seq(fam, 4),
+            "p_symbolic": lambda: p_symbolic(fam, 4),
+            "tau_seq": lambda: tau_seq(fam, bernoulli_weight(8), 4),
+            "q_table": lambda: q_table(fam, 2, 2),
+            "apply_Tn": lambda: apply_Tn(fam.omega, 2, fam.sigma("x")),
+        }
+        for call in entry_points.values():
+            with pytest.raises(SeriesError, match="over Fraction coefficients, not ParamPoly$"):
+                call()
+        assert not fam._tables
 
 
 class TestQTableDomain:
