@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from numbers import Number
 
 SYMBOLS = ("s", "H", "L")
 
@@ -161,6 +162,8 @@ class ParamPoly:
         return ParamPoly._make(out, da)
 
     def __add__(self, other):
+        if not isinstance(other, (ParamPoly, Number)):
+            return NotImplemented  # a series adds a ParamPoly itself
         return self._plus(ParamPoly.coerce(other), 1)
 
     __radd__ = __add__
@@ -169,6 +172,8 @@ class ParamPoly:
         return ParamPoly._reduced({k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
+        if not isinstance(other, (ParamPoly, Number)):
+            return NotImplemented
         return self._plus(ParamPoly.coerce(other), -1)
 
     def __rsub__(self, other):
@@ -190,12 +195,10 @@ class ParamPoly:
                 q //= h
                 num = {k: v // h for k, v in num.items()}
             den *= q
-        return ParamPoly._reduced({k: v * p for k, v in num.items()}, den)
+        return ParamPoly._reduced({k: v * p for k, v in num.items()} if p != 1 else num, den)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self._scale(other, 1)
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             return self._scale(other.numerator, other.denominator)
         if not isinstance(other, ParamPoly):
             return NotImplemented

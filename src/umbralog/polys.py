@@ -58,6 +58,8 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
+        elif not isinstance(other, Poly):
+            return NotImplemented  # a series adds a Poly itself
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(
             [self.coefficient(i) + other.coefficient(i) for i in range(n)]
@@ -97,9 +99,12 @@ class Poly:
         return Poly([c / other for c in self.coeffs])
 
     def __rtruediv__(self, other):
-        if self.degree() != 0:
+        return Poly.const(other / self.constant_value())
+
+    def constant_value(self) -> Fraction:
+        if self.degree() > 0:
             raise ValueError("only degree-0 polynomials are invertible")
-        return Poly.const(other / self.coeffs[0])
+        return self.coefficient(0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -7,29 +7,26 @@ coefficient past that order raises ``OrderError`` instead of silently
 producing zero.
 
 Coefficient domains: ``fractions.Fraction``, ``ParamPoly`` and ``Poly``.
-Each is reached only through Python's numeric operators, with ``Fraction``'s
+Each is reached through Python's numeric operators, with ``Fraction``'s
 meaning: ``not c`` tests for zero, ``c * 0`` and ``z + 1`` give the domain's
-zero and one, and ``Fraction(1) / c`` inverts a unit.  A series' coefficients
-are the only record of its domain: they all have one type, since the
-constructor turns ``int`` into ``Fraction`` and lifts a mixed list to the
-widest domain in it, and ``czero`` is the zero of that type.  So mixing two
-domains keeps the wider one, each fast path below tests one type, and
-``_need_fraction`` is the one check that rejects a series outside
-``Fraction``.
+zero and one, and ``Fraction(1) / c`` inverts a unit; and through its one
+lift to integral elements over a common denominator (``_DOMAINS``).  A
+series' coefficients are the only record of its domain: they all have one
+type, since the constructor turns ``int`` into ``Fraction`` and lifts a
+mixed list to the widest domain in it, and ``czero`` is the zero of that
+type.  So mixing two domains keeps the wider one, and ``_need_fraction`` is
+the one check that rejects a series outside ``Fraction``.
 
-Products, quotients and compositions whose coefficients are all
-``Fraction`` run on integer numerators over one common denominator instead
-of one normalising ``Fraction`` operation per term; so do ``inv`` and
-``log``, which divide, ``revert``, whose Newton loop (``_revert``) keeps
-its iterate as one integer vector and shares ``compose``'s Horner core
-(``_horner``), and ``pow_param``, which runs its power recurrence on
-integer polynomials in the exponent.  They return the same rationals as
-the generic loops, which every other domain still uses.
+``*``, ``/`` (so ``inv`` and ``log``), ``compose`` and ``revert`` run one
+kernel on lifts for every domain (``_conv``, ``_div_rational``,
+``_horner``, ``_revert``), on plain ``int``s over ``Fraction``; the
+term-by-term loops it replaced are the oracles in ``tests/oracles.py``.
 
-That power recurrence (``_power_polys``) takes coefficients that are
-integer vectors in a second variable t: ``pow_param`` is its t-free
-caller, and ``umbral.q_table`` and the symbolic continuation of
-``umbral``/``sheffer`` read its polynomials directly.
+Miller's power recurrence (``_power_polys``) runs on integer polynomials in
+the exponent, with coefficients that are integer vectors in a second
+variable t: ``pow_param`` is its t-free caller over ``Fraction`` (other
+domains take exp(e log g)), and ``umbral.q_table`` and the symbolic
+continuation of ``umbral``/``sheffer`` read its polynomials directly.
 
 Lifted entries, a dict of integer vectors over one denominator, are the
 shape ``operators.apply_Tn`` (keyed by derivative order) and the graded
@@ -42,10 +39,12 @@ gcd, and ``_to_series`` builds ``Fraction`` series once, at the end.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
-from .parampoly import _lift, values_at
+from .parampoly import ParamPoly, _lift, values_at
+from .polys import Poly
 
 
 class SeriesError(ValueError):
@@ -60,17 +59,12 @@ _QZERO = Fraction(0)
 _QONE = Fraction(1)
 
 
-def _join_zero(zero, c):
-    """The zero of the domain that holds both ``zero``'s domain and ``c``."""
-    return zero if type(zero) is type(c) else zero + c * 0
-
-
 def _widen(coeffs) -> tuple:
     """``coeffs`` in the widest of their domains, with ``int`` as ``Fraction``."""
     coeffs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
     zero = _QZERO
-    for c in coeffs:
-        zero = _join_zero(zero, c)
+    for c in coeffs:  # the zero of the domain that holds zero's and c's
+        zero = zero if type(zero) is type(c) else zero + c * 0
     return tuple(c if type(c) is type(zero) else zero + c for c in coeffs)
 
 
@@ -81,11 +75,77 @@ def _need_fraction(s, need: str) -> None:
         raise SeriesError(f"{need} over Fraction coefficients, not {domain.__name__}")
 
 
-# -- integer kernel for the Fraction domain -------------------------------------
+# -- one lift per coefficient domain ---------------------------------------------
+#
+# ``lift`` writes coefficients as integral elements over one positive
+# denominator (content and primitive part: Geddes, Czapor and Labahn, 1992,
+# ch. 2), and ``unlift`` inverts it.  ``reduce`` divides a vector and its
+# denominator by their integer content, ``reduce1`` one element and a
+# denominator; ``value`` is the integer value of a constant element.  The
+# kernels use only ring operations on elements, so two domains' lifts mix
+# (``int`` times ``ParamPoly`` is its ``_scale``).
+_Lift = namedtuple("_Lift", "lift unlift reduce reduce1 value")
+
+
+def _reduce_ints(vec: list, den: int) -> tuple:
+    g = gcd(den, *vec)
+    if g == 1:
+        return vec, den
+    return [x // g for x in vec], den // g
+
+
+def _reduce1_ints(x: int, den: int) -> tuple:
+    g = gcd(x, den)
+    return x // g, den // g
+
+
+def _elements(domain, den) -> _Lift:
+    """The lift of ``domain`` to integral elements of its own type, for the
+    denominator den(c) of a coefficient c.  The kernels mix ``int`` entries
+    (zeros, and a ``Fraction`` operand's constants) into the elements, and
+    each hook takes them as constants; ``reduce`` lifts the coefficients,
+    canonical in their domain, again."""
+
+    def lift(coeffs):
+        d = lcm(*map(den, coeffs))
+        return [c * d for c in coeffs], d
+
+    zero = domain.const(0)
+
+    def unlift(vec, d):
+        inv = Fraction(1, d)
+        return [(domain.const(x * inv) if x else zero) if type(x) is int else x * inv for x in vec]
+
+    def reduce(vec, d):
+        return (vec, d) if d == 1 else lift(unlift(vec, d))
+
+    def reduce1(x, d):
+        (x,), d = reduce([x], d)
+        return x, d
+
+    def value(x):
+        return x if type(x) is int else int(x.constant_value())
+
+    return _Lift(lift, unlift, reduce, reduce1, value)
+
+
+_INTS = _Lift(_lift, lambda v, d: [Fraction(x, d) for x in v], _reduce_ints, _reduce1_ints, lambda c: c)
+_DOMAINS = {
+    Fraction: _INTS,
+    ParamPoly: _elements(ParamPoly, lambda c: c.den),
+    Poly: _elements(Poly, lambda c: _lift(c.coeffs)[1]),
+}
+
+
+def _lifts(s, t, n: int) -> tuple:
+    """s's and t's coefficients through order n, lifted, and the lift of the
+    domain that holds both (``Fraction`` widens)."""
+    a, b = _DOMAINS[type(s.coeffs[0])], _DOMAINS[type(t.coeffs[0])]
+    return (*a.lift(s.coeffs[: n + 1]), *b.lift(t.coeffs[: n + 1])), b if a is _INTS else a
 
 
 def _conv(a, b, n: int) -> list:
-    """Schoolbook product of two integer vectors, truncated at degree n."""
+    """Schoolbook product of two integral vectors, truncated at degree n."""
     out = [0] * (n + 1)
     b_nonzero = [(j, y) for j, y in enumerate(b[: n + 1]) if y]
     for i, x in enumerate(a[: n + 1]):
@@ -157,35 +217,34 @@ def _to_series(var: str, entry: tuple) -> dict:
     return {j: PowerSeries(var, [Fraction(y, den) for y in c]) for j, c in terms.items()}
 
 
-def _place(vec: list, den: int, i: int, num: int, d: int) -> tuple:
-    """``vec`` over ``den`` plus num/d at index i, over lcm(den, d)."""
+def _place(vec: list, den: int, i: int, num, d: int) -> tuple:
+    """``vec`` over ``den``, whose entry i is 0, with num/d there instead,
+    over lcm(den, d)."""
     common = lcm(den, d)
     if common != den:
         up = common // den
         vec = [x * up for x in vec]
-    vec[i] += num * (common // d)
+    vec[i] = num * (common // d)
     return vec, common
 
 
-def _horner(on: list, od: int, b: list, d: int, n: int) -> tuple:
-    """Horner evaluation of outer(inner) to order n in integers, for the
-    lifted outer = on / od and inner = b / d; returns (numerators, den).
+def _horner(on: list, od: int, b: list, d: int, n: int, dom) -> tuple:
+    """Horner evaluation of outer(inner) to order n on lifts, for the lifted
+    outer = on / od and inner = b / d, in the joined domain dom; returns
+    (elements, den).
 
-    The accumulator is one integer vector over a single denominator, kept
+    The accumulator is one integral vector over a single denominator, kept
     reduced.  ``inner`` has zero constant term, so ``outer[k]`` reaches the
     result only through ``inner**k``: terms past ``n`` are skipped, and after
     the step that adds ``outer[k]`` only the first ``n - k + 1`` coefficients
     of the accumulator are kept.
     """
+    reduce = dom.reduce
     acc, den = [0], 1
     for k in range(n, -1, -1):
         acc = _conv(acc, b, n - k)
-        den *= d
-        acc, den = _place(acc, den, 0, on[k], od)
-        g = gcd(den, *acc)
-        if g != 1:
-            acc = [x // g for x in acc]
-            den //= g
+        acc, den = _place(acc, den * d, 0, on[k], od)
+        acc, den = reduce(acc, den)
     return acc, den
 
 
@@ -199,11 +258,11 @@ def _ladder(n: int) -> list:
     return out[::-1]
 
 
-def _revert(un: list, ud: int, n: int) -> tuple:
-    """The inverse of u = un / ud (u_0 = 0, u_1 = 1) to order n, in integers;
-    returns (numerators, den).
+def _revert(un: list, ud: int, n: int, dom) -> tuple:
+    """The inverse of u = un / ud (u_0 = 0, u_1 = 1) to order n on lifts in
+    u's domain dom; returns (elements, den).
 
-    v stays one reduced integer vector over one denominator.  Each step from
+    v stays one reduced integral vector over one denominator.  Each step from
     order k to m is v <- v - x^(k+1) [(u(v) - x) / x^(k+1)] v', with the
     product truncated at m - k - 1: the correction and v's own coefficients
     do not overlap, so the new vector is v over the error's denominator with
@@ -212,46 +271,40 @@ def _revert(un: list, ud: int, n: int) -> tuple:
     v, den = [0, 1], 1
     for m in _ladder(n):
         k = len(v) - 1  # v is correct through order k
-        err, e = _horner(un, ud, v, den, m)
+        err, e = _horner(un, ud, v, den, m, dom)
         err[1] -= e  # u(v) - x, of valuation k + 1
         dv = [j * v[j] for j in range(1, m - k + 1)]
         fix = _conv(err[k + 1 :], dv, m - k - 1)
-        v = [y * e for y in v] + [-y for y in fix]
-        den *= e
-        g = gcd(den, *v)
-        if g != 1:
-            v = [y // g for y in v]
-            den //= g
+        v, den = dom.reduce([y * e for y in v] + [-y for y in fix], den * e)
     return v, den
 
 
-def _div_rational(a, b) -> list:
-    """The quotient a / b in integers, for a and b of one length, b[0] != 0.
+def _div_rational(an: list, da: int, bn: list, db: int, lead: int, dom) -> tuple:
+    """The quotient a / b on lifts in the joined domain dom, for a = an / da
+    and b = bn / db of one length whose lifted constant term bn[0] has the
+    nonzero integer value lead; returns (elements, den).
 
     Runs q_k = (a_k - sum_{j<k} q_j b_{k-j}) / b_0 with the quotient so far
-    as one integer vector over the lcm of its reduced denominators: each step
-    takes one integer sum and one gcd, and rescales the vector only when the
+    as one integral vector over the lcm of its reduced denominators: each
+    step takes one sum and one gcd, and rescales the vector only when the
     new coefficient's denominator does not divide the common one.
     """
-    an, da = _lift(a)
-    bn, db = _lift(b)
-    if bn[0] < 0:  # b = (-bn) / (-db): keep b_0's numerator positive
-        bn, db = [-y for y in bn], -db
-    lead = da * bn[0]
+    reduce1 = dom.reduce1
+    if lead < 0:  # b = (-bn) / (-db): keep b_0's numerator positive
+        bn, db, lead = [-y for y in bn], -db, -lead
+    lead *= da
     b_tail = [(i, y) for i, y in enumerate(bn) if i and y]
-    q, den = [0] * len(an), 1
+    quo, den = [0] * len(an), 1
     for k in range(len(an)):
         s = 0
         for i, y in b_tail:
             if i > k:
                 break
-            s += q[k - i] * y
+            s += quo[k - i] * y
         # q_k = (a_k - s / (den * db)) * db / b_0
-        num = an[k] * den * db - s * da
-        dk = lead * den
-        g = gcd(num, dk)
-        q, den = _place(q, den, k, num // g, dk // g)
-    return [Fraction(x, den) for x in q]
+        num, dk = reduce1(an[k] * (den * db) - s * da, lead * den)
+        quo, den = _place(quo, den, k, num, dk)
+    return quo, den
 
 
 def _power_polys(a, d: int) -> tuple:
@@ -450,22 +503,8 @@ class PowerSeries:
             return self.scale(other)
         self._check_var(other)
         n = min(self.order, other.order)
-        zero = _join_zero(self.czero, other.czero)
-        if type(zero) is Fraction:
-            (an, da), (bn, db) = _lift(self.coeffs[: n + 1]), _lift(other.coeffs[: n + 1])
-            den = da * db
-            return PowerSeries(self.var, [Fraction(c, den) for c in _conv(an, bn, n)])
-        out = [zero] * (n + 1)
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return PowerSeries(self.var, out)
+        (an, da, bn, db), join = _lifts(self, other, n)
+        return PowerSeries(self.var, join.unlift(_conv(an, bn, n), da * db))
 
     __rmul__ = scale
 
@@ -478,18 +517,9 @@ class PowerSeries:
                 "division by a series with zero constant term"
             )
         n = min(self.order, other.order)
-        if type(_join_zero(self.czero, other.czero)) is Fraction:
-            return PowerSeries(
-                self.var, _div_rational(self.coeffs[: n + 1], other.coeffs[: n + 1])
-            )
-        inv0 = _QONE / other.coeffs[0]
-        out: list = []
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for j in range(k):
-                acc = acc - out[j] * other.coeffs[k - j]
-            out.append(acc * inv0)
-        return PowerSeries(self.var, out)
+        (an, da, bn, db), join = _lifts(self, other, n)
+        quo, den = _div_rational(an, da, bn, db, join.value(bn[0]), join)
+        return PowerSeries(self.var, join.unlift(quo, den))
 
     def __rtruediv__(self, c):
         return self.inv().scale(c)
@@ -533,24 +563,18 @@ class PowerSeries:
                 "composition requires inner constant term zero"
             )
         n = min(self.order, inner.order)
-        zero = _join_zero(self.czero, inner.czero)
-        if type(zero) is Fraction:
-            on, od = _lift(self.coeffs[: n + 1])
-            acc, den = _horner(on, od, *_lift(inner.coeffs[: n + 1]), n)
-            return PowerSeries(inner.var, [Fraction(x, den) for x in acc])
-        acc = PowerSeries.zero(inner.var, n, zero)
-        trunc_inner = inner.truncate(n)
-        for k in range(self.order, -1, -1):
-            acc = (acc * trunc_inner)._add_scalar(self.coeffs[k])
-        return acc
+        lifts, join = _lifts(self, inner, n)
+        acc, den = _horner(*lifts, n, join)
+        return PowerSeries(inner.var, join.unlift(acc, den))
 
     def revert(self) -> "PowerSeries":
         """Functional inverse by Newton iteration (Brent and Kung), on the
         orders of ``_ladder``.  If v is correct through order k, then
         1/u'(v) = v' mod x^k, so a step to order m <= 2k subtracts
         x^(k+1) times the error over x^(k+1) times v', truncated at
-        m - k - 1: one composition and one product, and no division.  Over
-        ``Fraction`` the loop runs in integers (``_revert``).
+        m - k - 1: one composition and one product, and no division.  The
+        loop runs on the lift of the coefficients' domain (``_revert``), in
+        plain integers over ``Fraction``.
 
         Requires a zero constant term and linear coefficient 1; any other
         linear coefficient is a ``SeriesError``.
@@ -561,18 +585,9 @@ class PowerSeries:
             raise SeriesError("reversion requires zero constant term")
         if self.coeffs[1] != self.czero + 1:
             raise SeriesError("reversion requires linear coefficient 1")
-        if type(self.czero) is Fraction:
-            v, den = _revert(*_lift(self.coeffs), self.order)
-            return PowerSeries(self.var, [Fraction(y, den) for y in v])
-        v = PowerSeries.identity(self.var, 1, self.czero)
-        for m in _ladder(self.order):
-            k, dv = v.order, v.derive()
-            v = PowerSeries(self.var, v.coeffs + (v.czero,) * (m - k))
-            err = self.truncate(m).compose(v) - PowerSeries.identity(
-                self.var, m, self.czero
-            )
-            v = v - (err.div_var(k + 1) * dv).mul_var(k + 1)
-        return v
+        dom = _DOMAINS[type(self.coeffs[0])]
+        v, den = _revert(*dom.lift(self.coeffs), self.order, dom)
+        return PowerSeries(self.var, dom.unlift(v, den))
 
     # -- calculus ----------------------------------------------------------------
 
@@ -627,27 +642,17 @@ class PowerSeries:
 
             n w_n = sum_{k=1..n} ((e+1) k - n) g_k w_{n-k}.
 
-        Over ``Fraction`` it runs on integer polynomials in e
-        (``_power_polys``), and each w_n is evaluated at e once.
+        It runs on integer polynomials in e (``_power_polys``), and each w_n
+        is evaluated at e once.  That needs integer numerators, so a g over
+        ``ParamPoly`` or ``Poly`` takes exp(e log g), the same series.
         """
         if self.coeffs[0] != _QONE:
             raise SeriesError("symbolic powers need constant term 1")
-        if type(self.czero) is Fraction:
-            a, d = _lift(self.coeffs)
-            polys, den = _power_polys([[x] for x in a], d)
-            return PowerSeries(self.var, values_at([w[0] for w in polys], den, e))
-        zero = _join_zero(self.czero, e)
-        g = self.coeffs
-        e1 = e + 1
-        w = [zero + 1]
-        for n in range(1, self.order + 1):
-            total = weighted = zero
-            for k in range(1, n + 1):
-                if g[k]:
-                    p = g[k] * w[n - k]
-                    total, weighted = total + p, weighted + p * k
-            w.append(weighted * (e1 * Fraction(1, n)) - total)
-        return PowerSeries(self.var, w)
+        if type(self.coeffs[0]) is not Fraction:
+            return self.log().scale(e).exp()
+        a, d = _lift(self.coeffs)
+        polys, den = _power_polys([[x] for x in a], d)
+        return PowerSeries(self.var, values_at([w[0] for w in polys], den, e))
 
     # -- evaluation / reshaping -------------------------------------------------------
 

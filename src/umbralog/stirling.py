@@ -15,7 +15,7 @@ constant term.  The n-th graded term of the derivative expansion
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from math import factorial
 
@@ -473,29 +473,35 @@ def limit_check(
 
         target = value(series)
         floor = abs(target - value(series.truncate(series.order - 1)))
-        samples = [(n, str(+v.quantize(Decimal("1e-30")))) for n, v in zip(ns, sample_vals)]
-        errors = [abs(v - target) for v in sample_vals]
-        ratios = [
-            float(errors[i] / errors[i + 1]) if errors[i + 1] else None
-            for i in range(len(errors) - 1)
-        ]
-        monotone = all(errors[i] > errors[i + 1] for i in range(len(errors) - 1))
-        extrapolated = ""
-        if len(sample_vals) >= 2:
-            richardson = 2 * sample_vals[-1] - sample_vals[-2]
-            extrapolated = str(+richardson.quantize(Decimal("1e-30")))
-        return LimitReport(
-            quantity=quantity,
-            target=f"{tstr} = {str(+target.quantize(Decimal('1e-30')))}",
-            samples=samples,
-            errors=[(n, str(+e.quantize(Decimal("1e-30")))) for n, e in zip(ns, errors)],
-            ratios=ratios,
-            monotone=monotone,
-            final_error=str(+errors[-1].quantize(Decimal("1e-30"))),
-            extrapolated=extrapolated,
-            target_floor=str(+floor.quantize(Decimal("1e-30"))),
-            ok=monotone,
-        )
+        try:
+            samples = [(n, str(+v.quantize(Decimal("1e-30")))) for n, v in zip(ns, sample_vals)]
+            errors = [abs(v - target) for v in sample_vals]
+            ratios = [
+                float(errors[i] / errors[i + 1]) if errors[i + 1] else None
+                for i in range(len(errors) - 1)
+            ]
+            monotone = all(errors[i] > errors[i + 1] for i in range(len(errors) - 1))
+            extrapolated = ""
+            if len(sample_vals) >= 2:
+                richardson = 2 * sample_vals[-1] - sample_vals[-2]
+                extrapolated = str(+richardson.quantize(Decimal("1e-30")))
+            return LimitReport(
+                quantity=quantity,
+                target=f"{tstr} = {str(+target.quantize(Decimal('1e-30')))}",
+                samples=samples,
+                errors=[(n, str(+e.quantize(Decimal("1e-30")))) for n, e in zip(ns, errors)],
+                ratios=ratios,
+                monotone=monotone,
+                final_error=str(+errors[-1].quantize(Decimal("1e-30"))),
+                extrapolated=extrapolated,
+                target_floor=str(+floor.quantize(Decimal("1e-30"))),
+                ok=monotone,
+            )
+        except InvalidOperation:  # quantize: a value past 80 - 30 integer digits
+            raise StirlingError(
+                f"the {which} limit at alpha = {alpha} has a value of 10^50 or more, "
+                "past what 80 digits hold at 30 decimal places; try a smaller alpha"
+            ) from None
 
 
 # -- the two-orders ratio check ------------------------------------------------------

@@ -319,6 +319,19 @@ def test_limits_alpha_outside_omegas_disc_names_alpha(capsys, spec):
     )
 
 
+def test_limits_alpha_past_the_report_precision_is_one_line(capsys):
+    # the first limit's samples grow like alpha; from about 1e50 they have
+    # more integer digits than the 80-digit report holds at 30 places
+    code = main(["limits", "--alpha", "1e60", "--n-max", "8", "--order", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the first limit at alpha = {10**60} has a value of 10^50 or more, "
+        "past what 80 digits hold at 30 decimal places; try a smaller alpha\n"
+    )
+
+
 def test_input_past_the_digit_limit_is_too_long_not_malformed(capsys):
     limit = sys.get_int_max_str_digits()
     digits = "7" * (limit + 1)

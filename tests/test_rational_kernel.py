@@ -1,16 +1,17 @@
-"""The integer kernels of the Fraction domain against the term-by-term loops.
+"""The lifted kernels against the term-by-term loops.
 
 ``PowerSeries.__mul__``, ``PowerSeries.__truediv__`` (and through it
-``inv`` and ``log``), ``PowerSeries.compose``, ``PowerSeries.revert`` and
-``umbral.sheffer_polys`` (behind ``p_seq`` and ``tau_seq``) compute on
-integer numerators over a common denominator when every coefficient is a
-``Fraction``; they must return the very rationals of the loops in
-``oracles.py``, as ``Fraction`` objects.  ``naive_revert`` doubles its
-order 1 -> 3 -> 7 -> ... and divides each error by u'(v), composed to the
-full order; ``revert`` climbs a halving ladder from the target and
-multiplies the error by v' instead, with no composition of u' and no
-division.  Every other coefficient domain keeps the generic loops and the
-wider domain.
+``inv`` and ``log``), ``PowerSeries.compose`` and ``PowerSeries.revert``
+compute on integral elements over a common denominator in every
+coefficient domain, and ``umbral.sheffer_polys`` (behind ``p_seq`` and
+``tau_seq``) on integer numerators; they must return the very values of
+the loops in ``oracles.py``, in the same type: ``Fraction`` objects over
+``Fraction``, canonical ``ParamPoly`` objects (equal ``num`` and ``den``)
+over ``ParamPoly``, ``Poly`` objects over ``Poly``, and the wider domain
+for a mixed pair.  ``naive_revert`` doubles its order 1 -> 3 -> 7 -> ...
+and divides each error by u'(v), composed to the full order; ``revert``
+climbs a halving ladder from the target and multiplies the error by v'
+instead, with no composition of u' and no division.
 """
 
 from fractions import Fraction as Q
@@ -29,6 +30,7 @@ from oracles import (
 )
 from umbralog import series
 from umbralog.parampoly import ParamPoly
+from umbralog.polys import Poly
 from umbralog.presets import PRESET_NAMES, build_f, family
 from umbralog.series import OrderError, PowerSeries, SeriesError
 from umbralog.sheffer import bernoulli_weight, tau_seq
@@ -123,6 +125,9 @@ class TestProperties:
         assert_same_rationals(u.revert(), naive_revert(u))
 
 
+# each rational as a constant of a coefficient domain
+LIFT = {Q: Q, ParamPoly: ParamPoly.const, Poly: Poly.const}
+
 SPECS = ("exp1", "geom", "nu", "poly:1,1/2,-1/3,1/5,-1/6", "poly:1,0,0,-7/3,0,1000000")
 
 
@@ -165,21 +170,23 @@ class TestRevertFixedCases:
 
 
 class TestRoundTripChecksStayLive:
-    """A reversion off by one in its last coefficient is a named failure."""
+    """A reversion off by one in its last coefficient is a named failure,
+    over ``Fraction`` and over ``ParamPoly``."""
 
     @pytest.fixture
     def bumped(self, monkeypatch):
         original = series._revert
 
-        def bumped(un, ud, n):
-            v, den = original(un, ud, n)
+        def bumped(*lifted):
+            v, den = original(*lifted)
             return v[:-1] + [v[-1] + den], den
 
         monkeypatch.setattr(series, "_revert", bumped)
 
+    @pytest.mark.parametrize("domain", [Q, ParamPoly])
     @pytest.mark.parametrize("spec", SPECS)
-    def test_build_family_raises(self, bumped, spec):
-        f = build_f(spec, 12)  # fresh: presets.family is memoized
+    def test_build_family_raises(self, bumped, spec, domain):
+        f = build_f(spec, 12).map_coeffs(LIFT[domain])  # fresh: presets.family is memoized
         with pytest.raises(FamilyError, match=r"^internal check failed: f\(phi\(x\)\) != x$"):
             build_family(f)
 
@@ -272,7 +279,7 @@ class TestDivisionContract:
         assert (a / b).coefficient(1) == Q(1, 3) - S * Q(1, 4)
 
 
-class TestOtherDomainsStayGeneric:
+class TestMixedDomains:
     def test_fraction_times_parampoly_domain(self):
         a = PowerSeries("x", [Q(1), Q(2, 3), Q(0), Q(-5)])
         b = PowerSeries("x", [ParamPoly.const(1), S, ParamPoly(), S * S])
@@ -297,3 +304,101 @@ class TestOtherDomainsStayGeneric:
         comp = b.compose(inner)
         assert comp == naive_compose(b, inner)
         assert comp.coefficient(2) == S * S * Q(3) + Q(1, 2)
+
+
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def coefficient(draw, domain):
+    """A small coefficient of the domain: a ParamPoly in s and H, a Poly of
+    degree at most 2, or a rational."""
+    if domain is ParamPoly:
+        keys = st.tuples(st.integers(0, 2), st.integers(0, 1), st.just(0))
+        return ParamPoly(draw(st.dictionaries(keys, small_rationals, max_size=3)))
+    if domain is Poly:
+        return Poly(draw(st.lists(small_rationals, max_size=3)))
+    return draw(small_rationals)
+
+
+@st.composite
+def series_over(draw, domain, min_order=0, max_order=4):
+    n = draw(st.integers(min_value=min_order, max_value=max_order))
+    return PowerSeries("x", [draw(coefficient(domain)) for _ in range(n + 1)])
+
+
+def assert_same_elements(got: PowerSeries, want: PowerSeries, domain):
+    """Equal values, all of the domain's type, canonical for ParamPoly."""
+    assert got.var == want.var
+    assert got.coeffs == want.coeffs
+    assert {type(c) for c in got.coeffs} == {domain}
+    assert type(got.czero) is domain
+    if domain is ParamPoly:
+        assert [(c.num, c.den) for c in got.coeffs] == [(c.num, c.den) for c in want.coeffs]
+
+
+# (left, right, joined): one domain throughout, then the mixed pairs
+PAIRS = [
+    (ParamPoly, ParamPoly, ParamPoly),
+    (Poly, Poly, Poly),
+    (ParamPoly, Q, ParamPoly),
+    (Q, Poly, Poly),
+    (Q, ParamPoly, ParamPoly),
+]
+PAIR_IDS = ["ParamPoly", "Poly", "ParamPoly-Fraction", "Fraction-Poly", "Fraction-ParamPoly"]
+
+
+@pytest.mark.parametrize("left, right, joined", PAIRS, ids=PAIR_IDS)
+class TestEveryDomainMatchesTheOracle:
+    """The kernels over ParamPoly, Poly and mixed pairs return the oracle
+    loops' values, types and canonical forms."""
+
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_mul(self, left, right, joined, data):
+        a, b = data.draw(series_over(left)), data.draw(series_over(right))
+        got = a * b
+        assert got.order == min(a.order, b.order)
+        assert_same_elements(got, naive_mul(a, b), joined)
+
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_div(self, left, right, joined, data):
+        a, b = data.draw(series_over(left)), data.draw(series_over(right))
+        b = with_constant(b, LIFT[right](data.draw(divisor_constants)))
+        got = a / b
+        assert got.order == min(a.order, b.order)
+        assert_same_elements(got, naive_div(a, b), joined)
+
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_compose(self, left, right, joined, data):
+        outer = data.draw(series_over(left))
+        inner = with_constant(data.draw(series_over(right, min_order=1)), LIFT[right](0))
+        got = outer.compose(inner)
+        assert got.order == min(outer.order, inner.order)
+        assert_same_elements(got, naive_compose(outer, inner), joined)
+
+
+@pytest.mark.parametrize("domain", [ParamPoly, Poly])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_revert_over_every_domain_matches_the_oracle(domain, data):
+    u = data.draw(series_over(domain, min_order=2, max_order=4))
+    u = PowerSeries("x", (LIFT[domain](0), LIFT[domain](1)) + u.coeffs[2:])
+    assert_same_elements(u.revert(), naive_revert(u), domain)
+
+
+@pytest.mark.parametrize(
+    "divisor, message",
+    [(Poly.x() + 1, "only degree-0 polynomials are invertible"), (S + 1, "not a constant: s")],
+)
+@pytest.mark.parametrize("dividend", [Q, "same"])
+def test_a_non_unit_constant_divisor_raises_its_domains_value_error(divisor, message, dividend):
+    """Division needs a constant term the domain inverts; any other is the
+    domain's own ``ValueError``, not a ``SeriesError``."""
+    b = PowerSeries("x", [divisor, type(divisor).const(2)])
+    a = PowerSeries("x", [Q(1), Q(2)]) if dividend is Q else b
+    with pytest.raises(ValueError, match=message) as info:
+        a / b
+    assert type(info.value) is ValueError

@@ -403,6 +403,22 @@ class TestOneDomainPerSeries:
         for got in results:
             assert_uniform(got, wider)
 
+    @pytest.mark.parametrize("wider", [ParamPoly, Poly])
+    def test_a_scalar_on_the_left_of_a_series_widens_it(self, wider):
+        sym = DOMAINS[wider]
+        u = in_domain([1, 2, 3], Q)
+        assert sym + u == u + sym
+        assert sym - u == -(u - sym)
+        for got in (sym + u, sym - u):
+            assert_uniform(got, wider)
+            assert got.coefficient(2) in (Q(3), Q(-3))
+
+    def test_a_float_is_not_a_parampoly_operand(self):
+        with pytest.raises(TypeError, match="expected a rational, got float"):
+            S + 1.5
+        with pytest.raises(TypeError, match="expected a rational, got float"):
+            S - 1.5
+
     def test_the_constructor_states_one_domain(self):
         assert PowerSeries("x", [1, 0, True]).coeffs == (Q(1), Q(0), Q(1))
         assert_uniform(PowerSeries("x", [1, 0, True]), Q)
