@@ -10,17 +10,23 @@ Coefficient domains: ``fractions.Fraction``, ``ParamPoly`` and ``Poly``.
 Each is reached through Python's numeric operators, with ``Fraction``'s
 meaning: ``not c`` tests for zero, ``c * 0`` and ``z + 1`` give the domain's
 zero and one, and ``Fraction(1) / c`` inverts a unit; and through its one
-lift to integral elements over a common denominator (``_DOMAINS``).  A
-series' coefficients are the only record of its domain: they all have one
-type, since the constructor turns ``int`` into ``Fraction`` and lifts a
-mixed list to the widest domain in it, and ``czero`` is the zero of that
-type.  So mixing two domains keeps the wider one, and ``_need_fraction`` is
-the one check that rejects a series outside ``Fraction``.
+lift to integral elements over a common denominator (``_DOMAINS``).
+``ParamPoly`` and ``Poly`` each store themselves as integer numerators over
+one denominator ``den``, so their lift reads ``den`` and scales each
+coefficient by an integer.  A series' coefficients are the only record of
+its domain: they all have one type, since the constructor turns ``int``
+into ``Fraction``, lifts a mixed list to the widest domain in it, and
+rejects a number that is not rational (a ``float``, ``complex`` or
+``Decimal``), and ``czero`` is the zero of that type.  So mixing two
+domains keeps the wider one, and ``_need_fraction`` is the one check that
+rejects a series outside ``Fraction``.
 
 ``*``, ``/`` (so ``inv`` and ``log``), ``compose`` and ``revert`` run one
 kernel on lifts for every domain (``_conv``, ``_div_rational``,
 ``_horner``, ``_revert``), on plain ``int``s over ``Fraction``; the
 term-by-term loops it replaced are the oracles in ``tests/oracles.py``.
+Its schoolbook product ``_conv`` is ``polys._conv``, the loop of ``Poly``'s
+own product.
 
 Miller's power recurrence (``_power_polys``) runs on integer polynomials in
 the exponent, with coefficients that are integer vectors in a second
@@ -42,9 +48,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Number, Rational
 
 from .parampoly import ParamPoly, _lift, values_at
-from .polys import Poly
+from .polys import Poly, _conv
 
 
 class SeriesError(ValueError):
@@ -73,6 +80,12 @@ def _need_fraction(s, need: str) -> None:
     domain = type(s.coeffs[0])
     if domain is not Fraction:
         raise SeriesError(f"{need} over Fraction coefficients, not {domain.__name__}")
+
+
+def _need_count(k: int, name: str) -> None:
+    """Reject a negative power of the variable or derivative order."""
+    if k < 0:
+        raise SeriesError(f"{name} needs a count >= 0, not {k}")
 
 
 # -- one lift per coefficient domain ---------------------------------------------
@@ -133,7 +146,7 @@ _INTS = _Lift(_lift, lambda v, d: [Fraction(x, d) for x in v], _reduce_ints, _re
 _DOMAINS = {
     Fraction: _INTS,
     ParamPoly: _elements(ParamPoly, lambda c: c.den),
-    Poly: _elements(Poly, lambda c: _lift(c.coeffs)[1]),
+    Poly: _elements(Poly, lambda c: c.den),
 }
 
 
@@ -142,20 +155,6 @@ def _lifts(s, t, n: int) -> tuple:
     domain that holds both (``Fraction`` widens)."""
     a, b = _DOMAINS[type(s.coeffs[0])], _DOMAINS[type(t.coeffs[0])]
     return (*a.lift(s.coeffs[: n + 1]), *b.lift(t.coeffs[: n + 1])), b if a is _INTS else a
-
-
-def _conv(a, b, n: int) -> list:
-    """Schoolbook product of two integral vectors, truncated at degree n."""
-    out = [0] * (n + 1)
-    b_nonzero = [(j, y) for j, y in enumerate(b[: n + 1]) if y]
-    for i, x in enumerate(a[: n + 1]):
-        if x:
-            room = n - i
-            for j, y in b_nonzero:
-                if j > room:
-                    break
-                out[i + j] += x * y
-    return out
 
 
 # -- lifted entries ---------------------------------------------------------------
@@ -369,8 +368,12 @@ class PowerSeries:
         if not coeffs:
             raise SeriesError("a series needs at least its constant term")
         domain, *others = {*map(type, coeffs)}
-        if others or issubclass(domain, int):
-            coeffs = _widen(coeffs)
+        if others or domain is not Fraction:
+            for t in (domain, *others):
+                if issubclass(t, Number) and not issubclass(t, Rational):
+                    raise TypeError(f"expected a rational, got {t.__name__}")
+            if others or issubclass(domain, int):
+                coeffs = _widen(coeffs)
         self.var = var
         self.coeffs = coeffs
 
@@ -543,10 +546,12 @@ class PowerSeries:
 
     def mul_var(self, k: int = 1) -> "PowerSeries":
         """Multiply by var^k (order grows by k: those coefficients are exact)."""
+        _need_count(k, "mul_var")
         return PowerSeries(self.var, (self.czero,) * k + self.coeffs)
 
     def div_var(self, k: int = 1) -> "PowerSeries":
         """Divide by var^k; the first k coefficients must vanish."""
+        _need_count(k, "div_var")
         for j in range(k):
             if self.coeffs[j]:
                 raise SeriesError(
@@ -592,6 +597,7 @@ class PowerSeries:
     # -- calculus ----------------------------------------------------------------
 
     def derive(self, n: int = 1) -> "PowerSeries":
+        _need_count(n, "derive")
         out = self
         for _ in range(n):
             if out.order < 1:

@@ -230,9 +230,8 @@ def sheffer_polys(d: list, e: list, N: int, known=()) -> tuple:
     """
     nums, den = _lift([*d, *e])
     dn, en = nums[: len(d)], nums[len(d):]
-    # a polynomial's reduced coefficients lift to its reduced numerators
-    rows = [_lift(p.coeffs) for p in known] or [([1], 1)]
-    taus, dens = [t for t, _ in rows], [dk for _, dk in rows]
+    taus = [p.num for p in known] or [(1,)]
+    dens = [p.den for p in known] or [1]
     start = len(known)
     for n in range(len(taus) - 1, N):
         common = lcm(*dens)
@@ -252,12 +251,10 @@ def sheffer_polys(d: list, e: list, N: int, known=()) -> tuple:
                     acc[i] += ce * x
         top = common * den
         g = gcd(top, *acc)
-        taus.append([x // g for x in acc])
+        taus.append(tuple(x // g for x in acc))
         dens.append(top // g)
-    return (*known, *(
-        Poly([Fraction(x, dk) for x in tau])
-        for tau, dk in zip(taus[start:], dens[start:])
-    ))
+    # each row is reduced; the callers check that it is monic of degree k
+    return (*known, *(Poly._reduced(tau, dk) for tau, dk in zip(taus[start:], dens[start:])))
 
 
 @growing

@@ -30,6 +30,9 @@ products, without ``umbral.q_table``'s power recurrence.
 products: the routes ``q_table`` and ``p_symbolic`` had before they ran on
 integer polynomials in the exponent.  ``falling`` is the falling product
 ``naive_tau_symbolic`` and ``p_symbolic_by_binom`` rebuild.
+``NaivePoly`` and ``naive_divided_difference`` are ``polys.Poly`` as it was
+before it ran on integer numerators over one denominator: one normalised
+``Fraction`` (or ``NaivePoly``, in two variables) per coefficient.
 ``pow_by_exp_log`` is the route ``PowerSeries.pow_param`` had before it ran
 Miller's power recurrence: exp(e log g).  ``lhs_log_by_series``,
 ``rhs_log_by_x_op`` and ``rhs_exp_by_derive`` are the sides of
@@ -62,6 +65,94 @@ from umbralog.polys import Poly
 from umbralog.presets import family
 from umbralog.series import OrderError, PowerSeries, SeriesError
 from umbralog.umbral import BinomialFamily, op_L, p_symbolic, q_zero_table, rename
+
+
+class NaivePoly:
+    """Dense polynomial, ascending coefficients: Fractions, or NaivePolys
+    for a polynomial in two variables, one arithmetic operation per term."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        coeffs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    @staticmethod
+    def const(x) -> "NaivePoly":
+        return NaivePoly([x])
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def coefficient(self, k: int):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = NaivePoly.const(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return NaivePoly([self.coefficient(i) + other.coefficient(i) for i in range(n)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return NaivePoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = NaivePoly.const(other)
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return NaivePoly([c * other for c in self.coeffs])
+        if not self.coeffs or not other.coeffs:
+            return NaivePoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return NaivePoly(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return NaivePoly([c / other for c in self.coeffs])
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = NaivePoly.const(other)
+        return self.coeffs == other.coeffs
+
+    def mul_x(self, k: int = 1) -> "NaivePoly":
+        return NaivePoly((Fraction(0),) * k + self.coeffs) if self.coeffs else self
+
+    def derive(self, n: int = 1) -> "NaivePoly":
+        out = self
+        for _ in range(n):
+            out = NaivePoly([i * c for i, c in enumerate(out.coeffs)][1:])
+        return out
+
+    def eval(self, x0):
+        acc = Fraction(0) * x0
+        for c in reversed(self.coeffs):
+            acc = acc * x0 + c
+        return acc
+
+    def taylor(self) -> "NaivePoly":
+        """p(x + y): the y^j coefficient is p^{(j)}(x)/j!."""
+        out, d = [], self
+        for j in range(1, len(self.coeffs) + 1):
+            out.append(d)
+            d = d.derive() / j
+        return NaivePoly(out)
+
+
+def naive_divided_difference(g: NaivePoly) -> NaivePoly:
+    """The p^k coefficient is the tail sum_{j >= k} g_j x^{j-k}."""
+    return NaivePoly([NaivePoly(g.coeffs[k:]) for k in range(len(g.coeffs))])
 
 
 def bernoulli_numbers(n_max: int) -> list:

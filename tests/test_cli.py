@@ -209,6 +209,32 @@ def test_console_entry_point():
     assert "p_2(a) = a^2" in proc.stdout
 
 
+def run_module(*argv):
+    """``python -m umbralog`` with argv, on the package this process imports."""
+    src = str(Path(umbralog.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "umbralog", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_module("verify", "series", "--json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["exact_ok"] is True
+
+
+def test_python_dash_m_rejects_an_unknown_preset_in_one_line():
+    proc = run_module("omega", "--f", "nope", "--order", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_verify_accepts_small_order_and_depth_flags(capsys):
     # the documented invocation shape: flags may sit below the grids'
     # feasibility floors, which the suites clamp rather than crash on

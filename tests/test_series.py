@@ -1,5 +1,6 @@
 """Core series arithmetic against independent oracles and stated examples."""
 
+from decimal import Decimal
 from fractions import Fraction as Q
 from math import factorial
 
@@ -427,3 +428,55 @@ class TestOneDomainPerSeries:
         assert mixed.coeffs == (ParamPoly.const(1), ParamPoly.const(2), S, ParamPoly())
         assert_uniform(PowerSeries("x", [Poly.x(), Q(1, 2)]), Poly)
         assert PowerSeries.__slots__ == ("var", "coeffs")
+
+
+INEXACT = [1.5, 1.5 + 0j, Decimal("1.5")]
+
+
+@pytest.mark.parametrize("value", INEXACT, ids=lambda v: type(v).__name__)
+class TestInexactCoefficients:
+    """A number that is not rational is no coefficient: both constructors
+    name its type, so no operation can return one."""
+
+    def test_the_constructors_reject_it(self, value):
+        message = f"expected a rational, got {type(value).__name__}"
+        with pytest.raises(TypeError, match=message):
+            PowerSeries("x", [value, 2])
+        with pytest.raises(TypeError, match=message):
+            PowerSeries("x", [Q(1), value])
+        with pytest.raises(TypeError, match=message):
+            Poly([value])
+        with pytest.raises(TypeError, match=message):
+            Poly([1, value])
+        with pytest.raises(TypeError, match=message):
+            Poly.const(value)
+
+    def test_no_operation_returns_it(self, value):
+        u = series([1, 2, 3])
+        with pytest.raises(TypeError):
+            u.scale(value)
+        with pytest.raises(TypeError):
+            u + value
+        with pytest.raises(TypeError):
+            Poly([1, 2]) * value
+        with pytest.raises(TypeError):
+            Poly([1, 2]) / value
+
+
+class TestNegativeCounts:
+    u = series([1, 2, 3, 4])
+
+    def test_div_var(self):
+        with pytest.raises(SeriesError, match="div_var needs a count >= 0, not -1"):
+            self.u.div_var(-1)
+
+    def test_mul_var(self):
+        with pytest.raises(SeriesError, match="mul_var needs a count >= 0, not -1"):
+            self.u.mul_var(-1)
+
+    def test_derive(self):
+        with pytest.raises(SeriesError, match="derive needs a count >= 0, not -1"):
+            self.u.derive(-1)
+
+    def test_zero_counts_return_the_series(self):
+        assert self.u.div_var(0) == self.u.mul_var(0) == self.u.derive(0) == self.u
