@@ -119,7 +119,7 @@ class AsymptoticSeries:
     __rmul__ = scale
 
     def __truediv__(self, other: "AsymptoticSeries"):
-        lead = other.coeffs[0]
+        lead = other.body.coefficient(0)
         if lead != _ONE:
             raise SeriesError(
                 f"division needs a unit leading coefficient (got {lead})"
@@ -134,7 +134,7 @@ class AsymptoticSeries:
         Requires a unit leading coefficient; the exponent*ln(alpha) term is
         the ``L`` part of the constant coefficient.
         """
-        if self.coeffs[0] != _ONE:
+        if self.body.coefficient(0) != _ONE:
             raise SeriesError("log needs a unit leading coefficient")
         return AsymptoticSeries._of(
             _ZERO, self.body.log() + self.exponent * L

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .ncwords import head_word_poly
@@ -328,7 +329,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args = _apply_config(args, argv)
         _check_sizes(args)
-        return _run(args)
+        status = _run(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed the output pipe: as Python's note on SIGPIPE
+        # advises, point stdout at devnull so that the flush at exit is
+        # silent, and end with the status a shell gives a SIGPIPE death
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from .grading import (
     op_shifted_eval,
     target_conjugated,
 )
-from .parampoly import S, ParamPoly, _lift, binom_poly
+from .parampoly import S, ParamPoly, binom_poly
 from .polys import Poly
 from .series import OrderError, PowerSeries, SeriesError, _combine, _conv, _to_series
 from .sheffer import apply_T
@@ -276,8 +276,9 @@ def _closed_form_grades(ctx: ConjugationContext, g: PowerSeries, depth_x: int) -
 
     # conj * omega^i on the integer lift; every grade is summed there, over
     # one common denominator, and converted to a series once
-    vec, den = _lift(ctx.conj.coeffs)
-    om, om_den = _lift(ctx.omega.truncate(x_order).coeffs)
+    vec, den = ctx.conj.num, ctx.conj.den
+    omega = ctx.omega.truncate(x_order)
+    om, om_den = omega.num, omega.den
     pows = [(vec, den)]
     for _ in range(depth_x + 1):
         vec, den = _conv(vec, om, x_order), den * om_den

@@ -24,7 +24,7 @@ from math import comb
 from types import MappingProxyType
 
 from .asymptotic import AsymptoticSeries
-from .parampoly import S, ParamPoly, _lift
+from .parampoly import S, ParamPoly
 from .series import (
     OrderError,
     PowerSeries,
@@ -87,7 +87,7 @@ _DX = "d/dx"
 def _lifted(name: str, s: PowerSeries) -> tuple:
     """A series factor step: s's numerators over one denominator."""
     _need_fraction(s, f"graded inversion needs {name}")
-    return _lift(s.coeffs)
+    return s.num, s.den
 
 
 def _scalar(c) -> Fraction:
@@ -199,7 +199,8 @@ def op_shifted_eval(fam: BinomialFamily, s_val, depth: int) -> GradedOp:
 def op_sheffer(fam: BinomialFamily, ell_omega: PowerSeries, s_val) -> GradedOp:
     """X = s alpha^{-1} ell(omega) L ell(omega)^{-1} - alpha^{-1} d/domega."""
     ell = _lifted("ell(omega)", ell_omega)
-    inv_ell = _lift(ell_omega.inv().coeffs)
+    inv = ell_omega.inv()
+    inv_ell = inv.num, inv.den
     return GradedOp(
         [(1, [inv_ell, _L, ell, _scalar(s_val)]), (1, [*_d_omega(fam), Fraction(-1)])]
     )

@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import factorial
 
 from .ncwords import D, LAM, LAMINV, SIGMA
-from .parampoly import _lift
 from .polys import Poly, divided_difference
 from .series import (
     PowerSeries,
@@ -146,11 +145,11 @@ def apply_Tn(x, n: int, sigma: PowerSeries, lam: PowerSeries | None = None):
         _require_fraction("x", c, var)
     if lam is not None:
         _require_fraction("lam", lam, var)
-        lam_inv = _lift(lam.inv().coeffs)
-        lam = _lift(lam.coeffs)
+        inv = lam.inv()
+        lam_inv, lam = (inv.num, inv.den), (lam.num, lam.den)
     if n == 0:
         return x
-    sig = _lift(sigma.coeffs)
+    sig = sigma.num, sigma.den
     D = _derive_operator if on_operators else _derive_series
 
     def B(y):
@@ -191,10 +190,11 @@ def word_to_diffop(
     The grade operators never list words; this realizes a single one."""
     var = sigma.var
     _require_fraction("sigma", sigma, var)
-    subs = {SIGMA: _lift(sigma.coeffs)}
+    subs = {SIGMA: (sigma.num, sigma.den)}
     if lam is not None:
         _require_fraction("lam", lam, var)
-        subs[LAM], subs[LAMINV] = _lift(lam.coeffs), _lift(lam.inv().coeffs)
+        inv = lam.inv()
+        subs[LAM], subs[LAMINV] = (lam.num, lam.den), (inv.num, inv.den)
     entry = ({0: [1] + [0] * sigma.order}, 1)
     for letter in reversed(w):
         if letter == D:

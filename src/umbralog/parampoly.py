@@ -275,29 +275,6 @@ class ParamPoly:
             acc += c * t0[i] * t1[j] * t2[l]
         return Fraction(acc, den)
 
-    def _values_of(self, polys, den: int) -> list:
-        """[P(self) / den for P in polys], P integer coefficient lists in
-        one variable: each value sums integer multiples of the numerator
-        dicts of the powers of self, over den times a power of self.den."""
-        powers = [{_CONST_KEY: 1}]
-        for _ in range(max(map(len, polys)) - 1):
-            powers.append(_convolve(powers[-1], self.num))
-        out = []
-        for poly in polys:
-            acc: dict = {}
-            get = acc.get
-            up = 1  # self.den ** (deg poly - j)
-            for j in range(len(poly) - 1, -1, -1):
-                c = poly[j] * up
-                if c:
-                    for k, v in powers[j].items():
-                        acc[k] = get(k, 0) + c * v
-                up *= self.den
-            out.append(ParamPoly._make(
-                {k: v for k, v in acc.items() if v}, den * up // self.den
-            ))
-        return out
-
     def derive(self, name: str) -> "ParamPoly":
         """Partial derivative with respect to one symbol."""
         i = SYMBOLS.index(name)
@@ -337,25 +314,53 @@ class ParamPoly:
         return text
 
 
-def values_at(polys, den: int, e) -> list:
+def lifted_values(polys, den: int, e) -> tuple:
     """The values P(e) / den of integer polynomials P in one variable, given
-    as coefficient lists (lowest degree first).
+    as coefficient lists (lowest degree first), as integral elements over one
+    denominator: (elements, den q^top) for e = p/q and top the largest degree.
 
-    An ``int`` or ``Fraction`` e = p/q gives ``Fraction`` values by integer
-    Horner, sum_j P_j p^j q^(deg P - j) over den q^(deg P); a ``ParamPoly``
-    e gives ``ParamPoly`` values (``ParamPoly._values_of``).
+    An ``int`` or ``Fraction`` e gives ``int`` elements by integer Horner,
+    sum_j P_j p^j q^(top - j); a ``ParamPoly`` e = E/q gives ``ParamPoly``s
+    over 1, the same sums with the numerator dicts of the powers of E.
     """
-    if isinstance(e, ParamPoly):
-        return e._values_of(polys, den)
-    p, q = e.numerator, e.denominator
+    top = max(map(len, polys)) - 1
     out = []
+    if isinstance(e, ParamPoly):
+        q = e.den
+        powers = [{_CONST_KEY: 1}]
+        for _ in range(top):
+            powers.append(_convolve(powers[-1], e.num))
+        for poly in polys:
+            acc: dict = {}
+            get = acc.get
+            up = q ** (top + 1 - len(poly))  # q ** (top - j)
+            for j in range(len(poly) - 1, -1, -1):
+                c = poly[j] * up
+                if c:
+                    for k, v in powers[j].items():
+                        acc[k] = get(k, 0) + c * v
+                up *= q
+            out.append(ParamPoly._reduced({k: v for k, v in acc.items() if v}, 1))
+        return out, den * q**top
+    p, q = e.numerator, e.denominator
     for poly in polys:
-        acc, up = 0, 1  # up = q ** (deg poly - j)
+        acc, up = 0, q ** (top + 1 - len(poly))
         for c in reversed(poly):
             acc = acc * p + c * up
             up *= q
-        out.append(Fraction(acc, den * up // q))
-    return out
+        out.append(acc)
+    return out, den * q**top
+
+
+def values_at(polys, den: int, e) -> list:
+    """The values P(e) / den of integer polynomials P in one variable, given
+    as coefficient lists (lowest degree first): ``Fraction``s for an ``int``
+    or ``Fraction`` e, ``ParamPoly``s for a ``ParamPoly`` e
+    (``lifted_values``, each divided by the common denominator)."""
+    vec, d = lifted_values(polys, den, e)
+    if isinstance(e, ParamPoly):
+        return [ParamPoly._make(x.num, d) for x in vec]
+    return [Fraction(x, d) for x in vec]
 
 
 def binom_poly(base: ParamPoly, k: int) -> ParamPoly:

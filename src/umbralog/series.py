@@ -1,32 +1,34 @@
 """Exact truncated power series over pluggable coefficient domains.
 
 A series carries the name of its variable, its coefficients ``c_0..c_N`` and
-(implicitly) its truncation order ``N = len(coeffs) - 1``.  Every operation
-returns a result truncated to the order it can guarantee exactly; reading a
-coefficient past that order raises ``OrderError`` instead of silently
-producing zero.
+(implicitly) its truncation order ``N``.  Every operation returns a result
+truncated to the order it can guarantee exactly; reading a coefficient past
+that order raises ``OrderError`` instead of silently producing zero.
 
-Coefficient domains: ``fractions.Fraction``, ``ParamPoly`` and ``Poly``.
-Each is reached through Python's numeric operators, with ``Fraction``'s
-meaning: ``not c`` tests for zero, ``c * 0`` and ``z + 1`` give the domain's
-zero and one, and ``Fraction(1) / c`` inverts a unit; and through its one
-lift to integral elements over a common denominator (``_DOMAINS``).
-``ParamPoly`` and ``Poly`` each store themselves as integer numerators over
-one denominator ``den``, so their lift reads ``den`` and scales each
-coefficient by an integer.  A series' coefficients are the only record of
-its domain: they all have one type, since the constructor turns ``int``
-into ``Fraction``, lifts a mixed list to the widest domain in it, and
-rejects a number that is not rational (a ``float``, ``complex`` or
-``Decimal``), and ``czero`` is the zero of that type.  So mixing two
-domains keeps the wider one, and ``_need_fraction`` is the one check that
-rejects a series outside ``Fraction``.
+A series is stored as its lift: a tuple ``num`` of integral elements over
+one positive denominator ``den``, divided by their content (content and
+primitive part: Geddes, Czapor and Labahn, *Algorithms for Computer
+Algebra*, 1992, ch. 2), so c_k = num[k] / den, and equal series have equal
+``num`` and ``den``.  Coefficient domains: ``fractions.Fraction``, whose
+elements are plain ``int``s, and ``ParamPoly`` and ``Poly``, whose elements
+are ``ParamPoly``s and ``Poly``s over 1.  The elements all have one type,
+the only record of the domain (``_DOMAINS``).  The constructor lifts its
+coefficients once: it turns ``int`` into ``Fraction``, lifts a mixed list to
+the widest domain in it, and rejects a number that is not rational (a
+``float``, ``complex`` or ``Decimal``).  ``coeffs`` and ``coefficient``
+build coefficients when read, and ``czero`` is the domain's zero.  So
+mixing two domains keeps the wider one, and ``_need_fraction`` is the one
+check that rejects a series outside ``Fraction``.
 
-``*``, ``/`` (so ``inv`` and ``log``), ``compose`` and ``revert`` run one
-kernel on lifts for every domain (``_conv``, ``_div_rational``,
-``_horner``, ``_revert``), on plain ``int``s over ``Fraction``; the
-term-by-term loops it replaced are the oracles in ``tests/oracles.py``.
-Its schoolbook product ``_conv`` is ``polys._conv``, the loop of ``Poly``'s
-own product.
+Every operation reads and writes the lift, and divides a result by its
+content once (``_series``).  ``+``, ``scale``, ``derive`` and
+``integrate`` rescale numerators; ``*``, ``/`` (so ``inv`` and ``log``),
+``compose``, ``revert`` and ``exp`` run one kernel for every domain
+(``_conv``, ``_div_rational``, ``_horner``, ``_revert``, ``_exp_rational``),
+which uses only ring operations on elements, so two domains' lifts mix
+(``int`` times ``ParamPoly`` is its ``_scale``).  The term-by-term loops
+it replaced are the oracles in ``tests/oracles.py``.  Its schoolbook
+product ``_conv`` is ``polys._conv``, the loop of ``Poly``'s own product.
 
 Miller's power recurrence (``_power_polys``) runs on integer polynomials in
 the exponent, with coefficients that are integer vectors in a second
@@ -37,7 +39,7 @@ continuation of ``umbral``/``sheffer`` read its polynomials directly.
 Lifted entries, a dict of integer vectors over one denominator, are the
 shape ``operators.apply_Tn`` (keyed by derivative order) and the graded
 inversion of ``grading`` and ``conjugation`` (keyed by alpha grade) share:
-``_lift_terms`` lifts series to an entry, ``_derive`` differentiates one
+``_lift_terms`` rescales series to an entry, ``_derive`` differentiates one
 vector, ``_combine`` sums entries over the lcm of their denominators,
 ``_lmul`` multiplies by a lifted series, ``_reduce`` divides out a common
 gcd, and ``_to_series`` builds ``Fraction`` series once, at the end.
@@ -50,8 +52,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from numbers import Number, Rational
 
-from .parampoly import ParamPoly, _lift, values_at
-from .polys import Poly, _conv
+from .parampoly import ParamPoly, _lift, lifted_values
+from .polys import Poly, _content, _conv, _divide
 
 
 class SeriesError(ValueError):
@@ -77,8 +79,8 @@ def _widen(coeffs) -> tuple:
 
 def _need_fraction(s, need: str) -> None:
     """Reject a series whose coefficients are not ``Fraction``."""
-    domain = type(s.coeffs[0])
-    if domain is not Fraction:
+    domain = type(s.num[0])
+    if domain is not int:
         raise SeriesError(f"{need} over Fraction coefficients, not {domain.__name__}")
 
 
@@ -91,13 +93,14 @@ def _need_count(k: int, name: str) -> None:
 # -- one lift per coefficient domain ---------------------------------------------
 #
 # ``lift`` writes coefficients as integral elements over one positive
-# denominator (content and primitive part: Geddes, Czapor and Labahn, 1992,
-# ch. 2), and ``unlift`` inverts it.  ``reduce`` divides a vector and its
-# denominator by their integer content, ``reduce1`` one element and a
+# denominator, and ``unlift`` inverts it; ``at`` is one coefficient, from its
+# element and the denominator.  ``zero`` is the domain's zero coefficient and
+# ``const`` turns an ``int`` into an element.  ``reduce`` divides a vector
+# and its denominator by their integer content, ``reduce1`` one element and a
 # denominator; ``value`` is the integer value of a constant element.  The
-# kernels use only ring operations on elements, so two domains' lifts mix
-# (``int`` times ``ParamPoly`` is its ``_scale``).
-_Lift = namedtuple("_Lift", "lift unlift reduce reduce1 value")
+# kernels mix ``int`` entries (zeros, and a ``Fraction`` operand's elements)
+# into the elements, and each hook takes them as constants.
+_Lift = namedtuple("_Lift", "lift unlift at zero const reduce reduce1 value")
 
 
 def _reduce_ints(vec: list, den: int) -> tuple:
@@ -112,49 +115,115 @@ def _reduce1_ints(x: int, den: int) -> tuple:
     return x // g, den // g
 
 
-def _elements(domain, den) -> _Lift:
-    """The lift of ``domain`` to integral elements of its own type, for the
-    denominator den(c) of a coefficient c.  The kernels mix ``int`` entries
-    (zeros, and a ``Fraction`` operand's constants) into the elements, and
-    each hook takes them as constants; ``reduce`` lifts the coefficients,
-    canonical in their domain, again."""
+def _elements(domain, content, divide) -> _Lift:
+    """The lift of ``domain`` to elements of its own type over 1, for the
+    gcd content(g, x) of g and the integers of an element x, and its exact
+    quotient divide(x, g) by an integer g."""
 
     def lift(coeffs):
-        d = lcm(*map(den, coeffs))
+        d = lcm(*[c.den for c in coeffs])
         return [c * d for c in coeffs], d
+
+    def at(x, d):
+        return domain._make(x.num, d)
+
+    def unlift(vec, d):
+        return tuple(at(x, d) for x in vec)
 
     zero = domain.const(0)
 
-    def unlift(vec, d):
-        inv = Fraction(1, d)
-        return [(domain.const(x * inv) if x else zero) if type(x) is int else x * inv for x in vec]
+    def const(x):
+        return domain.const(x) if x else zero
+
+    def common(g, x):
+        return gcd(g, x) if type(x) is int else content(g, x)
+
+    def div(x, g):
+        return x // g if type(x) is int else divide(x, g)
 
     def reduce(vec, d):
-        return (vec, d) if d == 1 else lift(unlift(vec, d))
+        g = d
+        for x in vec:
+            if g == 1:
+                return vec, d
+            g = common(g, x)
+        if g == 1:
+            return vec, d
+        return [div(x, g) for x in vec], d // g
 
     def reduce1(x, d):
-        (x,), d = reduce([x], d)
-        return x, d
+        g = common(d, x)
+        return (x, d) if g == 1 else (div(x, g), d // g)
 
     def value(x):
         return x if type(x) is int else int(x.constant_value())
 
-    return _Lift(lift, unlift, reduce, reduce1, value)
+    return _Lift(lift, unlift, at, zero, const, reduce, reduce1, value)
 
 
-_INTS = _Lift(_lift, lambda v, d: [Fraction(x, d) for x in v], _reduce_ints, _reduce1_ints, lambda c: c)
+_INTS = _Lift(
+    _lift,
+    lambda v, d: tuple(Fraction(x, d) for x in v),
+    Fraction,
+    _QZERO,
+    int,
+    _reduce_ints,
+    _reduce1_ints,
+    int,
+)
 _DOMAINS = {
+    int: _INTS,
     Fraction: _INTS,
-    ParamPoly: _elements(ParamPoly, lambda c: c.den),
-    Poly: _elements(Poly, lambda c: c.den),
+    ParamPoly: _elements(
+        ParamPoly,
+        lambda g, x: gcd(g, *x.num.values()),
+        lambda x, g: ParamPoly._reduced({k: v // g for k, v in x.num.items()}, 1),
+    ),
+    Poly: _elements(
+        Poly,
+        lambda g, x: gcd(g, _content(x.num)),
+        lambda x, g: Poly._reduced(_divide(x.num, g), 1),
+    ),
 }
 
 
-def _lifts(s, t, n: int) -> tuple:
-    """s's and t's coefficients through order n, lifted, and the lift of the
-    domain that holds both (``Fraction`` widens)."""
-    a, b = _DOMAINS[type(s.coeffs[0])], _DOMAINS[type(t.coeffs[0])]
-    return (*a.lift(s.coeffs[: n + 1]), *b.lift(t.coeffs[: n + 1])), b if a is _INTS else a
+def _unlifted(*args):
+    raise SeriesError("no arithmetic over coefficients without a lift to integers")
+
+
+# Coefficients of any other type (a series, say) are kept as they are, over
+# 1: such a series can be built and read, and ``_need_fraction`` names its
+# domain, but no operation that rescales or divides runs on it.
+_UNLIFTED = _Lift(
+    lambda coeffs: (coeffs, 1),
+    lambda v, d: v,
+    lambda x, d: x,
+    None,
+    _unlifted,
+    _unlifted,
+    _unlifted,
+    _unlifted,
+)
+
+
+def _domain(s) -> _Lift:
+    return _DOMAINS.get(type(s.num[0]), _UNLIFTED)
+
+
+def _join(s, t) -> _Lift:
+    """The lift of the domain that holds s's and t's (``Fraction`` widens)."""
+    a, b = _domain(s), _domain(t)
+    return b if a is _INTS else a
+
+
+def _series(var: str, vec, den: int, dom: _Lift = _INTS) -> "PowerSeries":
+    """The series vec / den in var, for elements (and ``int``s) of the
+    domain dom over a positive den, divided by their content."""
+    vec, den = dom.reduce(vec, den)
+    if dom is not _INTS and int in map(type, vec):
+        const = dom.const
+        vec = [const(x) if type(x) is int else x for x in vec]
+    return PowerSeries._of(var, tuple(vec), den)
 
 
 # -- lifted entries ---------------------------------------------------------------
@@ -167,10 +236,9 @@ def _lifts(s, t, n: int) -> tuple:
 
 
 def _lift_terms(terms: dict) -> tuple:
-    """Series coefficients as integer numerators over one denominator."""
-    flat, den = _lift([c for s in terms.values() for c in s.coeffs])
-    it = iter(flat)
-    return {j: [next(it) for _ in s.coeffs] for j, s in terms.items()}, den
+    """``Fraction`` series as integer numerators over one denominator."""
+    den = lcm(*[s.den for s in terms.values()])
+    return {j: [x * (den // s.den) for x in s.num] for j, s in terms.items()}, den
 
 
 def _derive(c: list, error: str) -> list:
@@ -213,7 +281,7 @@ def _reduce(entry: tuple) -> tuple:
 def _to_series(var: str, entry: tuple) -> dict:
     """The entry's coefficients as ``Fraction`` series in var."""
     terms, den = entry
-    return {j: PowerSeries(var, [Fraction(y, den) for y in c]) for j, c in terms.items()}
+    return {j: _series(var, c, den) for j, c in terms.items()}
 
 
 def _place(vec: list, den: int, i: int, num, d: int) -> tuple:
@@ -227,7 +295,7 @@ def _place(vec: list, den: int, i: int, num, d: int) -> tuple:
     return vec, common
 
 
-def _horner(on: list, od: int, b: list, d: int, n: int, dom) -> tuple:
+def _horner(on, od: int, b, d: int, n: int, dom) -> tuple:
     """Horner evaluation of outer(inner) to order n on lifts, for the lifted
     outer = on / od and inner = b / d, in the joined domain dom; returns
     (elements, den).
@@ -257,7 +325,7 @@ def _ladder(n: int) -> list:
     return out[::-1]
 
 
-def _revert(un: list, ud: int, n: int, dom) -> tuple:
+def _revert(un, ud: int, n: int, dom) -> tuple:
     """The inverse of u = un / ud (u_0 = 0, u_1 = 1) to order n on lifts in
     u's domain dom; returns (elements, den).
 
@@ -278,7 +346,7 @@ def _revert(un: list, ud: int, n: int, dom) -> tuple:
     return v, den
 
 
-def _div_rational(an: list, da: int, bn: list, db: int, lead: int, dom) -> tuple:
+def _div_rational(an, da: int, bn, db: int, lead: int, dom) -> tuple:
     """The quotient a / b on lifts in the joined domain dom, for a = an / da
     and b = bn / db of one length whose lifted constant term bn[0] has the
     nonzero integer value lead; returns (elements, den).
@@ -304,6 +372,29 @@ def _div_rational(an: list, da: int, bn: list, db: int, lead: int, dom) -> tuple
         num, dk = reduce1(an[k] * (den * db) - s * da, lead * den)
         quo, den = _place(quo, den, k, num, dk)
     return quo, den
+
+
+def _exp_rational(un, ud: int, dom) -> tuple:
+    """exp(u) on lifts in u's domain dom, for u = un / ud with un[0] = 0;
+    returns (elements, den).
+
+    Runs n e_n = sum_{k=1..n} k u_k e_{n-k} as ``_div_rational`` runs its
+    recurrence: the series so far is one integral vector over the lcm of its
+    reduced denominators, so each step takes one sum and one gcd, and
+    rescales the vector only when e_n brings a new denominator.
+    """
+    tail = [(k, k * y) for k, y in enumerate(un) if k and y]
+    out, den = [1] + [0] * (len(un) - 1), 1
+    for n in range(1, len(un)):
+        s = 0
+        for k, y in tail:
+            if k > n:
+                break
+            s += out[n - k] * y
+        # e_n = s / (den * ud) / n
+        num, dn = dom.reduce1(s, n * ud * den)
+        out, den = _place(out, den, n, num, dn)
+    return out, den
 
 
 def _power_polys(a, d: int) -> tuple:
@@ -361,7 +452,7 @@ def _power_polys(a, d: int) -> tuple:
 
 
 class PowerSeries:
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "num", "den")
 
     def __init__(self, var: str, coeffs):
         coeffs = tuple(coeffs)
@@ -374,14 +465,29 @@ class PowerSeries:
                     raise TypeError(f"expected a rational, got {t.__name__}")
             if others or issubclass(domain, int):
                 coeffs = _widen(coeffs)
+                domain = type(coeffs[0])
+        num, den = _DOMAINS.get(domain, _UNLIFTED).lift(coeffs)
         self.var = var
-        self.coeffs = coeffs
+        self.num = tuple(num)
+        self.den = den
+
+    @staticmethod
+    def _of(var: str, num: tuple, den: int) -> "PowerSeries":
+        """Wrap a lift the caller guarantees is already canonical."""
+        s = object.__new__(PowerSeries)
+        s.var, s.num, s.den = var, num, den
+        return s
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients, built when read."""
+        return _domain(self).unlift(self.num, self.den)
 
     @property
     def czero(self):
         """The zero of the coefficients' domain."""
-        c = self.coeffs[0]
-        return _QZERO if type(c) is Fraction else c * 0
+        zero = _domain(self).zero
+        return self.num[0] * 0 if zero is None else zero
 
     # -- constructors ---------------------------------------------------
 
@@ -409,7 +515,7 @@ class PowerSeries:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def coefficient(self, k: int):
         if k < 0:
@@ -419,7 +525,7 @@ class PowerSeries:
                 f"coefficient {k} of a series in {self.var} only valid to "
                 f"order {self.order}"
             )
-        return self.coeffs[k]
+        return _domain(self).at(self.num[k], self.den)
 
     def truncate(self, n: int) -> "PowerSeries":
         if n > self.order:
@@ -428,10 +534,10 @@ class PowerSeries:
             )
         if n == self.order:
             return self
-        return PowerSeries(self.var, self.coeffs[: n + 1])
+        return _series(self.var, self.num[: n + 1], self.den, _domain(self))
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_zero(self) -> bool:
         return not self
@@ -447,25 +553,25 @@ class PowerSeries:
             return NotImplemented
         return (
             self.var == other.var
-            and self.order == other.order
-            and all(
-                a == b or (not a and not b)
-                for a, b in zip(self.coeffs, other.coeffs)
-            )
+            and self.den == other.den
+            and len(self.num) == len(other.num)
+            and _same(self.num, other.num)
         )
 
     def __hash__(self):
-        # __eq__ equates zeros of any two domains, also where the domains'
-        # own == does not (a Poly 0 and a ParamPoly 0): hash only the
-        # variable, the order and which coefficients vanish.
-        support = tuple(k for k, c in enumerate(self.coeffs) if c)
-        return hash((self.var, self.order, support))
+        # an element of one domain equal to one of another (a constant, or a
+        # zero) hashes like the int it equals, and equal series have equal
+        # denominators
+        return hash((self.var, self.den, self.num))
 
     def prefix_equal(self, other: "PowerSeries") -> bool:
         """Equality of the shared prefix of coefficients."""
         self._check_var(other)
         n = min(self.order, other.order) + 1
-        return self.coeffs[:n] == other.coeffs[:n]
+        a, b = self.num[:n], other.num[:n]
+        if self.den != other.den:
+            a, b = [x * other.den for x in a], [y * self.den for y in b]
+        return _same(a, b)
 
     # -- linear structure ---------------------------------------------------
 
@@ -473,20 +579,27 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return self._add_scalar(other)
         self._check_var(other)
-        n = min(self.order, other.order)
-        return PowerSeries(
-            self.var, [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)]
-        )
+        n = min(self.order, other.order) + 1
+        a, da, b, db = self.num[:n], self.den, other.num[:n], other.den
+        den = da if da == db else lcm(da, db)
+        if den != da:
+            a = [x * (den // da) for x in a]
+        if den != db:
+            b = [y * (den // db) for y in b]
+        return _series(self.var, [x + y for x, y in zip(a, b)], den, _join(self, other))
 
     def _add_scalar(self, c):
-        coeffs = list(self.coeffs)
-        coeffs[0] = coeffs[0] + c
-        return PowerSeries(self.var, coeffs)
+        c = PowerSeries(self.var, (c,))
+        den = lcm(self.den, c.den)
+        up = den // self.den
+        vec = [x * up for x in self.num] if up != 1 else list(self.num)
+        vec[0] = vec[0] + c.num[0] * (den // c.den)
+        return _series(self.var, vec, den, _join(self, c))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PowerSeries(self.var, [-c for c in self.coeffs])
+        return PowerSeries._of(self.var, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         if isinstance(other, PowerSeries):
@@ -497,7 +610,10 @@ class PowerSeries:
         return (-self)._add_scalar(other)
 
     def scale(self, c) -> "PowerSeries":
-        return PowerSeries(self.var, [x * c for x in self.coeffs])
+        c = PowerSeries(self.var, (c,))
+        x = c.num[0]
+        vec = [y * x for y in self.num]
+        return _series(self.var, vec, self.den * c.den, _join(self, c))
 
     # -- multiplication / division --------------------------------------------
 
@@ -506,8 +622,8 @@ class PowerSeries:
             return self.scale(other)
         self._check_var(other)
         n = min(self.order, other.order)
-        (an, da, bn, db), join = _lifts(self, other, n)
-        return PowerSeries(self.var, join.unlift(_conv(an, bn, n), da * db))
+        vec = _conv(self.num, other.num, n)
+        return _series(self.var, vec, self.den * other.den, _join(self, other))
 
     __rmul__ = scale
 
@@ -515,14 +631,15 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return self.scale(_QONE / other)
         self._check_var(other)
-        if not other.coeffs[0]:
+        if not other.num[0]:
             raise SeriesError(
                 "division by a series with zero constant term"
             )
-        n = min(self.order, other.order)
-        (an, da, bn, db), join = _lifts(self, other, n)
-        quo, den = _div_rational(an, da, bn, db, join.value(bn[0]), join)
-        return PowerSeries(self.var, join.unlift(quo, den))
+        n = min(self.order, other.order) + 1
+        dom = _join(self, other)
+        bn = other.num[:n]
+        quo, den = _div_rational(self.num[:n], self.den, bn, other.den, dom.value(bn[0]), dom)
+        return _series(self.var, quo, den, dom)
 
     def __rtruediv__(self, c):
         return self.inv().scale(c)
@@ -547,30 +664,32 @@ class PowerSeries:
     def mul_var(self, k: int = 1) -> "PowerSeries":
         """Multiply by var^k (order grows by k: those coefficients are exact)."""
         _need_count(k, "mul_var")
-        return PowerSeries(self.var, (self.czero,) * k + self.coeffs)
+        zero = _domain(self).const(0)
+        return PowerSeries._of(self.var, (zero,) * k + self.num, self.den)
 
     def div_var(self, k: int = 1) -> "PowerSeries":
         """Divide by var^k; the first k coefficients must vanish."""
         _need_count(k, "div_var")
-        for j in range(k):
-            if self.coeffs[j]:
-                raise SeriesError(
-                    f"series not divisible by {self.var}^{k}"
-                )
-        return PowerSeries(self.var, self.coeffs[k:])
+        if any(self.num[:k]):
+            raise SeriesError(
+                f"series not divisible by {self.var}^{k}"
+            )
+        if k > self.order:
+            raise SeriesError("a series needs at least its constant term")
+        return PowerSeries._of(self.var, self.num[k:], self.den)
 
     # -- composition / reversion ------------------------------------------------
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """self(inner); requires inner constant term zero."""
-        if inner.coeffs[0]:
+        if inner.num[0]:
             raise SeriesError(
                 "composition requires inner constant term zero"
             )
         n = min(self.order, inner.order)
-        lifts, join = _lifts(self, inner, n)
-        acc, den = _horner(*lifts, n, join)
-        return PowerSeries(inner.var, join.unlift(acc, den))
+        dom = _join(self, inner)
+        acc, den = _horner(self.num, self.den, inner.num, inner.den, n, dom)
+        return _series(inner.var, acc, den, dom)
 
     def revert(self) -> "PowerSeries":
         """Functional inverse by Newton iteration (Brent and Kung), on the
@@ -578,66 +697,57 @@ class PowerSeries:
         1/u'(v) = v' mod x^k, so a step to order m <= 2k subtracts
         x^(k+1) times the error over x^(k+1) times v', truncated at
         m - k - 1: one composition and one product, and no division.  The
-        loop runs on the lift of the coefficients' domain (``_revert``), in
-        plain integers over ``Fraction``.
+        loop runs on the stored lift (``_revert``), in plain integers over
+        ``Fraction``.
 
         Requires a zero constant term and linear coefficient 1; any other
         linear coefficient is a ``SeriesError``.
         """
         if self.order < 1:
             raise OrderError("reversion needs order >= 1")
-        if self.coeffs[0]:
+        if self.num[0]:
             raise SeriesError("reversion requires zero constant term")
-        if self.coeffs[1] != self.czero + 1:
+        if self.num[1] != self.den:
             raise SeriesError("reversion requires linear coefficient 1")
-        dom = _DOMAINS[type(self.coeffs[0])]
-        v, den = _revert(*dom.lift(self.coeffs), self.order, dom)
-        return PowerSeries(self.var, dom.unlift(v, den))
+        dom = _domain(self)
+        v, den = _revert(self.num, self.den, self.order, dom)
+        return _series(self.var, v, den, dom)
 
     # -- calculus ----------------------------------------------------------------
 
     def derive(self, n: int = 1) -> "PowerSeries":
         _need_count(n, "derive")
-        out = self
+        if not n:
+            return self
+        vec = self.num
         for _ in range(n):
-            if out.order < 1:
+            if len(vec) < 2:
                 raise OrderError("derivative of an order-0 series")
-            out = PowerSeries(
-                out.var, [out.coeffs[k] * k for k in range(1, out.order + 1)]
-            )
-        return out
+            vec = [k * vec[k] for k in range(1, len(vec))]
+        return _series(self.var, vec, self.den, _domain(self))
 
     def integrate(self) -> "PowerSeries":
         """Termwise integral with zero constant term (order grows by one)."""
-        return PowerSeries(
-            self.var,
-            (self.czero,) + tuple(c / (k + 1) for k, c in enumerate(self.coeffs)),
-        )
+        dom = _domain(self)
+        parts = [dom.reduce1(x, k + 1) for k, x in enumerate(self.num)]
+        common = lcm(*[d for _, d in parts])
+        vec = [0] + [x * (common // d) for x, d in parts]
+        return _series(self.var, vec, self.den * common, dom)
 
     # -- exp / log / powers ---------------------------------------------------------
 
     def exp(self) -> "PowerSeries":
-        if self.coeffs[0]:
+        if self.num[0]:
             raise SeriesError("exp requires a zero constant term")
-        e0 = self.czero + 1
-        zero = e0 * _QZERO
-        out = [e0]
-        for n in range(1, self.order + 1):
-            acc = zero
-            for k in range(1, n + 1):
-                acc = acc + (k * self.coeffs[k]) * out[n - k]
-            out.append(acc / Fraction(n))
-        return PowerSeries(self.var, out)
+        dom = _domain(self)
+        return _series(self.var, *_exp_rational(self.num, self.den, dom), dom)
 
     def log(self) -> "PowerSeries":
-        c0 = self.coeffs[0]
-        if c0 != self.czero + 1:
+        if self.num[0] != self.den:
             raise SeriesError("log requires constant term 1")
-        l0 = c0 * _QZERO
         if self.order == 0:
-            return PowerSeries(self.var, (l0,))
-        body = (self.derive() / self.truncate(self.order - 1)).integrate()
-        return body._add_scalar(l0)
+            return PowerSeries._of(self.var, (_domain(self).const(0),), 1)
+        return (self.derive() / self.truncate(self.order - 1)).integrate()
 
     def pow_param(self, e) -> "PowerSeries":
         """Raise a unit series g to a power e: an ``int``, a ``Fraction`` or
@@ -652,23 +762,26 @@ class PowerSeries:
         is evaluated at e once.  That needs integer numerators, so a g over
         ``ParamPoly`` or ``Poly`` takes exp(e log g), the same series.
         """
-        if self.coeffs[0] != _QONE:
+        if self.num[0] != self.den:
             raise SeriesError("symbolic powers need constant term 1")
-        if type(self.coeffs[0]) is not Fraction:
+        if type(self.num[0]) is not int:
             return self.log().scale(e).exp()
-        a, d = _lift(self.coeffs)
-        polys, den = _power_polys([[x] for x in a], d)
-        return PowerSeries(self.var, values_at([w[0] for w in polys], den, e))
+        polys, den = _power_polys([[x] for x in self.num], self.den)
+        vec, den = lifted_values([w[0] for w in polys], den, e)
+        return _series(self.var, vec, den, _DOMAINS[type(vec[0])])
 
     # -- evaluation / reshaping -------------------------------------------------------
 
     def eval_truncated(self, x0: Fraction) -> Fraction:
-        """Evaluate the truncating polynomial at a rational point."""
+        """Evaluate the truncating polynomial at a rational point x0 = p/q:
+        integer Horner sums num[j] p^j q^(N - j) over den q^N."""
         _need_fraction(self, "numeric evaluation needs a series")
-        acc = _QZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        p, q = x0.numerator, x0.denominator
+        acc, up = 0, 1  # up = q ** (N - j)
+        for c in reversed(self.num):
+            acc = acc * p + c * up
+            up *= q
+        return Fraction(acc, self.den * (up // q))
 
     def map_coeffs(self, fn) -> "PowerSeries":
         return PowerSeries(self.var, [fn(c) for c in self.coeffs])
@@ -688,3 +801,9 @@ class PowerSeries:
                 break
         body = " + ".join(bits) if bits else "0"
         return f"<{body} + O({self.var}^{self.order + 1})>"
+
+
+def _same(a, b) -> bool:
+    """Elementwise equality of two lifts over one denominator; a zero of
+    one domain equals a zero of any other."""
+    return a == b or all(x == y or (not x and not y) for x, y in zip(a, b))

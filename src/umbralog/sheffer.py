@@ -65,7 +65,7 @@ def tau_seq(fam: BinomialFamily, ell: PowerSeries, N: int) -> ShefferFamily:
 
     # the symbolic continuation, and the check that it specializes to
     # tau_n at s = n: its integer numerators at s = n by Horner's rule
-    nums, den = _continuation(fam, N, ell.coeffs)
+    nums, den = _continuation(fam, N, ell.num[: N + 1], ell.den)
     for n, p in enumerate(polys):
         for j, num in enumerate(nums):
             v = 0
@@ -278,7 +278,7 @@ def bernoulli_log_experiment(depth: int) -> dict:
                     ),
                     "candidates": {}}
     for name, sf in candidates.items():
-        reg = AsymptoticSeries(0, sf.tau_symbolic.coeffs)
+        reg = AsymptoticSeries._of(ParamPoly(), sf.tau_symbolic.body)
         lg = reg.log()
         rows = []
         match_depth = depth

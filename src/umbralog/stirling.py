@@ -159,16 +159,17 @@ def _lhs_side(fam: BinomialFamily, depth: int, known=()) -> tuple:
     the coefficient of alpha^{s-n} in p_s.  Its logarithm l has
     l_n = c_n - (1/n) sum_{k<n} k l_k c_{n-k}, and lhs_n = l_n / s.
     """
-    g = fam.x_over_f.truncate(depth).coeffs
+    g = fam.x_over_f.truncate(depth)
+    a, d = g.num, g.den  # g_k = a_k / d
     one = ParamPoly.const(1)
     rows = list(known) or [(ParamPoly(), ParamPoly(), one, one, one)]
     for n in range(len(rows), depth + 1):
-        weighted = total = ParamPoly()
+        weighted = total = ParamPoly()  # d times the sums over k
         for k in range(1, n + 1):
-            if g[k]:
-                p = rows[n - k][3] * g[k]
+            if a[k]:
+                p = rows[n - k][3] * a[k]
                 weighted, total = weighted + p * k, total + p
-        w = (S * weighted + weighted) / n - total
+        w = (S * weighted + weighted - total * n) / (n * d)
         falling = rows[n - 1][4] * (S - n)
         c = falling * w
         acc = ParamPoly()
@@ -189,19 +190,20 @@ def _log_side(fam: BinomialFamily, depth: int, known=()) -> tuple:
 
         T[i][j] = s T[i-1][j+1] - sum_{a+b=j} (a+1) T[i-1][a+1] iota_b.
     """
-    om, iota = fam.omega.coeffs, fam.inv_omega_prime.coeffs
+    om, iota = fam.omega, fam.inv_omega_prime.num
+    di = fam.inv_omega_prime.den  # iota_b = iota[b] / di
     diags = [row[1:] for row in known]
     rows = list(known)
     for m in range(len(rows), depth + 1):
-        diag = [ParamPoly.coerce(om[m + 1])]
+        diag = [ParamPoly.coerce(om.coefficient(m + 1))]
         diags.append(diag)
         for i in range(1, m + 1):
             j = m - i
-            acc = S * diag[i - 1]
+            acc = ParamPoly()
             for a in range(j + 1):
                 if iota[j - a]:
-                    acc = acc - diags[i + a][i - 1] * ((a + 1) * iota[j - a])
-            diag.append(acc)
+                    acc = acc + diags[i + a][i - 1] * ((a + 1) * iota[j - a])
+            diag.append(S * diag[i - 1] - acc / di)
         rhs = diag[m] * Fraction(-1, m) if m else ParamPoly()
         rows.append((rhs, *diag))
     return tuple(rows)
@@ -217,19 +219,20 @@ def _exp_side(fam: BinomialFamily, depth: int, known=()) -> tuple:
 
         U[i][j] = (j+1) U[i-1][j+1] - s sum_{a+b=j} u_a U[i-1][b+1].
     """
-    u = fam.x_over_tau.truncate(depth).coeffs
+    x_over_tau = fam.x_over_tau.truncate(depth)
+    u, d = x_over_tau.num, x_over_tau.den  # u_a = u[a] / d
     diags = [row[1:] for row in known]
     rows = list(known)
     for m in range(len(rows), depth + 1):
-        diag = [ParamPoly.coerce(u[m])]
+        diag = [ParamPoly.coerce(x_over_tau.coefficient(m))]
         diags.append(diag)
         for i in range(1, m + 1):
             j = m - i
-            acc = ParamPoly()
+            acc = ParamPoly()  # d times the sum over a
             for a in range(j + 1):
                 if u[a]:
                     acc = acc + diags[i + j - a][i - 1] * u[a]
-            diag.append(diag[i - 1] * (j + 1) - S * acc)
+            diag.append(diag[i - 1] * (j + 1) - S * acc / d)
         rhs = diag[m] * Fraction((-1) ** (m - 1), m) if m else ParamPoly()
         rows.append((rhs, *diag))
     return tuple(rows)

@@ -22,11 +22,19 @@ from math import comb, factorial, gcd, lcm
 from .asymptotic import AsymptoticSeries
 from .parampoly import H, S, ParamPoly, _lift, binom_poly, values_at
 from .polys import Poly
-from .series import OrderError, PowerSeries, SeriesError, _conv, _need_fraction, _power_polys
+from .series import (
+    OrderError,
+    PowerSeries,
+    SeriesError,
+    _conv,
+    _need_fraction,
+    _power_polys,
+    _series,
+)
 
 
 def rename(u: PowerSeries, var: str) -> PowerSeries:
-    return PowerSeries(var, u.coeffs)
+    return PowerSeries._of(var, u.num, u.den)
 
 
 def op_L(g: PowerSeries) -> PowerSeries:
@@ -44,7 +52,7 @@ def _exact_key(x):
     1, Fraction(1) and ParamPoly.const(1) compare equal, but as exponents or
     coefficients they give results in different coefficient domains."""
     if isinstance(x, PowerSeries):
-        return (PowerSeries, x.var, tuple(_exact_key(c) for c in x.coeffs))
+        return (PowerSeries, x.var, type(x.num[0]), x.num, x.den)
     return (type(x), x)
 
 
@@ -311,14 +319,16 @@ def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> tuple:
             f"family order {fam.order} too small (need {need}) for the q table"
         )
     _need_fraction(fam.f, "q_table needs f")
-    f = fam.f.coeffs[: need + 1]
+    f, fd = fam.f.num, fam.f.den
     # [t^j] f^{(k+1)}(t) / (k+1)! = C(k+1+j, j) f_{k+1+j}; row 0 is f'(t)
     rows = [
-        PowerSeries("t", [comb(k + 1 + j, j) * f[k + 1 + j] for j in range(t_order + 1)])
+        _series("t", [comb(k + 1 + j, j) * f[k + 1 + j] for j in range(t_order + 1)], fd)
         for k in range(n_max + 1)
     ]
     inv_fp = rows[0].inv()
-    nums, d = _lift([x for row in rows[1:] for x in (row * inv_fp).coeffs])
+    prods = [row * inv_fp for row in rows[1:]]
+    d = lcm(*[p.den for p in prods])
+    nums = [x * (d // p.den) for p in prods for x in p.num]
     width = t_order + 1
     a = [[d] + [0] * t_order] + [nums[i : i + width] for i in range(0, len(nums), width)]
     polys, den = _power_polys(a, d)
@@ -366,12 +376,13 @@ def p_H_t(fam: BinomialFamily, N: int) -> PHTExpansion:
     return PHTExpansion(coeffs)
 
 
-def _continuation(fam: BinomialFamily, N: int, ell) -> tuple:
+def _continuation(fam: BinomialFamily, N: int, ells, dl: int) -> tuple:
     """The coefficients of alpha^{s-j}, j = 0..N, of the continuation
 
         sum_{k+m=j} binom(s-1,k) q_k(s) ell_m (s-k)(s-k-1)...(s-k-m+1)
 
-    for rationals ell_0..ell_N, as integer polynomials in s (lowest degree
+    for rationals ell_m = ells[m] / dl, m = 0..N (a shorter ells stands for
+    zeros after it), as integer polynomials in s (lowest degree
     first) over one denominator.  With q_k(s) = k! W_k(s) / den from Miller's
     recurrence for (x/f)^s, the k! cancels binom's 1/k!: the k-th lead is
     (s-1)...(s-k) W_k(s), and both it and the falling factorial grow by one
@@ -380,9 +391,8 @@ def _continuation(fam: BinomialFamily, N: int, ell) -> tuple:
     _need_fraction(fam.f, "the symbolic continuation needs f")
     if fam.f.order < N + 1:
         raise OrderError("family order too small for the requested q table")
-    a, d = _lift(fam.x_over_f.truncate(N).coeffs)
-    polys, den = _power_polys([[x] for x in a], d)
-    ells, dl = _lift(ell[: N + 1])
+    g = fam.x_over_f.truncate(N)
+    polys, den = _power_polys([[x] for x in g.num], g.den)
     top = max(m for m, x in enumerate(ells) if x)
     out = [[0] * (2 * j + 1) for j in range(N + 1)]
     binom = [1]  # k! binom(s-1, k) = (s-1)(s-2)...(s-k)
@@ -411,7 +421,7 @@ def _times_root(p: list, r: int) -> list:
 
 def p_symbolic(fam: BinomialFamily, N: int) -> AsymptoticSeries:
     """The continuation alpha^s (1 + ...): sum_k binom(s-1,k) q_k(s) a^{s-k}."""
-    polys, den = _continuation(fam, N, [Fraction(1)])
+    polys, den = _continuation(fam, N, [1], 1)
     return AsymptoticSeries(S, values_at(polys, den, S))
 
 

@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths it is used to check:
 Bernoulli numbers come from the defining recurrence, reversion coefficients
 from the coefficient-extraction inversion formula, exponentials from raw
 partial sums.  ``naive_mul``, ``naive_div``, ``naive_compose``,
-``naive_revert``, ``naive_p_seq``, ``naive_tau_polys``,
+``naive_revert``, ``naive_add``, ``naive_scale``, ``naive_derive``,
+``naive_integrate``, ``naive_exp``, ``naive_log``, ``naive_eval_truncated``,
+``naive_p_seq``, ``naive_tau_polys``,
 ``naive_parampoly_mul``, ``naive_parampoly_eval`` and ``naive_tau_symbolic``
 are the term-by-term loops the integer kernels (and the integer symbolic
 continuation of ``tau_seq``) replaced, kept to check that the fast paths
@@ -266,13 +268,14 @@ def abel_poly(n: int, a: Fraction):
 def naive_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Truncated product, one ring operation per term."""
     n = min(a.order, b.order)
+    ac, bc = a.coeffs, b.coeffs
     out = [a.czero + b.czero] * (n + 1)
     for i in range(n + 1):
-        x = a.coeffs[i]
+        x = ac[i]
         if x == 0:
             continue
         for j in range(n + 1 - i):
-            y = b.coeffs[j]
+            y = bc[j]
             if y == 0:
                 continue
             out[i + j] = out[i + j] + x * y
@@ -283,12 +286,13 @@ def naive_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Truncated quotient from q_k = (a_k - sum_{j<k} q_j b_{k-j}) / b_0,
     one ring operation per term."""
     n = min(a.order, b.order)
-    inv0 = Fraction(1) / b.coeffs[0]
+    ac, bc = a.coeffs, b.coeffs
+    inv0 = Fraction(1) / bc[0]
     out = []
     for k in range(n + 1):
-        acc = a.coeffs[k]
+        acc = ac[k]
         for j in range(k):
-            acc = acc - out[j] * b.coeffs[k - j]
+            acc = acc - out[j] * bc[k - j]
         out.append(acc * inv0)
     return PowerSeries(a.var, out)
 
@@ -298,8 +302,9 @@ def naive_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     n = min(outer.order, inner.order)
     inner = inner.truncate(n)
     acc = PowerSeries.zero(inner.var, n)
+    oc = outer.coeffs
     for k in range(outer.order, -1, -1):
-        acc = naive_mul(acc, inner) + outer.coeffs[k]
+        acc = naive_mul(acc, inner) + oc[k]
     return acc
 
 
@@ -316,6 +321,50 @@ def naive_revert(u: PowerSeries) -> PowerSeries:
         denom = naive_compose(w.derive(), v.truncate(m - 1))
         v = v - naive_div(err.div_var(k + 1), denom).mul_var(k + 1)
     return v
+
+
+def naive_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    """Truncated sum, one ring operation per term."""
+    ac, bc = a.coeffs, b.coeffs
+    return PowerSeries(a.var, [ac[k] + bc[k] for k in range(min(a.order, b.order) + 1)])
+
+
+def naive_scale(a: PowerSeries, c) -> PowerSeries:
+    return PowerSeries(a.var, [x * c for x in a.coeffs])
+
+
+def naive_derive(a: PowerSeries) -> PowerSeries:
+    c = a.coeffs
+    return PowerSeries(a.var, [c[k] * k for k in range(1, len(c))])
+
+
+def naive_integrate(a: PowerSeries) -> PowerSeries:
+    return PowerSeries(a.var, (a.czero,) + tuple(c / (k + 1) for k, c in enumerate(a.coeffs)))
+
+
+def naive_exp(u: PowerSeries) -> PowerSeries:
+    """exp(u) from n e_n = sum_k k u_k e_{n-k}, one ring operation per term."""
+    c = u.coeffs
+    e0 = u.czero + 1
+    out = [e0]
+    for n in range(1, len(c)):
+        acc = u.czero
+        for k in range(1, n + 1):
+            acc = acc + (k * c[k]) * out[n - k]
+        out.append(acc / Fraction(n))
+    return PowerSeries(u.var, out)
+
+
+def naive_log(u: PowerSeries) -> PowerSeries:
+    """log(u) = integral of u' / u, over the loops above."""
+    return naive_integrate(naive_div(naive_derive(u), u.truncate(u.order - 1)))
+
+
+def naive_eval_truncated(u: PowerSeries, x0: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(u.coeffs):
+        acc = acc * x0 + c
+    return acc
 
 
 def naive_p_seq(fam: BinomialFamily, N: int) -> list:

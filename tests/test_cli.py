@@ -235,6 +235,31 @@ def test_python_dash_m_rejects_an_unknown_preset_in_one_line():
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_a_closed_output_pipe_exits_141_in_silence():
+    # the JSON runs past a pipe's buffer, so the write meets the closed end
+    src = str(Path(umbralog.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "umbralog", "pseq", "--f", "nu", "--order", "60", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.read(10) == b'{\n  "f": "'
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert stderr == b""
+
+
+def test_an_unwritable_out_path_is_bad_input(tmp_path):
+    proc = run_module("pseq", "--f", "id", "--order", "2", "--out", str(tmp_path / "no" / "x.json"))
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_verify_accepts_small_order_and_depth_flags(capsys):
     # the documented invocation shape: flags may sit below the grids'
     # feasibility floors, which the suites clamp rather than crash on

@@ -2,17 +2,34 @@
 
 from decimal import Decimal
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bernoulli_numbers, exp_by_partial_sums, lagrange_inverse_coefficients
+from oracles import (
+    bernoulli_numbers,
+    exp_by_partial_sums,
+    lagrange_inverse_coefficients,
+    naive_add,
+    naive_compose,
+    naive_derive,
+    naive_div,
+    naive_eval_truncated,
+    naive_exp,
+    naive_integrate,
+    naive_log,
+    naive_mul,
+    naive_revert,
+    naive_scale,
+    pow_by_exp_log,
+)
 from umbralog.parampoly import ParamPoly
 from umbralog.polys import Poly
 from umbralog.presets import family
 from umbralog.series import OrderError, PowerSeries, SeriesError
+from umbralog.umbral import rename
 
 S = ParamPoly.symbol("s")
 
@@ -427,7 +444,7 @@ class TestOneDomainPerSeries:
         assert_uniform(mixed, ParamPoly)
         assert mixed.coeffs == (ParamPoly.const(1), ParamPoly.const(2), S, ParamPoly())
         assert_uniform(PowerSeries("x", [Poly.x(), Q(1, 2)]), Poly)
-        assert PowerSeries.__slots__ == ("var", "coeffs")
+        assert PowerSeries.__slots__ == ("var", "num", "den")
 
 
 INEXACT = [1.5, 1.5 + 0j, Decimal("1.5")]
@@ -480,3 +497,128 @@ class TestNegativeCounts:
 
     def test_zero_counts_return_the_series(self):
         assert self.u.div_var(0) == self.u.mul_var(0) == self.u.derive(0) == self.u
+
+
+# -- the stored lift -------------------------------------------------------------
+
+
+def assert_canonical(u):
+    """num over den > 0 with gcd 1, elements of one type: int for Fraction,
+    ParamPoly or Poly over 1 otherwise."""
+    assert type(u.num) is tuple and u.den > 0
+    (kind,) = {type(x) for x in u.num}
+    if kind is int:
+        ints = u.num
+        assert {type(c) for c in u.coeffs} == {Q}
+    else:
+        assert kind in (ParamPoly, Poly) and all(x.den == 1 for x in u.num)
+        ints = [y for x in u.num for y in (x.num.values() if kind is ParamPoly else x.num)]
+        assert {type(c) for c in u.coeffs} == {kind}
+    assert gcd(u.den, *ints) == 1
+
+
+def assert_same_lift(got, want):
+    """Equal values, of the same exact type, in the same stored form."""
+    assert_canonical(got)
+    assert got == want
+    assert got.coeffs == want.coeffs
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    assert (got.var, got.num, got.den) == (want.var, want.num, want.den)
+    assert hash(got) == hash(want)
+
+
+def lifted_coefficient(domain):
+    if domain is Q:
+        return small_rationals
+    if domain is ParamPoly:
+        return small_param_polys()
+    return st.lists(small_rationals, max_size=3).map(Poly)
+
+
+@st.composite
+def lifted_series(draw, domain, head=None, max_order=4):
+    """A series over domain; head "tangent" fixes 0 + 1*x, "unit" 1 and
+    "unit_const" a nonzero rational constant term."""
+    n = draw(st.integers(min_value=2, max_value=max_order))
+    lift = {Q: Q, ParamPoly: ParamPoly.const, Poly: Poly.const}[domain]
+    fixed = {
+        None: [],
+        "tangent": [lift(0), lift(1)],
+        "unit": [lift(1)],
+        "unit_const": [lift(draw(small_rationals.filter(bool)))],
+    }[head]
+    rest = [draw(lifted_coefficient(domain)) for _ in range(n + 1 - len(fixed))]
+    return PowerSeries("x", fixed + rest)
+
+
+LIFT_DOMAINS = [Q, ParamPoly, Poly]
+
+
+@pytest.mark.parametrize("domain", LIFT_DOMAINS, ids=lambda d: d.__name__)
+class TestStoredLift:
+    """Every operation returns a canonical lift, equal in value, exact
+    coefficient type and stored form to the term-by-term oracle loop."""
+
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_ring_operations(self, domain, data):
+        a = data.draw(lifted_series(domain))
+        b = data.draw(lifted_series(domain))
+        unit = data.draw(lifted_series(domain, "unit_const"))
+        c = data.draw(lifted_coefficient(domain))
+        assert_canonical(a)
+        assert_same_lift(a * b, naive_mul(a, b))
+        assert_same_lift(a / unit, naive_div(a, unit))
+        assert_same_lift(a + b, naive_add(a, b))
+        assert_same_lift(a - b, naive_add(a, naive_scale(b, Q(-1))))
+        assert_same_lift(-a, naive_scale(a, Q(-1)))
+        assert_same_lift(a.scale(c), naive_scale(a, c))
+        assert_same_lift(a.scale(Q(-3, 4)), naive_scale(a, Q(-3, 4)))
+        assert_same_lift(a + c, PowerSeries("x", [a.coeffs[0] + c, *a.coeffs[1:]]))
+        assert_same_lift(a.derive(), naive_derive(a))
+        assert_same_lift(a.integrate(), naive_integrate(a))
+        assert_same_lift(a.truncate(1), PowerSeries("x", a.coeffs[:2]))
+        assert_same_lift(a.mul_var(2), PowerSeries("x", [a.czero] * 2 + list(a.coeffs)))
+        assert_same_lift(a.mul_var(1).div_var(1), a)
+
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_composition_and_transcendental_operations(self, domain, data):
+        a = data.draw(lifted_series(domain))
+        t = data.draw(lifted_series(domain, "tangent"))
+        unit = data.draw(lifted_series(domain, "unit"))
+        t0 = t - PowerSeries("x", [t.czero, t.czero + 1] + [t.czero] * (t.order - 1))
+        assert_same_lift(a.compose(t), naive_compose(a, t))
+        assert_same_lift(t.revert(), naive_revert(t))
+        assert_same_lift(t0.exp(), naive_exp(t0))
+        assert_same_lift(t.exp(), naive_exp(t))
+        assert_same_lift(unit.log(), naive_log(unit))
+        assert_same_lift(unit.pow_param(Q(-2, 3)), pow_by_exp_log(unit, Q(-2, 3)))
+
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_equal_series_by_different_routes(self, domain, data):
+        a = data.draw(lifted_series(domain))
+        b = data.draw(lifted_series(domain))
+        k = min(a.order, b.order) - 1
+        routes = [
+            ((a * b).truncate(k), a.truncate(k) * b.truncate(k)),
+            ((a + b) - b, a.truncate(min(a.order, b.order))),
+            (a - a, PowerSeries.zero("x", a.order, a.czero)),
+            (rename(rename(a, "t"), "x"), a),
+            (a.scale(Q(6)).scale(Q(1, 6)), a),
+        ]
+        for got, want in routes:
+            assert_same_lift(got, want)
+
+
+@given(truncated_series(), small_rationals)
+@settings(max_examples=30, deadline=None)
+def test_eval_truncated_matches_the_horner_loop(u, x0):
+    assert u.eval_truncated(x0) == naive_eval_truncated(u, x0)
+
+
+def test_a_mixed_operation_widens_to_one_element_type():
+    u = series([1, Q(1, 2), 0, -3])
+    for got in (u * in_domain([1, "sym", 0, 2], ParamPoly), u + S, u.scale(Poly.x())):
+        assert_canonical(got)
