@@ -352,17 +352,6 @@ def lifted_values(polys, den: int, e) -> tuple:
     return out, den * q**top
 
 
-def values_at(polys, den: int, e) -> list:
-    """The values P(e) / den of integer polynomials P in one variable, given
-    as coefficient lists (lowest degree first): ``Fraction``s for an ``int``
-    or ``Fraction`` e, ``ParamPoly``s for a ``ParamPoly`` e
-    (``lifted_values``, each divided by the common denominator)."""
-    vec, d = lifted_values(polys, den, e)
-    if isinstance(e, ParamPoly):
-        return [ParamPoly._make(x.num, d) for x in vec]
-    return [Fraction(x, d) for x in vec]
-
-
 def binom_poly(base: ParamPoly, k: int) -> ParamPoly:
     """Binomial coefficient of a polynomial argument, expanded eagerly."""
     out = ParamPoly.const(1)

@@ -41,6 +41,28 @@ def _conv(a, b, n: int) -> list:
     return out
 
 
+def _lin(parts, div: int = 1) -> tuple:
+    """The sum of c x^e num/den over the parts (c, e, (num, den)), for
+    integers c and e >= 0, divided by the positive integer div: a pair
+    (num, den) of integer coefficients, lowest degree first, over a positive
+    denominator, divided by their gcd."""
+    common = lcm(*[p[1] for _, _, p in parts])
+    out = []
+    for c, e, (num, den) in parts:
+        c *= common // den
+        out += [0] * (len(num) + e - len(out))
+        for i, x in enumerate(num, e):
+            out[i] += c * x
+    common *= div
+    g = gcd(common, *out)
+    return tuple(x // g for x in out), common // g
+
+
+def _times(p: tuple, q: tuple) -> tuple:
+    """The product of two pairs (num, den), not reduced."""
+    return tuple(_conv(p[0], q[0], len(p[0]) + len(q[0]) - 2)), p[1] * q[1]
+
+
 def _nested(num) -> bool:
     """Whether ``num`` holds integral ``Poly``s (Q[x][y]) rather than ints."""
     return bool(num) and type(num[0]) is Poly
@@ -53,11 +75,12 @@ def _content(num) -> int:
     return gcd(*num)
 
 
-def _divide(num, g: int) -> tuple:
-    """``num`` divided by an integer g that divides its content."""
+def _divide(num, g: int, m: int = 1) -> tuple:
+    """``num`` times an integer m, divided by an integer g that divides m
+    times its content."""
     if _nested(num):
-        return tuple(Poly._reduced(_divide(p.num, g), 1) for p in num)
-    return tuple(x // g for x in num)
+        return tuple(Poly._reduced(_divide(p.num, g, m), 1) for p in num)
+    return tuple(x * m // g for x in num)
 
 
 def _canonical(num, den: int) -> tuple:

@@ -22,7 +22,9 @@ check that rejects a series outside ``Fraction``.
 
 Every operation reads and writes the lift, and divides a result by its
 content once (``_series``).  ``+``, ``scale``, ``derive`` and
-``integrate`` rescale numerators; ``*``, ``/`` (so ``inv`` and ``log``),
+``integrate`` rescale numerators; ``derive`` and ``scale`` by a rational
+find the content from the elements' contents before they build any element
+(``_Lift.times``).  ``*``, ``/`` (so ``inv`` and ``log``),
 ``compose``, ``revert`` and ``exp`` run one kernel for every domain
 (``_conv``, ``_div_rational``, ``_horner``, ``_revert``, ``_exp_rational``),
 which uses only ring operations on elements, so two domains' lifts mix
@@ -49,8 +51,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import repeat
+from math import gcd, lcm, perm
 from numbers import Number, Rational
+from operator import mul
 
 from .parampoly import ParamPoly, _lift, lifted_values
 from .polys import Poly, _content, _conv, _divide
@@ -97,10 +101,13 @@ def _need_count(k: int, name: str) -> None:
 # element and the denominator.  ``zero`` is the domain's zero coefficient and
 # ``const`` turns an ``int`` into an element.  ``reduce`` divides a vector
 # and its denominator by their integer content, ``reduce1`` one element and a
-# denominator; ``value`` is the integer value of a constant element.  The
-# kernels mix ``int`` entries (zeros, and a ``Fraction`` operand's elements)
-# into the elements, and each hook takes them as constants.
-_Lift = namedtuple("_Lift", "lift unlift at zero const reduce reduce1 value")
+# denominator; ``value`` is the integer value of a constant element.
+# ``times`` multiplies each element of a stored vector by an integer, and
+# takes the content from the elements' contents first, so each element is
+# built once.  The kernels mix ``int`` entries (zeros, and a ``Fraction``
+# operand's elements) into the elements, and every other hook takes them as
+# constants.
+_Lift = namedtuple("_Lift", "lift unlift at zero const reduce reduce1 value times")
 
 
 def _reduce_ints(vec: list, den: int) -> tuple:
@@ -115,10 +122,11 @@ def _reduce1_ints(x: int, den: int) -> tuple:
     return x // g, den // g
 
 
-def _elements(domain, content, divide) -> _Lift:
+def _elements(domain, content, scaled) -> _Lift:
     """The lift of ``domain`` to elements of its own type over 1, for the
-    gcd content(g, x) of g and the integers of an element x, and its exact
-    quotient divide(x, g) by an integer g."""
+    gcd content(g, x) of g and the integers of an element x, and the element
+    scaled(x, m, g) = x m / g for integers m != 0 and g that divides m times
+    the content of x."""
 
     def lift(coeffs):
         d = lcm(*[c.den for c in coeffs])
@@ -139,7 +147,7 @@ def _elements(domain, content, divide) -> _Lift:
         return gcd(g, x) if type(x) is int else content(g, x)
 
     def div(x, g):
-        return x // g if type(x) is int else divide(x, g)
+        return x // g if type(x) is int else scaled(x, 1, g)
 
     def reduce(vec, d):
         g = d
@@ -158,7 +166,15 @@ def _elements(domain, content, divide) -> _Lift:
     def value(x):
         return x if type(x) is int else int(x.constant_value())
 
-    return _Lift(lift, unlift, at, zero, const, reduce, reduce1, value)
+    def times(vec, ms, d):
+        g = d  # gcd(g, m c) = gcd(g, m gcd(g, c)) for the content c of x
+        for m, x in zip(ms, vec):
+            if g == 1:
+                break
+            g = gcd(g, m * common(g, x))
+        return [scaled(x, m, g) if m else zero for m, x in zip(ms, vec)], d // g
+
+    return _Lift(lift, unlift, at, zero, const, reduce, reduce1, value, times)
 
 
 _INTS = _Lift(
@@ -170,6 +186,7 @@ _INTS = _Lift(
     _reduce_ints,
     _reduce1_ints,
     int,
+    lambda vec, ms, d: _reduce_ints(list(map(mul, ms, vec)), d),
 )
 _DOMAINS = {
     int: _INTS,
@@ -177,12 +194,12 @@ _DOMAINS = {
     ParamPoly: _elements(
         ParamPoly,
         lambda g, x: gcd(g, *x.num.values()),
-        lambda x, g: ParamPoly._reduced({k: v // g for k, v in x.num.items()}, 1),
+        lambda x, m, g: ParamPoly._reduced({k: v * m // g for k, v in x.num.items()}, 1),
     ),
     Poly: _elements(
         Poly,
         lambda g, x: gcd(g, _content(x.num)),
-        lambda x, g: Poly._reduced(_divide(x.num, g), 1),
+        lambda x, m, g: Poly._reduced(_divide(x.num, g, m), 1),
     ),
 }
 
@@ -199,6 +216,7 @@ _UNLIFTED = _Lift(
     lambda v, d: v,
     lambda x, d: x,
     None,
+    _unlifted,
     _unlifted,
     _unlifted,
     _unlifted,
@@ -340,6 +358,11 @@ def _revert(un, ud: int, n: int, dom) -> tuple:
         k = len(v) - 1  # v is correct through order k
         err, e = _horner(un, ud, v, den, m, dom)
         err[1] -= e  # u(v) - x, of valuation k + 1
+        if any(err[: k + 1]):
+            raise SeriesError(
+                f"internal check failed: reversion step {k} -> {m} starts from "
+                f"a v that is not exact through order {k}"
+            )
         dv = [j * v[j] for j in range(1, m - k + 1)]
         fix = _conv(err[k + 1 :], dv, m - k - 1)
         v, den = dom.reduce([y * e for y in v] + [-y for y in fix], den * e)
@@ -612,6 +635,9 @@ class PowerSeries:
     def scale(self, c) -> "PowerSeries":
         c = PowerSeries(self.var, (c,))
         x = c.num[0]
+        if type(x) is int:  # a rational: every element times one integer
+            vec, den = _domain(self).times(self.num, repeat(x), self.den * c.den)
+            return PowerSeries._of(self.var, tuple(vec), den)
         vec = [y * x for y in self.num]
         return _series(self.var, vec, self.den * c.den, _join(self, c))
 
@@ -719,12 +745,12 @@ class PowerSeries:
         _need_count(n, "derive")
         if not n:
             return self
-        vec = self.num
-        for _ in range(n):
-            if len(vec) < 2:
-                raise OrderError("derivative of an order-0 series")
-            vec = [k * vec[k] for k in range(1, len(vec))]
-        return _series(self.var, vec, self.den, _domain(self))
+        if len(self.num) <= n:
+            raise OrderError("derivative of an order-0 series")
+        size = len(self.num) - n  # coefficient k is (k+n)!/k! times num[k + n]
+        ms = range(1, size + 1) if n == 1 else [perm(k + n, n) for k in range(size)]
+        vec, den = _domain(self).times(self.num[n:], ms, self.den)
+        return PowerSeries._of(self.var, tuple(vec), den)
 
     def integrate(self) -> "PowerSeries":
         """Termwise integral with zero constant term (order grows by one)."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .asymptotic import AsymptoticSeries
+from .asymptotic import _VAR, AsymptoticSeries
 from .grading import (
     GradedSeries,
     geometric_sum,
@@ -17,10 +17,10 @@ from .grading import (
     target_conjugated,
 )
 from .operators import DiffOperator, apply_Tn
-from .parampoly import S, ParamPoly, values_at
+from .parampoly import S, ParamPoly, lifted_values
 from .polys import Poly
 from .presets import family
-from .series import OrderError, PowerSeries, SeriesError, _need_fraction
+from .series import _DOMAINS, OrderError, PowerSeries, SeriesError, _need_fraction, _series
 from .umbral import (
     BinomialFamily,
     _continuation,
@@ -76,7 +76,8 @@ def tau_seq(fam: BinomialFamily, ell: PowerSeries, N: int) -> ShefferFamily:
                 raise SeriesError(
                     f"symbolic tau does not specialize to tau_{n}"
                 )
-    return ShefferFamily(fam, ell, polys, AsymptoticSeries(S, values_at(nums, den, S)))
+    body = _series(_VAR, *lifted_values(nums, den, S), _DOMAINS[ParamPoly])
+    return ShefferFamily(fam, ell, polys, AsymptoticSeries._of(S, body))
 
 
 # -- operators on alpha-polynomials ------------------------------------------------

@@ -20,11 +20,13 @@ from fractions import Fraction
 from math import factorial
 
 from .operators import apply_Tn, build_Tn
-from .parampoly import H, S, ParamPoly
+from .parampoly import H, ParamPoly
 from .presets import family
+from .polys import _lin, _times
 from .series import OrderError, PowerSeries, SeriesError
 from .umbral import (
     BinomialFamily,
+    _times_root,
     build_family,
     growing,
     p_seq,
@@ -145,14 +147,24 @@ def g4_closed_form(fam: BinomialFamily, order: int) -> PowerSeries:
 # -- the two operator-logarithm identities ------------------------------------------
 
 
-# Each side is a table grown one index per depth (``growing``); a row's
-# first entry is the side's coefficient of alpha^{-n}, the rest is what
-# the deeper rows are computed from.
+# Each side is a table grown one index per depth (``growing``).  A row's
+# first entry is the side's coefficient of alpha^{-n}, built once as a
+# ``ParamPoly``; the rest, what the deeper rows are computed from, are
+# polynomials in s as integer coefficient lists over one denominator (the
+# reduced pairs of ``polys._lin``), so the recurrences build no ``ParamPoly``.
+
+
+def _head(p: tuple, low: int = 0) -> ParamPoly:
+    """The pair p over s^low as a ``ParamPoly``; s^low must divide it."""
+    if any(p[0][:low]):
+        raise StirlingError(f"internal check failed: s^{low} does not divide {p}")
+    return ParamPoly._reduced({(i, 0, 0): x for i, x in enumerate(p[0][low:]) if x}, p[1])
 
 
 @growing
 def _lhs_side(fam: BinomialFamily, depth: int, known=()) -> tuple:
-    """Rows (lhs_n, l_n, c_n, w_n, F_n) of (1/s) ln(alpha^{-s} p_s(alpha)).
+    """Rows (lhs_n, l_n, c_n, w_n, F_n) of (1/s) ln(alpha^{-s} p_s(alpha)),
+    all but lhs_n pairs in s.
 
     With g = x/f, Miller's recurrence n w_n = sum_k ((s+1)k - n) g_k w_{n-k}
     gives w_n = [x^n] g^s; F_n = (s-1)(s-2)...(s-n) and c_n = F_n w_n is
@@ -161,28 +173,23 @@ def _lhs_side(fam: BinomialFamily, depth: int, known=()) -> tuple:
     """
     g = fam.x_over_f.truncate(depth)
     a, d = g.num, g.den  # g_k = a_k / d
-    one = ParamPoly.const(1)
-    rows = list(known) or [(ParamPoly(), ParamPoly(), one, one, one)]
+    one = (1,), 1
+    rows = list(known) or [(ParamPoly(), ((), 1), one, one, one)]
     for n in range(len(rows), depth + 1):
-        weighted = total = ParamPoly()  # d times the sums over k
-        for k in range(1, n + 1):
-            if a[k]:
-                p = rows[n - k][3] * a[k]
-                weighted, total = weighted + p * k, total + p
-        w = (S * weighted + weighted - total * n) / (n * d)
-        falling = rows[n - 1][4] * (S - n)
-        c = falling * w
-        acc = ParamPoly()
-        for k in range(1, n):
-            acc = acc + rows[k][1] * rows[n - k][2] * k
-        ln = c - acc / n
-        rows.append((ln.div_exact_symbol("s"), ln, c, w, falling))
+        terms = [(k, a[k], rows[n - k][3]) for k in range(1, n + 1) if a[k]]
+        w = _lin([(k * x, 1, p) for k, x, p in terms]
+                 + [((k - n) * x, 0, p) for k, x, p in terms], n * d)
+        falling = tuple(_times_root(rows[n - 1][4][0], n)), 1
+        c = _times(falling, w)  # reduced as w_n is, since F_n is monic (Gauss)
+        ln = _lin([(n, 0, c)] + [
+            (-k, 0, _times(rows[k][1], rows[n - k][2])) for k in range(1, n)], n)
+        rows.append((_head(ln, 1), ln, c, w, falling))
     return tuple(rows)
 
 
 @growing
 def _log_side(fam: BinomialFamily, depth: int, known=()) -> tuple:
-    """Rows (rhs_m, T[0][m], T[1][m-1], ..., T[m][0]) of the log route.
+    """Rows (rhs_m, T[0][m], T[1][m-1], ..., T[m][0]) of the log route, T in pairs.
 
     T[i][j] = [x^j] (s L - d/domega)^i (omega/x), so that row m holds the
     antidiagonal i + j = m and rhs_m = -T[m][0]/m.  With iota = 1/omega',
@@ -195,23 +202,20 @@ def _log_side(fam: BinomialFamily, depth: int, known=()) -> tuple:
     diags = [row[1:] for row in known]
     rows = list(known)
     for m in range(len(rows), depth + 1):
-        diag = [ParamPoly.coerce(om.coefficient(m + 1))]
+        diag = [_lin([(om.num[m + 1], 0, ((1,), om.den))])]
         diags.append(diag)
         for i in range(1, m + 1):
             j = m - i
-            acc = ParamPoly()
-            for a in range(j + 1):
-                if iota[j - a]:
-                    acc = acc + diags[i + a][i - 1] * ((a + 1) * iota[j - a])
-            diag.append(S * diag[i - 1] - acc / di)
-        rhs = diag[m] * Fraction(-1, m) if m else ParamPoly()
-        rows.append((rhs, *diag))
+            diag.append(_lin([(di, 1, diag[i - 1])] + [
+                (-(a + 1) * iota[j - a], 0, diags[i + a][i - 1])
+                for a in range(j + 1) if iota[j - a]], di))
+        rows.append((_head(_lin([(-1, 0, diag[m])], m)) if m else ParamPoly(), *diag))
     return tuple(rows)
 
 
 @growing
 def _exp_side(fam: BinomialFamily, depth: int, known=()) -> tuple:
-    """Rows (rhs_m, U[0][m], U[1][m-1], ..., U[m][0]) of the exp route.
+    """Rows (rhs_m, U[0][m], U[1][m-1], ..., U[m][0]) of the exp route, U in pairs.
 
     U[i][j] = [x^j] g_i for g_0 = u = x/(f/f') and g_i = g_{i-1}' - s u L g_{i-1},
     so that row m holds the antidiagonal i + j = m and
@@ -224,17 +228,13 @@ def _exp_side(fam: BinomialFamily, depth: int, known=()) -> tuple:
     diags = [row[1:] for row in known]
     rows = list(known)
     for m in range(len(rows), depth + 1):
-        diag = [ParamPoly.coerce(x_over_tau.coefficient(m))]
+        diag = [_lin([(u[m], 0, ((1,), d))])]
         diags.append(diag)
         for i in range(1, m + 1):
             j = m - i
-            acc = ParamPoly()  # d times the sum over a
-            for a in range(j + 1):
-                if u[a]:
-                    acc = acc + diags[i + j - a][i - 1] * u[a]
-            diag.append(diag[i - 1] * (j + 1) - S * acc / d)
-        rhs = diag[m] * Fraction((-1) ** (m - 1), m) if m else ParamPoly()
-        rows.append((rhs, *diag))
+            diag.append(_lin([(d * (j + 1), 0, diag[i - 1])] + [
+                (-u[a], 1, diags[i + j - a][i - 1]) for a in range(j + 1) if u[a]], d))
+        rows.append((_head(_lin([(-(-1) ** m, 0, diag[m])], m)) if m else ParamPoly(), *diag))
     return tuple(rows)
 
 

@@ -19,10 +19,11 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from math import comb, factorial, gcd, lcm
 
-from .asymptotic import AsymptoticSeries
-from .parampoly import H, S, ParamPoly, _lift, binom_poly, values_at
+from .asymptotic import _VAR, AsymptoticSeries
+from .parampoly import H, S, ParamPoly, _lift, binom_poly, lifted_values
 from .polys import Poly
 from .series import (
+    _DOMAINS,
     OrderError,
     PowerSeries,
     SeriesError,
@@ -332,10 +333,12 @@ def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> tuple:
     width = t_order + 1
     a = [[d] + [0] * t_order] + [nums[i : i + width] for i in range(0, len(nums), width)]
     polys, den = _power_polys(a, d)
-    values = values_at([p for w in polys for p in w], den, -exponent)
+    vec, den = lifted_values(
+        [[factorial(n) * c for c in p] for n, w in enumerate(polys) for p in w], den, -exponent
+    )
+    dom = _DOMAINS[type(vec[0])]
     return tuple(
-        PowerSeries("t", [factorial(n) * v for v in values[n * width : (n + 1) * width]])
-        for n in range(n_max + 1)
+        _series("t", vec[n * width : (n + 1) * width], den, dom) for n in range(n_max + 1)
     )
 
 
@@ -422,7 +425,8 @@ def _times_root(p: list, r: int) -> list:
 def p_symbolic(fam: BinomialFamily, N: int) -> AsymptoticSeries:
     """The continuation alpha^s (1 + ...): sum_k binom(s-1,k) q_k(s) a^{s-k}."""
     polys, den = _continuation(fam, N, [1], 1)
-    return AsymptoticSeries(S, values_at(polys, den, S))
+    body = _series(_VAR, *lifted_values(polys, den, S), _DOMAINS[ParamPoly])
+    return AsymptoticSeries._of(S, body)
 
 
 # -- ratio expansion -------------------------------------------------------------

@@ -196,6 +196,23 @@ class TestRoundTripChecksStayLive:
         assert failed == ["reversion is a two-sided compositional inverse"]
 
 
+def test_revert_stops_at_the_first_step_a_faulty_product_spoils(monkeypatch):
+    """A product kernel wrong from x^3 on stops the Newton ladder (2, 3, 5, ...,
+    66) at once, at the first step whose start is no longer exact."""
+    f = build_f("exp1", 66)
+    original = series._conv
+
+    def faulty(a, b, n):
+        out = original(a, b, n)
+        if len(out) > 3:
+            out[3] += 1
+        return out
+
+    monkeypatch.setattr(series, "_conv", faulty)
+    with pytest.raises(SeriesError, match=r"^internal check failed: reversion step 3 -> 5 "):
+        f.revert()
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_tau_polys_match_oracle(spec):
     """tau_0..tau_33 for the Bernoulli weight and a polynomial weight."""

@@ -575,7 +575,9 @@ class TestStoredLift:
         assert_same_lift(a.scale(c), naive_scale(a, c))
         assert_same_lift(a.scale(Q(-3, 4)), naive_scale(a, Q(-3, 4)))
         assert_same_lift(a + c, PowerSeries("x", [a.coeffs[0] + c, *a.coeffs[1:]]))
+        assert_same_lift(a.scale(Q(0)), naive_scale(a, Q(0)))
         assert_same_lift(a.derive(), naive_derive(a))
+        assert_same_lift(a.derive(2), naive_derive(naive_derive(a)))
         assert_same_lift(a.integrate(), naive_integrate(a))
         assert_same_lift(a.truncate(1), PowerSeries("x", a.coeffs[:2]))
         assert_same_lift(a.mul_var(2), PowerSeries("x", [a.czero] * 2 + list(a.coeffs)))

@@ -5,9 +5,10 @@ from fractions import Fraction as Q
 import pytest
 
 from oracles import stirling_term_closed_form
+from umbralog import stirling
 from umbralog.asymptotic import AsymptoticSeries
 from umbralog.parampoly import ParamPoly
-from umbralog.presets import f_random, family
+from umbralog.presets import build_f, f_random, family
 from umbralog.series import PowerSeries
 from umbralog.stirling import (
     g3_closed_form,
@@ -20,7 +21,7 @@ from umbralog.stirling import (
     tree_example_check,
     verify_log_identity,
 )
-from umbralog.umbral import build_family, p_symbolic
+from umbralog.umbral import _times_root, build_family, p_symbolic
 
 
 class TestStirlingTerms:
@@ -127,6 +128,25 @@ class TestLogIdentity:
     def test_depth_zero_is_trivial(self):
         ok, det = verify_log_identity(family("exp1", 12), "log", 0)
         assert ok
+
+    @pytest.mark.parametrize("variant", ["log", "exp"])
+    def test_a_unit_fault_in_one_c_n_is_a_diff_from_k_n_on(self, monkeypatch, variant):
+        n = 3
+        falling = [1]  # F_n = (s-1)...(s-n), the factor c_n = F_n w_n starts from
+        for r in range(1, n + 1):
+            falling = _times_root(falling, r)
+        original = stirling._times
+
+        def faulty(p, q):
+            num, den = original(p, q)
+            if p == (tuple(falling), 1):
+                num = (*num[:-1], num[-1] + 1)
+            return num, den
+
+        monkeypatch.setattr(stirling, "_times", faulty)
+        ok, det = verify_log_identity(build_family(build_f("exp1", 12)), variant, 6)
+        assert not ok
+        assert min(d["k"] for d in det["diffs"]) == n
 
 
 class TestInvariance:
