@@ -5,17 +5,22 @@ nu (the series whose f/f' equals x e^{-x}), poly:<coeff list>.
 A bare comma-separated list of rationals is read as the coefficients of
 x^1, x^2, ... and must start with 1.
 
-``family`` keeps the FAMILY_CACHE_SIZE most recently used families, so
+``family`` holds the FAMILY_CACHE_SIZE most recently used families, so
 that every caller asking for the same (spec, order) shares one family and
-the tables memoized on it; ``family.cache_clear()`` drops them.
+the tables memoized on it; ``family.cache_clear()`` drops them.  A spec
+asked below an order it is held at is served by truncating the held
+family (``BinomialFamily.truncate``): the prefix of a family that passed
+``build_family``'s round-trip checks is exactly the lower-order family.
+Every other request runs ``build_family``, checks included.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+import threading
+from collections import OrderedDict
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .series import PowerSeries, SeriesError
@@ -24,9 +29,10 @@ from .umbral import BinomialFamily, build_family, tau_inverse
 PRESET_NAMES = ("id", "exp1", "geom", "nu")
 
 # Callers reuse a family within one suite or command, so a short history
-# catches almost every repeat (a traced perfbench verify_sweep pass builds
-# 53 families for 49 distinct inputs, and 102 without the cache); the bound
-# keeps a long-running process from holding every family it ever built.
+# catches almost every repeat (a perfbench verify_sweep pass asks for 100
+# families: 49 are held already, 21 are served by truncation and 30 are
+# built); the bound keeps a long-running process from holding every family
+# it ever built.
 FAMILY_CACHE_SIZE = 16
 
 
@@ -138,14 +144,43 @@ def build_f(spec: str, order: int) -> PowerSeries:
 
 
 def family(spec: str, order: int) -> BinomialFamily:
-    """The family of a spec at an order, built once while it stays among the
-    FAMILY_CACHE_SIZE most recently used."""
-    return _cached_family(spec.strip(), order)
+    """The family of a spec at an order, held while it stays among the
+    FAMILY_CACHE_SIZE most recently used.  A new request first builds f,
+    so that bad input raises as before; it is then served by truncation if
+    a family of the same spec is held at a higher order whose f has f as
+    its prefix, and built by ``build_family`` otherwise.  The lock guards
+    the map only: builds run outside it."""
+    spec = spec.strip()
+    key = (spec, order)
+    with _lock:
+        fam = _held.get(key)
+        if fam is not None:
+            _held.move_to_end(key)
+            return fam
+    f = build_f(spec, order)
+    n = f.order
+    with _lock:
+        donor = next(
+            (held for (s, _), held in reversed(_held.items()) if s == spec and held.order > n),
+            None,
+        )
+    if donor is not None and donor.f.truncate(n) == f:
+        fam = donor.truncate(n)
+    else:
+        fam = build_family(f)
+    with _lock:
+        fam = _held.setdefault(key, fam)
+        _held.move_to_end(key)
+        while len(_held) > FAMILY_CACHE_SIZE:
+            _held.popitem(last=False)
+    return fam
 
 
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _cached_family(spec: str, order: int) -> BinomialFamily:
-    return build_family(build_f(spec, order))
+def _cache_clear() -> None:
+    with _lock:
+        _held.clear()
 
 
-family.cache_clear = _cached_family.cache_clear
+_held: OrderedDict = OrderedDict()  # (spec, order) -> family, least recent first
+_lock = threading.Lock()
+family.cache_clear = _cache_clear

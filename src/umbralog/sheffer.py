@@ -109,21 +109,27 @@ def apply_T(T: list, p: Poly) -> Poly:
 
 def theta_apply(sf: ShefferFamily, p: Poly) -> Poly:
     """ell(D) A_f D_f ell(D)^{-1} p  with A_f D_f = a * (f/f')(D)."""
+    return _theta(sf, p, sf.ell.inv())
+
+
+def _theta(sf: ShefferFamily, p: Poly, ell_inv: PowerSeries) -> Poly:
+    """``theta_apply`` with ell(D)^{-1} given."""
     deg = p.degree() + 1
     need = max(deg, 1)
     ell = sf.ell
     fam = sf.fam
     if ell.order < need or fam.tau_f.order < need:
         raise OrderError("series truncated below the working degree")
-    step1 = apply_d_series(ell.inv(), p)
+    step1 = apply_d_series(ell_inv, p)
     step2 = apply_d_series(fam.tau_f, step1).mul_x()
     return apply_d_series(ell, step2)
 
 
 def theta_check(sf: ShefferFamily, n_max: int):
     bad = []
+    ell_inv = sf.ell.inv()
     for n in range(n_max + 1):
-        if theta_apply(sf, sf[n]) != sf[n] * n:
+        if _theta(sf, sf[n], ell_inv) != sf[n] * n:
             bad.append(n)
     return not bad, {"n_max": n_max, "failures": bad}
 

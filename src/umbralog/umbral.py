@@ -166,6 +166,22 @@ class BinomialFamily:
         """The step s L - d/domega."""
         return op_L(g).scale(s) - self.d_domega(g)
 
+    def truncate(self, n: int) -> "BinomialFamily":
+        """The family ``build_family`` gives on f truncated to order n, read
+        off this one's parts: coefficient k of phi depends only on f up to
+        x^k, and coefficient k of f', f/f' and omega only on f up to
+        x^(k+1), so their prefixes are exactly the lower-order parts."""
+        f = self.f.truncate(n)
+        check_admissible(f)
+        return BinomialFamily(
+            f,
+            self.fprime.truncate(n - 1),
+            self.phi.truncate(n),
+            self.tau_f.truncate(n - 1),
+            self.omega.truncate(n - 1),
+            n,
+        )
+
 
 def check_admissible(f: PowerSeries):
     if f.order < 2:

@@ -110,8 +110,9 @@ def suite_series(order: int = 12, depth: int = 0) -> Report:
     for _ in range(10):
         u = _random_series(rng, "x", 10)
         u = u - u.coefficient(0) + Fraction(1)
+        powers = u.pow_param(S)
         for e in range(6):
-            spec = u.pow_param(S).map_coeffs(
+            spec = powers.map_coeffs(
                 lambda p: ParamPoly.coerce(p).eval(s=Fraction(e))
             )
             ok = ok and spec.prefix_equal(u.pow_int(e))
@@ -252,11 +253,12 @@ def suite_operators(order: int = 14, depth: int = 5) -> Report:
     for name in PRESETS3:
         fam = family(name, order)
         for n in (1, 2):
+            tn = build_Tn(fam, n)
             for m in range(7):
                 g = PowerSeries(
                     "s", [Fraction(0)] * m + [Fraction(1)] + [Fraction(0)] * 6
                 )
-                direct = build_Tn(fam, n).apply(g)
+                direct = tn.apply(g)
                 integral = tn_via_integral(fam, n, g)
                 w = min(direct.order, integral.order)
                 ok = ok and direct.truncate(w).prefix_equal(integral.truncate(w))

@@ -1,11 +1,15 @@
 """Memoized families and per-family tables: shared results equal fresh ones."""
 
 import random
+import sys
+import threading
+import time
 from fractions import Fraction as Q
 
 import pytest
 
 from oracles import lhs_log_by_series, rhs_exp_by_derive, rhs_log_by_x_op
+from umbralog import presets
 from umbralog.grading import GradedSeries, target_powers_image, target_powers_image_shifted
 from umbralog.parampoly import H, ParamPoly
 from umbralog.polys import Poly
@@ -108,15 +112,120 @@ class TestFamilyCache:
         assert family("id", 4) is not family("id", 4 + FAMILY_CACHE_SIZE)
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The order of each f ``presets.family`` builds a family of, in call order."""
+    orders = []
+
+    def counted(f):
+        orders.append(f.order)
+        return build_family(f)
+
+    monkeypatch.setattr(presets, "build_family", counted)
+    return orders
+
+
+def parts(fam: BinomialFamily) -> tuple:
+    """A family's parts as num, den, variable, order and element types."""
+    return (fam.order,) + tuple(
+        (u.num, u.den, u.var, u.order, tuple(map(type, u.num)))
+        for u in (fam.f, fam.fprime, fam.phi, fam.tau_f, fam.omega)
+    )
+
+
+def outcome(call):
+    """The parts of the family ``call()`` returns, or the type and message
+    of the exception it raises."""
+    try:
+        return parts(call())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+SERVED_SPECS = ["id", "exp1", "geom", "nu", "poly:1,1/2,-1/3,1/5,-1/6", "poly:1,-2,3/5,1/7"]
+
+
+class TestServedByTruncation:
+    @pytest.mark.parametrize("top", [8, 14, 20, 36])
+    @pytest.mark.parametrize("spec", SERVED_SPECS)
+    def test_served_equals_a_fresh_build(self, cleared, builds, spec, top):
+        """Every lower order, those a build rejects (n = 0 and 1, and a poly
+        with more coefficients than n) included."""
+        held = family(spec, top)
+        for n in range(top):
+            assert family(spec, top) is held  # keeps the top order the most recent
+            want = outcome(lambda: build_family(build_f(spec, n)))
+            assert outcome(lambda: family(spec, n)) == want, n
+        assert builds == [top]
+
+    def test_a_second_request_is_the_same_family(self, cleared, builds):
+        top = family("nu", 16)
+        served = family("nu", 10)
+        assert served is not top and served.order == 10
+        assert family("nu", 10) is served and family(" nu", 10) is served
+        assert builds == [16]
+
+    def test_a_lower_order_held_first_is_not_extended(self, cleared, builds):
+        family("exp1", 6)
+        family("exp1", 12)
+        assert builds == [6, 12]
+
+
+class TestThreads:
+    def test_shared_requests_equal_fresh_builds(self, cleared):
+        keys = [(spec, n) for spec in SERVED_SPECS[:5] for n in range(6, 15, 2)]
+        fresh = {key: parts(build_family(build_f(*key))) for key in keys}
+        sizes, errors = [], []
+        deadline = time.monotonic() + 2.0
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(400):
+                    if time.monotonic() > deadline:
+                        break
+                    key = rng.choice(keys)
+                    if parts(family(*key)) != fresh[key]:
+                        errors.append(key)
+                    with presets._lock:
+                        sizes.append(len(presets._held))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert sizes and max(sizes) <= FAMILY_CACHE_SIZE
+
+
+def assert_tables_equal_fresh(fam: BinomialFamily, spec: str):
+    fresh = build_family(build_f(spec, ORDER))
+    for fn, args in CALLS:
+        got = fn(fam, *args)
+        assert fn(fam, *args) is got, fn.__name__
+        assert exact(got) == exact(fn.__wrapped__(fresh, *args)), fn.__name__
+
+
 class TestTables:
     @pytest.mark.parametrize("spec", SPECS)
     def test_memoized_equals_fresh_undecorated(self, spec):
+        assert_tables_equal_fresh(family(spec, ORDER), spec)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_memoized_on_a_served_family_equals_fresh_undecorated(self, cleared, builds, spec):
+        family(spec, ORDER + 8)
         fam = family(spec, ORDER)
-        fresh = build_family(build_f(spec, ORDER))
-        for fn, args in CALLS:
-            got = fn(fam, *args)
-            assert fn(fam, *args) is got, fn.__name__
-            assert exact(got) == exact(fn.__wrapped__(fresh, *args)), fn.__name__
+        assert builds == [ORDER + 8]
+        assert_tables_equal_fresh(fam, spec)
 
     def test_results_cannot_be_mutated(self):
         fam = family("exp1", ORDER)

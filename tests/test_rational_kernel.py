@@ -171,7 +171,8 @@ class TestRevertFixedCases:
 
 class TestRoundTripChecksStayLive:
     """A reversion off by one in its last coefficient is a named failure,
-    over ``Fraction`` and over ``ParamPoly``."""
+    over ``Fraction`` and over ``ParamPoly``; so is a composition off by one,
+    through ``presets.family`` at every order asked."""
 
     @pytest.fixture
     def bumped(self, monkeypatch):
@@ -194,6 +195,24 @@ class TestRoundTripChecksStayLive:
         rep = suite_series()
         failed = [c.name for c in rep.checks if c.status == "fail"]
         assert failed == ["reversion is a two-sided compositional inverse"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_a_faulty_build_is_never_held_and_served(self, monkeypatch, spec):
+        original = PowerSeries.compose
+
+        def faulty(outer, inner):
+            coeffs = list(original(outer, inner).coeffs)
+            coeffs[-1] += 1
+            return PowerSeries(inner.var, coeffs)
+
+        monkeypatch.setattr(PowerSeries, "compose", faulty)
+        family.cache_clear()
+        try:
+            for order in (20, 12, 6):  # the first, highest order raises too
+                with pytest.raises(FamilyError, match=r"^internal check failed: f\(phi\(x\)\) != x$"):
+                    family(spec, order)
+        finally:
+            family.cache_clear()
 
 
 def test_revert_stops_at_the_first_step_a_faulty_product_spoils(monkeypatch):
