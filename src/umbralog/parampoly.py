@@ -321,10 +321,19 @@ def lifted_values(polys, den: int, e) -> tuple:
 
     An ``int`` or ``Fraction`` e gives ``int`` elements by integer Horner,
     sum_j P_j p^j q^(top - j); a ``ParamPoly`` e = E/q gives ``ParamPoly``s
-    over 1, the same sums with the numerator dicts of the powers of E.
+    over 1, the same sums with the numerator dicts of the powers of E.  A
+    monomial E's powers are single terms, built from its multi-degree.
     """
     top = max(map(len, polys)) - 1
     out = []
+    if isinstance(e, ParamPoly) and len(e.num) == 1 and _CONST_KEY not in e.num:
+        # a monomial c m / q: P_j e^j is the one term P_j c^j q^(top - j) m^j
+        [(key, c)] = e.num.items()
+        q = e.den
+        terms = [(tuple(j * d for d in key), c**j * q ** (top - j)) for j in range(top + 1)]
+        for poly in polys:
+            out.append(ParamPoly._reduced({k: x * w for (k, w), x in zip(terms, poly) if x}, 1))
+        return out, den * q**top
     if isinstance(e, ParamPoly):
         q = e.den
         powers = [{_CONST_KEY: 1}]

@@ -10,8 +10,9 @@ that every caller asking for the same (spec, order) shares one family and
 the tables memoized on it; ``family.cache_clear()`` drops them.  A spec
 asked below an order it is held at is served by truncating the held
 family (``BinomialFamily.truncate``): the prefix of a family that passed
-``build_family``'s round-trip checks is exactly the lower-order family.
-Every other request runs ``build_family``, checks included.
+``build_family``'s checks (f(phi(x)) = x, and omega against f through the
+held f'(omega)) is exactly the lower-order family.  Every other request
+runs ``build_family``, checks included.
 """
 
 from __future__ import annotations

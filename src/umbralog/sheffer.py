@@ -5,8 +5,10 @@ word operators, and the Bernoulli-logarithm experiment.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .asymptotic import _VAR, AsymptoticSeries
@@ -24,6 +26,7 @@ from .series import _DOMAINS, OrderError, PowerSeries, SeriesError, _need_fracti
 from .umbral import (
     BinomialFamily,
     _continuation,
+    _need_size,
     op_L,
     per_family,
     rename,
@@ -268,7 +271,16 @@ def bernoulli_log_experiment(depth: int) -> dict:
     values are the classical Bernoulli polynomials.  For each candidate the
     report compares s * RHS_k against the alpha^{-k} coefficient of
     ln(B_s(alpha) alpha^{-s}), exactly in Q[s].
+
+    The report depends on the depth alone, so it is computed once per depth
+    (``_bernoulli_report``); each call returns its own copy.
     """
+    _need_size(depth, "depth")
+    return copy.deepcopy(_bernoulli_report(depth))
+
+
+@lru_cache(maxsize=8)
+def _bernoulli_report(depth: int) -> dict:
     rhs = bernoulli_operator_log(depth)
     order = depth + 4
     ell = bernoulli_weight(order)

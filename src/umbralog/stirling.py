@@ -66,6 +66,13 @@ class StirlingExpansion:
 
 
 @per_family
+def _integral_term(fam: BinomialFamily) -> PowerSeries:
+    """I = int_0^x ln f'(omega(t)) dt, in the family's variable: the head's
+    second route and the second limit's I(1/alpha) read this one table."""
+    return fam.fprime_at_omega(fam.order - 2).log().integrate()
+
+
+@per_family
 def _stirling_head(fam: BinomialFamily) -> tuple:
     """I(alpha), R(alpha) and g_2, each checked against a second route:
     the part of every expansion that no depth changes."""
@@ -79,8 +86,7 @@ def _stirling_head(fam: BinomialFamily) -> tuple:
     s1_regular = reduced.integrate()
 
     # independent route: I(alpha) = int ln f'(omega(t)) dt, R = -I/alpha
-    fw = rename(fam.fprime_at_omega(fam.order - 2), ALPHA)
-    integral_term = fw.log().integrate()
+    integral_term = rename(_integral_term(fam), ALPHA)
     alt = -integral_term.div_var(1)
     if not s1_regular.prefix_equal(alt):
         raise StirlingError(
@@ -456,8 +462,7 @@ def limit_check(
                 val = seq[n + 1].eval(n * alpha) / seq[n].eval(n * alpha) / n
                 sample_vals.append(to_decimal(val))
         elif which == "second":
-            fw = fam.fprime_at_omega(fam.order - 2)
-            i_val = fw.log().integrate().eval_truncated(point)
+            i_val = _integral_term(fam).eval_truncated(point)
             series, value = om.derive(), lambda u: (
                 _ln_at(u.eval_truncated(point), "omega'(1/alpha)", alpha) / 2
             )

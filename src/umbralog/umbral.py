@@ -47,6 +47,12 @@ class FamilyError(SeriesError):
     pass
 
 
+def _need_size(k: int, name: str) -> None:
+    """Reject a negative table size or order, naming the argument."""
+    if k < 0:
+        raise FamilyError(f"{name} must be >= 0, not {name} = {k}")
+
+
 def _exact_key(x):
     """x together with its exact type, through every level of a series.
 
@@ -103,8 +109,7 @@ def growing(fn):
 
     @wraps(fn)
     def grown(fam, n: int):
-        if n < 0:
-            raise FamilyError(f"a table holds rows 0..n for n >= 0, not n = {n}")
+        _need_size(n, "n")
         tables = fam._tables
         key = (fn,)
         held = tables.get(key, ())
@@ -122,6 +127,7 @@ class BinomialFamily:
     phi: PowerSeries          # functional inverse of f
     tau_f: PowerSeries        # f/f'
     omega: PowerSeries        # functional inverse of f/f'
+    fprime_omega: PowerSeries  # f'(omega(x)) to order - 2, composed and checked by the build
     order: int
 
     @cached_property
@@ -151,12 +157,11 @@ class BinomialFamily:
 
     @per_family
     def fprime_at_omega(self, order: int) -> PowerSeries:
-        """f'(omega(x)) to the given order."""
+        """f'(omega(x)) to the given order, a prefix of ``fprime_omega``."""
+        _need_size(order, "order")
         if self.fprime.order < order + 1 or self.omega.order < order + 1:
             raise OrderError("family truncation too small for f'(omega(x))")
-        return self.fprime.truncate(order + 1).compose(
-            self.omega.truncate(order + 1)
-        ).truncate(order)
+        return self.fprime_omega.truncate(order)
 
     def d_domega(self, g: PowerSeries) -> PowerSeries:
         """d/domega = (1/omega'(x)) d/dx, in g's variable."""
@@ -170,7 +175,8 @@ class BinomialFamily:
         """The family ``build_family`` gives on f truncated to order n, read
         off this one's parts: coefficient k of phi depends only on f up to
         x^k, and coefficient k of f', f/f' and omega only on f up to
-        x^(k+1), so their prefixes are exactly the lower-order parts."""
+        x^(k+1), so their prefixes are exactly the lower-order parts; so is
+        f'(omega)'s, whose coefficient k reads f' and omega up to x^k."""
         f = self.f.truncate(n)
         check_admissible(f)
         return BinomialFamily(
@@ -179,6 +185,7 @@ class BinomialFamily:
             self.phi.truncate(n),
             self.tau_f.truncate(n - 1),
             self.omega.truncate(n - 1),
+            self.fprime_omega.truncate(n - 2),
             n,
         )
 
@@ -191,6 +198,16 @@ def check_admissible(f: PowerSeries):
 
 
 def build_family(f: PowerSeries) -> BinomialFamily:
+    """The family of f, to f's order n, with two round-trip checks.
+
+    f(phi(x)) = x is checked through x^n.  omega is checked against f and
+    f' themselves through G = f'(omega), which the family holds: with
+    F = f(omega), the chain rule gives F' = G omega'.  F and xG vanish at
+    0, so F = xG iff F' = (xG)' = G + xG'; and G is a unit, so F = xG iff
+    (f/f')(omega) = x.  G omega' = (xG)' through x^(n-2) is (f/f')(omega) = x
+    through x^(n-1), omega's last coefficient included (it enters through
+    omega').  Each side is one product or rescale, not a composition.
+    """
     check_admissible(f)
     n = f.order
     fprime = f.derive()
@@ -200,9 +217,10 @@ def build_family(f: PowerSeries) -> BinomialFamily:
     ident = PowerSeries.identity(f.var, n, f.czero)
     if not f.compose(phi).prefix_equal(ident):
         raise FamilyError("internal check failed: f(phi(x)) != x")
-    if not tau.compose(omega).prefix_equal(ident.truncate(n - 1)):
+    g = fprime.truncate(n - 2).compose(omega.truncate(n - 2))
+    if not (g * omega.derive()).prefix_equal(g.mul_var(1).derive()):
         raise FamilyError("internal check failed: (f/f')(omega(x)) != x")
-    return BinomialFamily(f, fprime, phi, tau, omega, n)
+    return BinomialFamily(f, fprime, phi, tau, omega, g, n)
 
 
 def tau_inverse(g: PowerSeries) -> PowerSeries:
@@ -310,6 +328,7 @@ def q_zero_table(fam: BinomialFamily, n_max: int, exponent=S) -> tuple:
     """q_n at t = 0: coefficients of (x/f(x))^exponent, times n!, in the
     exponent's domain (``Fraction`` for an ``int`` or ``Fraction``, as
     ``pow_param``)."""
+    _need_size(n_max, "n_max")
     if fam.f.order < n_max + 1:
         raise OrderError("family order too small for the requested q table")
     u = fam.x_over_f.truncate(n_max).pow_param(exponent)
@@ -330,6 +349,8 @@ def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> tuple:
     ``Fraction`` for an ``int`` or ``Fraction`` exponent, ``ParamPoly`` for
     a ``ParamPoly`` one.
     """
+    _need_size(n_max, "n_max")
+    _need_size(t_order, "t_order")
     need = n_max + 1 + t_order
     if fam.f.order < need:
         raise OrderError(
@@ -361,6 +382,7 @@ def q_table(fam: BinomialFamily, n_max: int, t_order: int, exponent=S) -> tuple:
 @per_family
 def q_at_omega(fam: BinomialFamily, n_max: int, x_order: int, exponent=S) -> tuple:
     """q_n^{omega(x)} as series in x (t substituted by omega)."""
+    _need_size(x_order, "x_order")
     table = q_table(fam, n_max, x_order, exponent)
     if fam.omega.order < x_order:
         raise OrderError("omega truncated below the requested x order")
@@ -407,6 +429,7 @@ def _continuation(fam: BinomialFamily, N: int, ells, dl: int) -> tuple:
     (s-1)...(s-k) W_k(s), and both it and the falling factorial grow by one
     linear factor per step.
     """
+    _need_size(N, "N")
     _need_fraction(fam.f, "the symbolic continuation needs f")
     if fam.f.order < N + 1:
         raise OrderError("family order too small for the requested q table")
@@ -465,6 +488,7 @@ def ratio_P_symbolic(fam: BinomialFamily, N: int) -> list:
         binom(H, n-k) (s L - d/domega)^k [ q_{n-k}^{omega(x)}(1+H)
                                            f'(omega(x))^{-H} ]  at x = 0.
     """
+    _need_size(N, "N")
     x_order = N + 2
     qv = q_at_omega(fam, N, x_order, exponent=H + Fraction(1))
     fpw_mH = fam.fprime_at_omega(x_order).pow_param(-H)

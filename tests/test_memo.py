@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import time
+from dataclasses import fields
 from fractions import Fraction as Q
 
 import pytest
@@ -19,6 +20,7 @@ from umbralog.sheffer import ShefferFamily, bernoulli_weight, tau_seq
 from umbralog.stirling import (
     StirlingExpansion,
     _exp_side,
+    _integral_term,
     _lhs_side,
     _log_side,
     _stirling_head,
@@ -55,6 +57,7 @@ CALLS = [
     (_log_side, (4,)),
     (_exp_side, (4,)),
     (_stirling_head, ()),
+    (_integral_term, ()),
     (_tn_omega, (3,)),
     (p_seq, (9,)),
     (BinomialFamily.fprime_at_omega, (6,)),
@@ -126,10 +129,11 @@ def builds(monkeypatch):
 
 
 def parts(fam: BinomialFamily) -> tuple:
-    """A family's parts as num, den, variable, order and element types."""
-    return (fam.order,) + tuple(
-        (u.num, u.den, u.var, u.order, tuple(map(type, u.num)))
-        for u in (fam.f, fam.fprime, fam.phi, fam.tau_f, fam.omega)
+    """Every field of a family, each series as num, den, variable, order
+    and element types."""
+    return tuple(
+        (u.num, u.den, u.var, u.order, tuple(map(type, u.num))) if isinstance(u, PowerSeries) else u
+        for u in (getattr(fam, fd.name) for fd in fields(fam))
     )
 
 
@@ -251,11 +255,14 @@ class TestTables:
 
     def test_limit_statements_share_one_p_table_and_one_fprime(self):
         fam = build_family(build_f("geom", 20))
+        stirling_terms(fam, 3)
         for which in ("conclusion", "first", "second"):
             limit_check(fam, which, Q(4), 8)
         fns = [key[0] for key in fam._tables]
         assert fns.count(p_seq.__wrapped__) == 1
         assert fns.count(BinomialFamily.fprime_at_omega.__wrapped__) == 1
+        # the Stirling head and the second limit read one I(alpha)
+        assert fns.count(_integral_term.__wrapped__) == 1
 
 
 class TestExactKeys:

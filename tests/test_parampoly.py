@@ -24,7 +24,7 @@ from oracles import (
     naive_terms_scale,
 )
 from umbralog.asymptotic import AsymptoticSeries
-from umbralog.parampoly import SYMBOLS, ParamPoly
+from umbralog.parampoly import SYMBOLS, ParamPoly, lifted_values
 from umbralog.polys import Poly
 from umbralog.presets import family
 from umbralog.series import PowerSeries
@@ -153,6 +153,25 @@ class TestKernelProperties:
         got = p.eval(**values)
         assert type(got) is Q
         assert got == naive_parampoly_eval(p, **values)
+
+    @given(
+        param_polys(max_terms=3),
+        st.lists(st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=9),
+                 min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=50),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lifted_values_match_horner(self, e, polys, den):
+        """One-term exponents (the powers built from the multi-degree) and
+        others, against Horner's rule in ``ParamPoly`` arithmetic."""
+        out, out_den = lifted_values(polys, den, e)
+        assert len(out) == len(polys)
+        for got, poly in zip(out, polys):
+            want = ParamPoly()
+            for c in reversed(poly):
+                want = want * e + c
+            assert got.den == 1
+            assert_same_poly(ParamPoly._make(got.num, out_den), want / den)
 
 
 class TestKernelEdges:

@@ -215,6 +215,56 @@ class TestRoundTripChecksStayLive:
             family.cache_clear()
 
 
+OMEGA_CHECK = r"^internal check failed: \(f/f'\)\(omega\(x\)\) != x$"
+
+
+def plus_one_last(u: PowerSeries) -> PowerSeries:
+    return PowerSeries(u.var, u.coeffs[:-1] + (u.coeffs[-1] + 1,))
+
+
+@pytest.mark.parametrize("n", [3, 4, 12])
+@pytest.mark.parametrize("spec", PRESET_NAMES + ("poly:1,1/2,-1/3",))
+class TestOmegaCheckStaysLive:
+    """omega is checked against f and f' through G = f'(omega): G omega' must
+    equal (xG)'.  Each fault below leaves f(phi) = x intact and is caught by
+    that check, on a fresh family of order n."""
+
+    @pytest.fixture(autouse=True)
+    def fresh(self):
+        family.cache_clear()
+        yield
+        family.cache_clear()
+
+    @staticmethod
+    def spoil(monkeypatch, name, applies):
+        """Add 1 to the last coefficient of ``PowerSeries.<name>``'s result
+        wherever ``applies`` holds for its operands."""
+        original = getattr(PowerSeries, name)
+
+        def spoiled(*operands):
+            out = original(*operands)
+            return plus_one_last(out) if applies(*operands) else out
+
+        monkeypatch.setattr(PowerSeries, name, spoiled)
+
+    def test_the_reversion_of_f_over_fprime(self, monkeypatch, spec, n):
+        # f/f' has order n - 1; f, reverted to phi, has order n
+        self.spoil(monkeypatch, "revert", lambda u: u.order == n - 1)
+        with pytest.raises(FamilyError, match=OMEGA_CHECK):
+            family(spec, n)
+
+    def test_coefficient_n_minus_2_of_fprime_at_omega(self, monkeypatch, spec, n):
+        # G = f'(omega) is composed to order n - 2; f(phi) to order n
+        self.spoil(monkeypatch, "compose", lambda outer, inner: outer.order == n - 2)
+        with pytest.raises(FamilyError, match=OMEGA_CHECK):
+            family(spec, n)
+
+    def test_f_over_fprime(self, monkeypatch, spec, n):
+        self.spoil(monkeypatch, "__truediv__", lambda u, v: u.order == n and v.order == n - 1)
+        with pytest.raises(FamilyError, match=OMEGA_CHECK):
+            family(spec, n)
+
+
 def test_revert_stops_at_the_first_step_a_faulty_product_spoils(monkeypatch):
     """A product kernel wrong from x^3 on stops the Newton ladder (2, 3, 5, ...,
     66) at once, at the first step whose start is no longer exact."""

@@ -1,6 +1,7 @@
 """Weighted (Sheffer) sequences, their eigen-operator and resolvent."""
 
 from fractions import Fraction as Q
+import copy
 from math import factorial
 
 import pytest
@@ -27,7 +28,7 @@ from umbralog.sheffer import (
     theta_check,
     tn_ell_trend_check,
 )
-from umbralog.umbral import build_family, p_seq, rename
+from umbralog.umbral import FamilyError, build_family, p_seq, rename
 
 
 def bernoulli_ell(order):
@@ -264,3 +265,23 @@ class TestBernoulliExperiment:
         # the exp1-based reading departs at the first coefficient
         assert rep["candidates"]["classical"]["exact_through_depth"] == 6
         assert rep["candidates"]["sheffer-exp1"]["exact_through_depth"] == 0
+
+    def test_computed_once_per_depth_and_copied_per_call(self, monkeypatch):
+        calls = []
+        real = sheffer.bernoulli_operator_log
+        monkeypatch.setattr(
+            sheffer, "bernoulli_operator_log", lambda depth: calls.append(depth) or real(depth)
+        )
+        first = bernoulli_log_experiment(5)
+        kept = copy.deepcopy(first)
+        assert bernoulli_log_experiment(5) == kept
+        assert len(calls) <= 1  # none if an earlier test asked for depth 5
+        first["depth"] = -1
+        first["rhs_times_s"].append("0")
+        first["candidates"]["classical"]["rows"][0]["match"] = False
+        del first["candidates"]["sheffer-exp1"]
+        assert bernoulli_log_experiment(5) == kept
+
+    def test_a_negative_depth_is_rejected_by_name(self):
+        with pytest.raises(FamilyError, match=r"^depth must be >= 0, not depth = -1$"):
+            bernoulli_log_experiment(-1)

@@ -5,10 +5,13 @@ from fractions import Fraction as Q
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     abel_poly,
     falling_factorial_poly,
+    naive_compose,
     p_symbolic_by_binom,
     q_table_by_powers,
     q_table_by_series,
@@ -26,6 +29,7 @@ from umbralog.umbral import (
     p_H_t,
     p_seq,
     p_symbolic,
+    q_at_omega,
     q_table,
     q_zero_table,
     ratio_P_direct,
@@ -124,6 +128,72 @@ class TestOmegaSideOperators:
         for k in range(fam.x_over_tau.order + 1):
             want = fam.tau_f.truncate(k + 1).div_var(1).inv()
             assert fam.x_over_tau.truncate(k).coeffs == want.coeffs
+
+
+SPECS = ["id", "exp1", "geom", "nu", "poly:1,1/2,-1/3"]
+
+
+@st.composite
+def poly_f(draw):
+    """f = x + c_2 x^2 + ... + c_m x^m to an order n >= m, over Fraction or
+    with ``ParamPoly`` constants as coefficients."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    m = draw(st.integers(min_value=1, max_value=n))
+    h = draw(st.sampled_from([1, 7, 10**3]))
+    tail = [draw(st.fractions(min_value=-h, max_value=h, max_denominator=h)) for _ in range(m - 1)]
+    f = f_poly([1, *tail], n)
+    return f.map_coeffs(ParamPoly.const) if draw(st.booleans()) else f
+
+
+def assert_fprime_at_omega_is_the_composition(f: PowerSeries):
+    fam = build_family(f)
+    want = naive_compose(fam.fprime, fam.omega)
+    for k in range(fam.order - 1):
+        assert typed(fam.fprime_at_omega(k)) == typed(want.truncate(k)), k
+    with pytest.raises(OrderError):
+        fam.fprime_at_omega(fam.order - 1)
+
+
+class TestHeldFprimeAtOmega:
+    """``build_family`` composes f'(omega) once, to order n - 2, and checks
+    omega through it; ``fprime_at_omega(k)`` reads its prefix, which equals
+    the oracle's Horner composition of f' and omega at every k <= n - 2."""
+
+    @pytest.mark.parametrize("domain", [Q, ParamPoly.const], ids=["Fraction", "ParamPoly"])
+    @pytest.mark.parametrize("n", [3, 4, 12])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_specs(self, spec, n, domain):
+        assert_fprime_at_omega_is_the_composition(build_f(spec, n).map_coeffs(domain))
+
+    @given(poly_f())
+    @settings(max_examples=60, deadline=None)
+    def test_poly_families(self, f):
+        assert_fprime_at_omega_is_the_composition(f)
+
+    @pytest.mark.parametrize("spec", SPECS[:4])
+    def test_order_two_builds(self, spec):
+        fam = build_family(build_f(spec, 2))
+        assert fam.fprime_at_omega(0).coeffs == (1,)
+
+
+# each entry point that takes a size, with the argument it must name
+NEGATIVE_SIZES = {
+    "fprime_at_omega": (lambda fam: fam.fprime_at_omega(-1), "order"),
+    "q_table": (lambda fam: q_table(fam, 3, -1), "t_order"),
+    "q_zero_table": (lambda fam: q_zero_table(fam, -1), "n_max"),
+    "q_at_omega": (lambda fam: q_at_omega(fam, 3, -1), "x_order"),
+    "p_symbolic": (lambda fam: p_symbolic(fam, -1), "N"),
+    "ratio_P_symbolic": (lambda fam: ratio_P_symbolic(fam, -1), "N"),
+}
+
+
+@pytest.mark.parametrize("entry", NEGATIVE_SIZES)
+def test_a_negative_size_is_rejected_by_name(entry):
+    call, name = NEGATIVE_SIZES[entry]
+    fam = build_family(build_f("exp1", 12))
+    with pytest.raises(FamilyError, match=rf"^{name} must be >= 0, not {name} = -1$"):
+        call(fam)
+    assert fam._tables == {}
 
 
 class TestTauInverse:
