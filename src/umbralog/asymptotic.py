@@ -48,11 +48,7 @@ class AsymptoticSeries:
         if p.is_zero():
             raise SeriesError("cannot grade the zero polynomial")
         d = p.degree()
-        coeffs = [
-            p.coefficient(d - k) if k <= d else Fraction(0)
-            for k in range(depth + 1)
-        ]
-        return AsymptoticSeries(d, coeffs)
+        return AsymptoticSeries(d, [p.coefficient(d - k) for k in range(depth + 1)])
 
     @staticmethod
     def from_poly_ratio(num: Poly, den: Poly, depth: int) -> "AsymptoticSeries":

@@ -1,36 +1,35 @@
-"""Exact truncated power series over pluggable coefficient domains.
+"""Exact truncated power series over a closed set of coefficient domains.
 
 A series carries the name of its variable, its coefficients ``c_0..c_N`` and
 (implicitly) its truncation order ``N``.  Every operation returns a result
 truncated to the order it can guarantee exactly; reading a coefficient past
 that order raises ``OrderError`` instead of silently producing zero.
 
-A series is stored as its lift: a tuple ``num`` of integral elements over
-one positive denominator ``den``, divided by their content (content and
-primitive part: Geddes, Czapor and Labahn, *Algorithms for Computer
-Algebra*, 1992, ch. 2), so c_k = num[k] / den, and equal series have equal
-``num`` and ``den``.  Coefficient domains: ``fractions.Fraction``, whose
-elements are plain ``int``s, and ``ParamPoly`` and ``Poly``, whose elements
-are ``ParamPoly``s and ``Poly``s over 1.  The elements all have one type,
-the only record of the domain (``_DOMAINS``).  The constructor lifts its
-coefficients once: it turns ``int`` into ``Fraction``, lifts a mixed list to
-the widest domain in it, and rejects a number that is not rational (a
-``float``, ``complex`` or ``Decimal``).  ``coeffs`` and ``coefficient``
-build coefficients when read, and ``czero`` is the domain's zero.  So
-mixing two domains keeps the wider one, and ``_need_fraction`` is the one
-check that rejects a series outside ``Fraction``.
+A series is stored as ``Poly`` is, on the dense integer-vector core in
+``polys``: a tuple ``num`` of integral elements over one positive
+denominator ``den``, divided by their content, so c_k = num[k] / den, and
+equal series have equal ``num`` and ``den``.  The coefficient domains are
+``fractions.Fraction``, whose elements are plain ``int``s, and ``ParamPoly``
+and ``Poly`` in one variable, whose elements are ``ParamPoly``s and
+``Poly``s over 1; there are no others.  The elements all have one type, the
+only record of the domain (``_DOMAINS``: one ``polys._Lift`` each).  The
+constructor lifts its coefficients once: it turns ``int`` into ``Fraction``,
+lifts a mixed list to the widest domain in it, and rejects any other
+coefficient (a ``float``, a ``Decimal``, a series) with a ``TypeError``, as
+it does a mix of ``ParamPoly`` and ``Poly``, which have no common domain.
+``coeffs`` and ``coefficient`` build coefficients when read, and ``czero``
+is the domain's zero; ``_need_fraction`` is the one check that rejects a
+series outside ``Fraction``.
 
-Every operation reads and writes the lift, and divides a result by its
-content once (``_series``).  ``+``, ``scale``, ``derive`` and
-``integrate`` rescale numerators; ``derive`` and ``scale`` by a rational
-find the content from the elements' contents before they build any element
-(``_Lift.times``).  ``*``, ``/`` (so ``inv`` and ``log``),
-``compose``, ``revert`` and ``exp`` run one kernel for every domain
-(``_conv``, ``_div_rational``, ``_horner``, ``_revert``, ``_exp_rational``),
-which uses only ring operations on elements, so two domains' lifts mix
-(``int`` times ``ParamPoly`` is its ``_scale``).  The term-by-term loops
-it replaced are the oracles in ``tests/oracles.py``.  Its schoolbook
-product ``_conv`` is ``polys._conv``, the loop of ``Poly``'s own product.
+Every operation reads and writes the lift and returns its canonical form
+(``_series``).  ``+``, ``scale``, ``derive`` and ``eval_truncated`` run the
+core's ``_sum_vec``, ``_scale_vec``, ``_derive_vec`` and ``_eval_vec``, as
+``Poly`` does.  ``*``, ``/`` (so ``inv`` and ``log``), ``compose``,
+``revert`` and ``exp`` run one kernel for every domain (``_conv``,
+``_div_rational``, ``_horner``, ``_revert``, ``_exp_rational``), which uses
+only ring operations on elements, so two domains' lifts mix (``int`` times
+``ParamPoly`` is its ``_scale``).  The term-by-term loops it replaced are
+the oracles in ``tests/oracles.py``.
 
 Miller's power recurrence (``_power_polys``) runs on integer polynomials in
 the exponent, with coefficients that are integer vectors in a second
@@ -49,15 +48,24 @@ gcd, and ``_to_series`` builds ``Fraction`` series once, at the end.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm, perm
-from numbers import Number, Rational
-from operator import mul
+from math import gcd, lcm
 
-from .parampoly import ParamPoly, _lift, lifted_values
-from .polys import Poly, _content, _conv, _divide
+from .parampoly import ParamPoly, lifted_values
+from .polys import (
+    _INTS,
+    _POLYS,
+    Poly,
+    _conv,
+    _derive_vec,
+    _elements,
+    _eval_vec,
+    _Lift,
+    _primitive,
+    _scale_vec,
+    _sum_vec,
+)
 
 
 class SeriesError(ValueError):
@@ -68,16 +76,19 @@ class OrderError(SeriesError):
     """Raised when a computation would read past the guaranteed order."""
 
 
-_QZERO = Fraction(0)
 _QONE = Fraction(1)
 
 
 def _widen(coeffs) -> tuple:
-    """``coeffs`` in the widest of their domains, with ``int`` as ``Fraction``."""
+    """``coeffs`` in the widest of their domains, with ``int`` as ``Fraction``;
+    a coefficient of any other type is a ``TypeError``."""
     coeffs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
-    zero = _QZERO
-    for c in coeffs:  # the zero of the domain that holds zero's and c's
-        zero = zero if type(zero) is type(c) else zero + c * 0
+    dom = _INTS
+    for t in {*map(type, coeffs)}:
+        if t not in _DOMAINS:
+            raise TypeError(f"expected a rational, got {t.__name__}")
+        dom = _join(dom, _DOMAINS[t])
+    zero = dom.zero
     return tuple(c if type(c) is type(zero) else zero + c for c in coeffs)
 
 
@@ -94,100 +105,6 @@ def _need_count(k: int, name: str) -> None:
         raise SeriesError(f"{name} needs a count >= 0, not {k}")
 
 
-# -- one lift per coefficient domain ---------------------------------------------
-#
-# ``lift`` writes coefficients as integral elements over one positive
-# denominator, and ``unlift`` inverts it; ``at`` is one coefficient, from its
-# element and the denominator.  ``zero`` is the domain's zero coefficient and
-# ``const`` turns an ``int`` into an element.  ``reduce`` divides a vector
-# and its denominator by their integer content, ``reduce1`` one element and a
-# denominator; ``value`` is the integer value of a constant element.
-# ``times`` multiplies each element of a stored vector by an integer, and
-# takes the content from the elements' contents first, so each element is
-# built once.  The kernels mix ``int`` entries (zeros, and a ``Fraction``
-# operand's elements) into the elements, and every other hook takes them as
-# constants.
-_Lift = namedtuple("_Lift", "lift unlift at zero const reduce reduce1 value times")
-
-
-def _reduce_ints(vec: list, den: int) -> tuple:
-    g = gcd(den, *vec)
-    if g == 1:
-        return vec, den
-    return [x // g for x in vec], den // g
-
-
-def _reduce1_ints(x: int, den: int) -> tuple:
-    g = gcd(x, den)
-    return x // g, den // g
-
-
-def _elements(domain, content, scaled) -> _Lift:
-    """The lift of ``domain`` to elements of its own type over 1, for the
-    gcd content(g, x) of g and the integers of an element x, and the element
-    scaled(x, m, g) = x m / g for integers m != 0 and g that divides m times
-    the content of x."""
-
-    def lift(coeffs):
-        d = lcm(*[c.den for c in coeffs])
-        return [c * d for c in coeffs], d
-
-    def at(x, d):
-        return domain._make(x.num, d)
-
-    def unlift(vec, d):
-        return tuple(at(x, d) for x in vec)
-
-    zero = domain.const(0)
-
-    def const(x):
-        return domain.const(x) if x else zero
-
-    def common(g, x):
-        return gcd(g, x) if type(x) is int else content(g, x)
-
-    def div(x, g):
-        return x // g if type(x) is int else scaled(x, 1, g)
-
-    def reduce(vec, d):
-        g = d
-        for x in vec:
-            if g == 1:
-                return vec, d
-            g = common(g, x)
-        if g == 1:
-            return vec, d
-        return [div(x, g) for x in vec], d // g
-
-    def reduce1(x, d):
-        g = common(d, x)
-        return (x, d) if g == 1 else (div(x, g), d // g)
-
-    def value(x):
-        return x if type(x) is int else int(x.constant_value())
-
-    def times(vec, ms, d):
-        g = d  # gcd(g, m c) = gcd(g, m gcd(g, c)) for the content c of x
-        for m, x in zip(ms, vec):
-            if g == 1:
-                break
-            g = gcd(g, m * common(g, x))
-        return [scaled(x, m, g) if m else zero for m, x in zip(ms, vec)], d // g
-
-    return _Lift(lift, unlift, at, zero, const, reduce, reduce1, value, times)
-
-
-_INTS = _Lift(
-    _lift,
-    lambda v, d: tuple(Fraction(x, d) for x in v),
-    Fraction,
-    _QZERO,
-    int,
-    _reduce_ints,
-    _reduce1_ints,
-    int,
-    lambda vec, ms, d: _reduce_ints(list(map(mul, ms, vec)), d),
-)
 _DOMAINS = {
     int: _INTS,
     Fraction: _INTS,
@@ -196,52 +113,28 @@ _DOMAINS = {
         lambda g, x: gcd(g, *x.num.values()),
         lambda x, m, g: ParamPoly._reduced({k: v * m // g for k, v in x.num.items()}, 1),
     ),
-    Poly: _elements(
-        Poly,
-        lambda g, x: gcd(g, _content(x.num)),
-        lambda x, m, g: Poly._reduced(_divide(x.num, g, m), 1),
-    ),
+    Poly: _POLYS,
 }
 
 
-def _unlifted(*args):
-    raise SeriesError("no arithmetic over coefficients without a lift to integers")
-
-
-# Coefficients of any other type (a series, say) are kept as they are, over
-# 1: such a series can be built and read, and ``_need_fraction`` names its
-# domain, but no operation that rescales or divides runs on it.
-_UNLIFTED = _Lift(
-    lambda coeffs: (coeffs, 1),
-    lambda v, d: v,
-    lambda x, d: x,
-    None,
-    _unlifted,
-    _unlifted,
-    _unlifted,
-    _unlifted,
-    _unlifted,
-)
-
-
 def _domain(s) -> _Lift:
-    return _DOMAINS.get(type(s.num[0]), _UNLIFTED)
+    return _DOMAINS[type(s.num[0])]
 
 
-def _join(s, t) -> _Lift:
-    """The lift of the domain that holds s's and t's (``Fraction`` widens)."""
-    a, b = _domain(s), _domain(t)
-    return b if a is _INTS else a
+def _join(a: _Lift, b: _Lift) -> _Lift:
+    """The lift of the domain that holds a's and b's: ``Fraction`` widens to
+    either other, and ``ParamPoly`` and ``Poly`` have none in common."""
+    if a is _INTS or a is b:
+        return b
+    if b is _INTS:
+        return a
+    raise TypeError("no common coefficient domain for ParamPoly and Poly")
 
 
 def _series(var: str, vec, den: int, dom: _Lift = _INTS) -> "PowerSeries":
     """The series vec / den in var, for elements (and ``int``s) of the
-    domain dom over a positive den, divided by their content."""
-    vec, den = dom.reduce(vec, den)
-    if dom is not _INTS and int in map(type, vec):
-        const = dom.const
-        vec = [const(x) if type(x) is int else x for x in vec]
-    return PowerSeries._of(var, tuple(vec), den)
+    domain dom over a positive den, in canonical form (``_primitive``)."""
+    return PowerSeries._of(var, *_primitive(vec, den, dom))
 
 
 # -- lifted entries ---------------------------------------------------------------
@@ -482,14 +375,10 @@ class PowerSeries:
         if not coeffs:
             raise SeriesError("a series needs at least its constant term")
         domain, *others = {*map(type, coeffs)}
-        if others or domain is not Fraction:
-            for t in (domain, *others):
-                if issubclass(t, Number) and not issubclass(t, Rational):
-                    raise TypeError(f"expected a rational, got {t.__name__}")
-            if others or issubclass(domain, int):
-                coeffs = _widen(coeffs)
-                domain = type(coeffs[0])
-        num, den = _DOMAINS.get(domain, _UNLIFTED).lift(coeffs)
+        if others or domain is int or domain not in _DOMAINS:
+            coeffs = _widen(coeffs)
+            domain = type(coeffs[0])
+        num, den = _DOMAINS[domain].lift(coeffs)
         self.var = var
         self.num = tuple(num)
         self.den = den
@@ -504,26 +393,25 @@ class PowerSeries:
     @property
     def coeffs(self) -> tuple:
         """The coefficients, built when read."""
-        return _domain(self).unlift(self.num, self.den)
+        return tuple(map(_domain(self).at, self.num, repeat(self.den)))
 
     @property
     def czero(self):
         """The zero of the coefficients' domain."""
-        zero = _domain(self).zero
-        return self.num[0] * 0 if zero is None else zero
+        return _domain(self).zero
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(var: str, order: int, czero=_QZERO) -> "PowerSeries":
+    def zero(var: str, order: int, czero=_INTS.zero) -> "PowerSeries":
         return PowerSeries(var, (czero,) * (order + 1))
 
     @staticmethod
-    def one(var: str, order: int, czero=_QZERO) -> "PowerSeries":
+    def one(var: str, order: int, czero=_INTS.zero) -> "PowerSeries":
         return PowerSeries(var, (czero + 1,) + (czero,) * order)
 
     @staticmethod
-    def identity(var: str, order: int, czero=_QZERO) -> "PowerSeries":
+    def identity(var: str, order: int, czero=_INTS.zero) -> "PowerSeries":
         if order < 1:
             raise SeriesError("identity needs order >= 1")
         return PowerSeries(var, (czero, czero + 1) + (czero,) * (order - 1))
@@ -599,25 +487,15 @@ class PowerSeries:
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, PowerSeries):
-            return self._add_scalar(other)
-        self._check_var(other)
-        n = min(self.order, other.order) + 1
-        a, da, b, db = self.num[:n], self.den, other.num[:n], other.den
-        den = da if da == db else lcm(da, db)
-        if den != da:
-            a = [x * (den // da) for x in a]
-        if den != db:
-            b = [y * (den // db) for y in b]
-        return _series(self.var, [x + y for x, y in zip(a, b)], den, _join(self, other))
-
-    def _add_scalar(self, c):
-        c = PowerSeries(self.var, (c,))
-        den = lcm(self.den, c.den)
-        up = den // self.den
-        vec = [x * up for x in self.num] if up != 1 else list(self.num)
-        vec[0] = vec[0] + c.num[0] * (den // c.den)
-        return _series(self.var, vec, den, _join(self, c))
+        if isinstance(other, PowerSeries):
+            self._check_var(other)
+            n = min(self.order, other.order) + 1
+            a, b = self.num[:n], other.num[:n]
+        else:  # a scalar, as a constant series
+            other = PowerSeries(self.var, (other,))
+            a, b = self.num, other.num
+        dom = _join(_domain(self), _domain(other))
+        return _series(self.var, *_sum_vec(a, self.den, b, other.den), dom)
 
     __radd__ = __add__
 
@@ -625,21 +503,18 @@ class PowerSeries:
         return PowerSeries._of(self.var, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, PowerSeries):
-            return self + (-other)
-        return self._add_scalar(-other)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return (-self)._add_scalar(other)
+        return (-self) + other
 
     def scale(self, c) -> "PowerSeries":
         c = PowerSeries(self.var, (c,))
+        dom = _join(_domain(self), _domain(c))
         x = c.num[0]
-        if type(x) is int:  # a rational: every element times one integer
-            vec, den = _domain(self).times(self.num, repeat(x), self.den * c.den)
-            return PowerSeries._of(self.var, tuple(vec), den)
-        vec = [y * x for y in self.num]
-        return _series(self.var, vec, self.den * c.den, _join(self, c))
+        if type(x) is int:  # a rational p/q: ``_scale_vec``
+            return PowerSeries._of(self.var, *_scale_vec(self.num, self.den, x, c.den, dom))
+        return _series(self.var, [y * x for y in self.num], self.den * c.den, dom)
 
     # -- multiplication / division --------------------------------------------
 
@@ -647,9 +522,9 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return self.scale(other)
         self._check_var(other)
-        n = min(self.order, other.order)
-        vec = _conv(self.num, other.num, n)
-        return _series(self.var, vec, self.den * other.den, _join(self, other))
+        dom = _join(_domain(self), _domain(other))
+        vec = _conv(self.num, other.num, min(self.order, other.order))
+        return _series(self.var, vec, self.den * other.den, dom)
 
     __rmul__ = scale
 
@@ -662,9 +537,10 @@ class PowerSeries:
                 "division by a series with zero constant term"
             )
         n = min(self.order, other.order) + 1
-        dom = _join(self, other)
+        dom = _join(_domain(self), _domain(other))
         bn = other.num[:n]
-        quo, den = _div_rational(self.num[:n], self.den, bn, other.den, dom.value(bn[0]), dom)
+        lead = bn[0] if type(bn[0]) is int else int(bn[0].constant_value())
+        quo, den = _div_rational(self.num[:n], self.den, bn, other.den, lead, dom)
         return _series(self.var, quo, den, dom)
 
     def __rtruediv__(self, c):
@@ -713,7 +589,7 @@ class PowerSeries:
                 "composition requires inner constant term zero"
             )
         n = min(self.order, inner.order)
-        dom = _join(self, inner)
+        dom = _join(_domain(self), _domain(inner))
         acc, den = _horner(self.num, self.den, inner.num, inner.den, n, dom)
         return _series(inner.var, acc, den, dom)
 
@@ -747,10 +623,7 @@ class PowerSeries:
             return self
         if len(self.num) <= n:
             raise OrderError("derivative of an order-0 series")
-        size = len(self.num) - n  # coefficient k is (k+n)!/k! times num[k + n]
-        ms = range(1, size + 1) if n == 1 else [perm(k + n, n) for k in range(size)]
-        vec, den = _domain(self).times(self.num[n:], ms, self.den)
-        return PowerSeries._of(self.var, tuple(vec), den)
+        return PowerSeries._of(self.var, *_derive_vec(self.num, n, self.den, _domain(self)))
 
     def integrate(self) -> "PowerSeries":
         """Termwise integral with zero constant term (order grows by one)."""
@@ -799,15 +672,10 @@ class PowerSeries:
     # -- evaluation / reshaping -------------------------------------------------------
 
     def eval_truncated(self, x0: Fraction) -> Fraction:
-        """Evaluate the truncating polynomial at a rational point x0 = p/q:
-        integer Horner sums num[j] p^j q^(N - j) over den q^N."""
+        """Evaluate the truncating polynomial at a rational point x0
+        (``_eval_vec``)."""
         _need_fraction(self, "numeric evaluation needs a series")
-        p, q = x0.numerator, x0.denominator
-        acc, up = 0, 1  # up = q ** (N - j)
-        for c in reversed(self.num):
-            acc = acc * p + c * up
-            up *= q
-        return Fraction(acc, self.den * (up // q))
+        return _eval_vec(self.num, self.den, x0)
 
     def map_coeffs(self, fn) -> "PowerSeries":
         return PowerSeries(self.var, [fn(c) for c in self.coeffs])

@@ -67,15 +67,15 @@ def tau_seq(fam: BinomialFamily, ell: PowerSeries, N: int) -> ShefferFamily:
             raise SeriesError(f"tau_{n} is not monic of degree {n}")
 
     # the symbolic continuation, and the check that it specializes to
-    # tau_n at s = n: its integer numerators at s = n by Horner's rule
+    # tau_n at s = n: its integer numerators at s = n by Horner's rule,
+    # against tau_n's own numerators over its denominator
     nums, den = _continuation(fam, N, ell.num[: N + 1], ell.den)
     for n, p in enumerate(polys):
         for j, num in enumerate(nums):
             v = 0
             for c in reversed(num):
                 v = v * n + c
-            want = p.coefficient(n - j) if j <= n else Fraction(0)
-            if v * want.denominator != want.numerator * den:
+            if v * p.den != (p.num[n - j] if j <= n else 0) * den:
                 raise SeriesError(
                     f"symbolic tau does not specialize to tau_{n}"
                 )

@@ -17,11 +17,11 @@ import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 
 from .asymptotic import _VAR, AsymptoticSeries
 from .parampoly import H, S, ParamPoly, _lift, binom_poly, lifted_values
-from .polys import Poly
+from .polys import Poly, _reduce_ints
 from .series import (
     _DOMAINS,
     OrderError,
@@ -292,10 +292,9 @@ def sheffer_polys(d: list, e: list, N: int, known=()) -> tuple:
                 ce = c * ej
                 for i, x in enumerate(tau):
                     acc[i] += ce * x
-        top = common * den
-        g = gcd(top, *acc)
-        taus.append(tuple(x // g for x in acc))
-        dens.append(top // g)
+        tau, dk = _reduce_ints(acc, common * den)
+        taus.append(tuple(tau))
+        dens.append(dk)
     # each row is reduced; the callers check that it is monic of degree k
     return (*known, *(Poly._reduced(tau, dk) for tau, dk in zip(taus[start:], dens[start:])))
 

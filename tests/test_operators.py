@@ -387,7 +387,6 @@ class TestIntegerKernel:
 OTHER_DOMAINS = {
     "ParamPoly": ParamPoly.symbol("s"),
     "Poly": Poly.const(Q(1, 2)),
-    "PowerSeries": PowerSeries("t", [Q(1, 2), Q(1)]),
 }
 
 
@@ -430,6 +429,13 @@ class TestDomainContract:
             lam = with_other(lam, domain)
         with pytest.raises(SeriesError, match=f"over Fraction coefficients, not {domain}$"):
             word_to_diffop((SIGMA, D), sigma, lam)
+
+    def test_a_series_is_no_coefficient(self):
+        # the coefficient domains are closed: a series of series is never built
+        om = omega_in_alpha(family("exp1", 10))
+        t = PowerSeries("t", [Q(1, 2), Q(1)])
+        with pytest.raises(TypeError, match="^expected a rational, got PowerSeries$"):
+            PowerSeries(om.var, om.coeffs[:2] + (t,) + om.coeffs[3:])
 
 
 class TestDividedDifferenceShift:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import NaivePoly, naive_divided_difference
 from umbralog.polys import Poly, divided_difference
 from umbralog.presets import family
+from umbralog.series import PowerSeries
 from umbralog.umbral import p_seq
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -42,6 +43,38 @@ def test_substitution_of_a_poly():
     p = Poly([Poly([1]), Poly([2]), Poly([0, 1])])
     assert p.eval(Poly.x()) == Poly([1, 2, 0, 1])
     assert Poly().eval(Poly.x()) == Poly()
+
+
+class TestClosedAtTwoVariables:
+    """``Poly`` stops at Q[x][y]: each way into Q[x][y][z] is one named
+    ``TypeError``, and the same steps from Q[x] still work."""
+
+    xy = Poly([Poly([1, 2]), Poly([0, Q(1, 3)])])  # 1 + 2x + xy/3
+    deeper = r" in Q\[x\]\[y\] would be in Q\[x\]\[y\]\[z\]; Poly stops at Q\[x\]\[y\]$"
+
+    def test_a_coefficient_of_a_poly(self):
+        for coeffs in ([self.xy], [1, self.xy], [Poly.x(), self.xy]):
+            with pytest.raises(TypeError, match="^a coefficient" + self.deeper):
+                Poly(coeffs)
+        with pytest.raises(TypeError, match="^a coefficient" + self.deeper):
+            Poly.const(self.xy)
+        assert Poly([Poly.x(), 1]).coeffs == (Poly.x(), Poly.const(1))
+
+    def test_taylor(self):
+        with pytest.raises(TypeError, match=r"^taylor\(\) of a Poly" + self.deeper):
+            self.xy.taylor()
+        assert Poly([1, 2]).taylor() == Poly([Poly([1, 2]), Poly([2])])
+
+    def test_divided_difference(self):
+        with pytest.raises(TypeError, match="^divided_difference of a Poly" + self.deeper):
+            divided_difference(self.xy)
+        assert divided_difference(Poly([1, 2])) == Poly([Poly([1, 2]), Poly([2])])
+
+    def test_a_series_coefficient(self):
+        for coeffs in ([self.xy, 1], [Poly.x(), Q(1, 2), self.xy]):
+            with pytest.raises(TypeError, match="^a coefficient" + self.deeper):
+                PowerSeries("x", coeffs)
+        assert PowerSeries("x", [Poly.x(), 1]).coeffs == (Poly.x(), Poly.const(1))
 
 
 def binomial_convolution(seq, n: int) -> Poly:

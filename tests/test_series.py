@@ -25,6 +25,8 @@ from oracles import (
     naive_scale,
     pow_by_exp_log,
 )
+from umbralog import polys
+from umbralog import series as series_module
 from umbralog.parampoly import ParamPoly
 from umbralog.polys import Poly
 from umbralog.presets import family
@@ -445,6 +447,68 @@ class TestOneDomainPerSeries:
         assert mixed.coeffs == (ParamPoly.const(1), ParamPoly.const(2), S, ParamPoly())
         assert_uniform(PowerSeries("x", [Poly.x(), Q(1, 2)]), Poly)
         assert PowerSeries.__slots__ == ("var", "num", "den")
+
+
+class TestNoCommonDomain:
+    """``ParamPoly`` and ``Poly`` have no common domain: a series that would
+    mix them is one named ``TypeError``, in either order."""
+
+    message = "^no common coefficient domain for ParamPoly and Poly$"
+    u = in_domain([1, "sym", Q(1, 2), 0], ParamPoly)
+    v = in_domain([1, Q(1, 3), "sym", 2], Poly)
+
+    def test_the_constructor(self):
+        for coeffs in ([S, Poly.x()], [Poly.x(), Q(1, 2), S], [1, ParamPoly.const(2), Poly()]):
+            with pytest.raises(TypeError, match=self.message):
+                PowerSeries("x", coeffs)
+
+    def test_a_sum(self):
+        for a, b in ((self.u, self.v), (self.v, self.u)):
+            with pytest.raises(TypeError, match=self.message):
+                a + b
+            with pytest.raises(TypeError, match=self.message):
+                a - b
+        with pytest.raises(TypeError, match=self.message):
+            self.u + Poly.x()
+
+    def test_a_product(self):
+        for a, b in ((self.u, self.v), (self.v, self.u)):
+            with pytest.raises(TypeError, match=self.message):
+                a * b
+            with pytest.raises(TypeError, match=self.message):
+                a / b
+            with pytest.raises(TypeError, match=self.message):
+                a.compose(b - b.coefficient(0))
+
+    def test_a_scale(self):
+        for a, c in ((self.u, Poly.x()), (self.v, S), (self.u, Poly.const(2))):
+            with pytest.raises(TypeError, match=self.message):
+                a.scale(c)
+
+
+def test_one_dense_vector_core():
+    """The series' lifts and vector operations are the ones ``polys``
+    defines, and neither module keeps a second copy of them."""
+    lifts = series_module._DOMAINS
+    assert lifts[Q] is lifts[int] is polys._INTS
+    assert lifts[Poly] is polys._POLYS
+    assert set(lifts) == {int, Q, ParamPoly, Poly}
+    assert polys._Lift._fields == ("lift", "at", "zero", "const", "reduce", "reduce1", "times")
+    for name in ("_conv", "_Lift", "_elements", "_primitive", "_sum_vec", "_scale_vec",
+                 "_derive_vec", "_eval_vec"):
+        assert getattr(series_module, name) is getattr(polys, name), name
+    for name in ("_UNLIFTED", "_unlifted", "_reduce_ints", "_reduce1_ints"):
+        assert not hasattr(series_module, name), name
+    own = {
+        name for name, value in vars(series_module).items()
+        if getattr(value, "__module__", None) == series_module.__name__
+    }
+    assert not own & set(vars(polys))
+    helpers = [
+        name for name in vars(polys)
+        if "content" in name or "canonical" in name or name in ("_nested", "_divide", "_nest")
+    ]
+    assert helpers == []
 
 
 INEXACT = [1.5, 1.5 + 0j, Decimal("1.5")]
