@@ -18,7 +18,7 @@ result, which equals the same scheme over ``Fraction`` series term for term.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 from .ncwords import D, LAM, LAMINV, SIGMA
 from .polys import Poly, divided_difference
@@ -72,14 +72,9 @@ class DiffOperator:
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        for j in keys:
-            a, b = self.terms.get(j), other.terms.get(j)
-            if a is None or b is None:
-                return False
-            if not a.prefix_equal(b):
-                return False
-        return True
+        if self.var != other.var or self.terms.keys() != other.terms.keys():
+            return False
+        return all(c.prefix_equal(other.terms[j]) for j, c in self.terms.items())
 
     def __repr__(self):
         bits = [f"({c}) d^{j}" for j, c in sorted(self.terms.items())]
@@ -225,15 +220,19 @@ def divided_difference_shift_check(n: int, m: int):
 
     applied to x^m with p symbolic, compared exactly as polynomials in p.
     The left side uses the explicit rational action
-    (1 - p L)^{-1} f = (x f(x) - p f(p)) / (x - p), held in Q[x][p], where
-    eval_0 shift_p is the substitution x := p.
+    (1 - p L)^{-1} f = (x f(x) - p f(p)) / (x - p), held by its p^k
+    coefficients, where eval_0 shift_p is the substitution x := p.
     """
     g = Poly([Fraction(0)] * m + [Fraction(1)])  # x^m
     lg = Poly(g.coeffs[1:])  # L x^m
-    lhs = divided_difference(lg).derive(n).eval(Poly.x())
+    # d^n/dp^n takes the p^k coefficient c_k to k!/(k-n)! c_k at p^(k-n)
+    lhs = Poly()
+    for k, c in enumerate(divided_difference(lg)[n:], n):
+        lhs = lhs + c.mul_x(k - n) * perm(k, n)
 
-    shifted = g.taylor().derive(n + 1)  # d^{n+1}/dp^{n+1} (x + p)^m
-    rhs = Poly([c.coefficient(0) for c in shifted.coeffs]) / Fraction(n + 1)
+    # the x^0 coefficients of d^{n+1}/dp^{n+1} (x + p)^m, as a polynomial in p
+    shifted = enumerate(g.taylor()[n + 1 :], n + 1)
+    rhs = Poly([perm(j, n + 1) * c.coefficient(0) for j, c in shifted]) / Fraction(n + 1)
     # the reversed-order term shift_p d^{n+1}/dp^{n+1} x^m vanishes (x^m is
     # p-free), so it contributes nothing to either side
     ok = lhs == rhs

@@ -282,15 +282,6 @@ class ParamPoly:
         out = {_shift(k, i): v * k[i] for k, v in self.num.items() if k[i]}
         return ParamPoly._make(out, self.den)
 
-    def div_exact_symbol(self, name: str) -> "ParamPoly":
-        """Exact division by one symbol; errors if not divisible."""
-        i = SYMBOLS.index(name)
-        if not all(k[i] for k in self.num):
-            raise ValueError(f"{self!r} is not divisible by {name}")
-        return ParamPoly._reduced(
-            {_shift(k, i): v for k, v in self.num.items()}, self.den
-        )
-
     # -- misc ------------------------------------------------------------
 
     def __repr__(self):

@@ -1,28 +1,24 @@
-"""Dense exact polynomials, and the dense integer-vector core that they and
-``series.PowerSeries`` run on.
+"""Dense exact polynomials in one variable over Q, and the dense
+integer-vector core that they and ``series.PowerSeries`` run on.
 
 ``Poly`` is the workhorse for genuine polynomial data (binomial-type and
 Sheffer sequences, direct ratio oracles).  Unlike truncated power series it
 has no order bookkeeping: what you see is the whole polynomial.
 
-A polynomial is stored as a series is: a trimmed tuple of integral elements
-``num``, lowest degree first, over one positive denominator ``den``,
-divided by their content (content and primitive part: Geddes, Czapor and
-Labahn, *Algorithms for Computer Algebra*, 1992, ch. 2).  So the last
-element is nonzero, and equal polynomials have equal ``num`` and ``den``.
-Every operation runs on integers and builds no ``Fraction`` per term;
-``coeffs`` builds the coefficients when read.
+A polynomial is stored as a series is: a trimmed tuple of integers ``num``,
+lowest degree first, over one positive denominator ``den``, divided by
+their content (content and primitive part: Geddes, Czapor and Labahn,
+*Algorithms for Computer Algebra*, 1992, ch. 2).  So the last element is
+nonzero, and equal polynomials have equal ``num`` and ``den``.  Every
+operation runs on integers and builds no ``Fraction`` per term; ``coeffs``
+builds the coefficients when read.  The coefficients are rational: any
+other (a ``Poly``, a ``float``) is a ``TypeError``.  A polynomial in two
+variables is the tuple of its outer coefficients, each a ``Poly``:
+``taylor`` and ``divided_difference`` return one.
 
-Polynomials in two variables live in Q[x][y]: ``taylor`` and
-``divided_difference`` build them.  There the elements are integral
-``Poly`` objects in the inner variable, and the content is the gcd of all
-their integers.  ``Poly`` stops there: a coefficient in Q[x][y], of a
-``Poly`` or a series, and ``taylor`` or ``divided_difference`` of one, is a
-``TypeError``.
-
-The core: one lift per element type (``_Lift``: ``_INTS``, and
-``_elements`` for polynomials over 1, such as ``_POLYS``), the canonical
-form ``_primitive``, the product ``_conv``, and ``_sum_vec``,
+The core: one lift per element type (``_Lift``: ``_INTS`` for rationals,
+and ``_elements`` for a domain over 1, such as the series' ``ParamPoly``),
+the canonical form ``_primitive``, the product ``_conv``, and ``_sum_vec``,
 ``_scale_vec``, ``_derive_vec`` and the integer Horner ``_eval_vec``.
 """
 
@@ -218,36 +214,27 @@ def _eval_vec(vec, den: int, x0):
     for c in reversed(vec):
         acc = acc * p + c * up
         up *= q
-    return Fraction(acc * q, den * up) if type(acc) is int else acc * q / (den * up)
+    return Fraction(acc * q, den * up)
 
 
 class Poly:
-    """Univariate polynomial: integral elements ``num``, lowest degree first,
-    over the positive denominator ``den``, reduced as far as it goes.  The
-    elements are ints, or integral Polys in one variable for a polynomial in
-    two."""
+    """Univariate polynomial over Q: integers ``num``, lowest degree first,
+    over the positive denominator ``den``, reduced as far as it goes."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        """From ``int`` and ``Fraction`` coefficients, or over ``Poly`` in one
-        variable (an ``int`` or ``Fraction`` beside a ``Poly`` is a constant
-        one)."""
-        coeffs = list(coeffs)
-        if any(isinstance(c, Poly) for c in coeffs):
-            dom, coeffs = _POLYS, [c if isinstance(c, Poly) else Poly.const(c) for c in coeffs]
-        else:
-            dom, coeffs = _INTS, [_as_fraction(c) for c in coeffs]
-        p = Poly._make(*dom.lift(coeffs), dom)
+        """From ``int`` and ``Fraction`` coefficients."""
+        p = Poly._make(*_lift([_as_fraction(c) for c in coeffs]))
         self.num, self.den = p.num, p.den
 
     @staticmethod
-    def _make(num, den: int, dom: _Lift = _INTS) -> "Poly":
-        """Trim ``num`` over ``den > 0``, elements of dom, to canonical form."""
+    def _make(num, den: int) -> "Poly":
+        """Trim integers ``num`` over ``den > 0`` to canonical form."""
         n = len(num)
         while n and not num[n - 1]:
             n -= 1
-        return Poly._reduced(*_primitive(num[:n], den, dom))
+        return Poly._reduced(*_primitive(num[:n], den, _INTS))
 
     @staticmethod
     def _reduced(num: tuple, den: int) -> "Poly":
@@ -258,13 +245,11 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients, as ``Fraction``s (or ``Poly``s in Q[x][y])."""
-        return tuple(map(_kind(self).at, self.num, repeat(self.den)))
+        """The coefficients, as ``Fraction``s."""
+        return tuple(map(_INTS.at, self.num, repeat(self.den)))
 
     @staticmethod
     def const(x) -> "Poly":
-        if isinstance(x, Poly):
-            return Poly([x])
         x = _as_fraction(x)
         return Poly._reduced((x.numerator,), x.denominator) if x else _PZERO
 
@@ -287,14 +272,14 @@ class Poly:
         return self.coefficient(len(self.num) - 1)
 
     def coefficient(self, k: int) -> Fraction:
-        return _kind(self).at(self.num[k], self.den) if 0 <= k < len(self.num) else _ZERO
+        return _INTS.at(self.num[k], self.den) if 0 <= k < len(self.num) else _ZERO
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         elif not isinstance(other, Poly):
-            return NotImplemented  # a series adds a Poly itself
-        return Poly._make(*_sum_vec(self.num, self.den, other.num, other.den), _kind(self, other))
+            return NotImplemented
+        return Poly._make(*_sum_vec(self.num, self.den, other.num, other.den))
 
     __radd__ = __add__
 
@@ -311,7 +296,7 @@ class Poly:
         """self * p/q for a reduced p/q with q > 0."""
         if not p or not self.num:
             return _PZERO
-        return Poly._reduced(*_scale_vec(self.num, self.den, p, q, _kind(self)))
+        return Poly._reduced(*_scale_vec(self.num, self.den, p, q, _INTS))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -322,7 +307,7 @@ class Poly:
         if not a or not b:
             return _PZERO
         out = _conv(a, b, len(a) + len(b) - 2)
-        return Poly._make(out, self.den * other.den, _kind(self, other))
+        return Poly._make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -332,14 +317,6 @@ class Poly:
             raise ZeroDivisionError("Poly division by zero")
         p, q = c.numerator, c.denominator
         return self._scale(q, p) if p > 0 else self._scale(-q, -p)
-
-    def __rtruediv__(self, other):
-        return Poly.const(other / self.constant_value())
-
-    def constant_value(self) -> Fraction:
-        if len(self.num) > 1:
-            raise ValueError("only degree-0 polynomials are invertible")
-        return self.coefficient(0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -359,7 +336,7 @@ class Poly:
             raise ValueError(f"mul_x needs a count >= 0, not {k}")
         if not k or not self.num:
             return self
-        return Poly._reduced((_kind(self).const(0),) * k + self.num, self.den)
+        return Poly._reduced((0,) * k + self.num, self.den)
 
     def derive(self, n: int = 1) -> "Poly":
         """The n-th derivative (``_derive_vec``)."""
@@ -367,29 +344,20 @@ class Poly:
             raise ValueError(f"derive needs a count >= 0, not {n}")
         if not n:
             return self
-        return Poly._reduced(*_derive_vec(self.num, n, self.den, _kind(self)))
+        return Poly._reduced(*_derive_vec(self.num, n, self.den, _INTS))
 
-    def eval(self, x0):
-        """Value at x0: a rational (``_eval_vec``), or a Poly to substitute
-        by Horner on the coefficients."""
-        if isinstance(x0, (int, Fraction)):
-            return _eval_vec(self.num, self.den, x0)
-        acc = _ZERO * x0
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+    def eval(self, x0) -> Fraction:
+        """Value at the rational x0 (``_eval_vec``)."""
+        return _eval_vec(self.num, self.den, _as_fraction(x0))
 
-    def taylor(self) -> "Poly":
-        """p(x + y) in Q[x][y]: the y^j coefficient is p^{(j)}(x)/j!, with
+    def taylor(self) -> tuple:
+        """p(x + y) by its y^j coefficients p^{(j)}(x)/j!, Polys in x with
         numerators C(i+j, j) num[i+j] over den."""
-        _need_flat("taylor() of a Poly", self)
-        num = self.num
-        n = len(num)
-        rows = tuple(
-            Poly._reduced(tuple(comb(i + j, j) * num[i + j] for i in range(n - j)), 1)
+        num, n = self.num, len(self.num)
+        return tuple(
+            Poly._make([comb(i + j, j) * num[i + j] for i in range(n - j)], self.den)
             for j in range(n)
         )
-        return Poly._reduced(rows, self.den)
 
     def __repr__(self):
         coeffs = self.coeffs
@@ -415,40 +383,12 @@ class Poly:
 _PZERO = Poly._reduced((), 1)
 
 
-def _kind(p: Poly, q: Poly = _PZERO) -> _Lift:
-    """``_POLYS`` if p or q is in Q[x][y], else ``_INTS``."""
-    if p.num and type(p.num[0]) is Poly or q.num and type(q.num[0]) is Poly:
-        return _POLYS
-    return _INTS
+def divided_difference(g: Poly) -> tuple:
+    """(x*g(x) - p*g(p)) / (x - p), exact over Fraction, by its p^k
+    coefficients: the tails sum_{j >= k} g_j x^{j-k}, Polys in x with
+    numerators g.num[k:] over g.den.
 
-
-def _need_flat(what: str, *polys) -> None:
-    """Reject a polynomial in Q[x][y] where one in one variable is due."""
-    if Poly in {type(p.num[0]) for p in polys if p.num}:
-        raise TypeError(f"{what} in Q[x][y] would be in Q[x][y][z]; Poly stops at Q[x][y]")
-
-
-def _lift_flat(coeffs) -> tuple:
-    """``_lift_elements`` for Polys in one variable only: the lift of
-    ``_POLYS``, whose elements' content then needs no recursion."""
-    _need_flat("a coefficient", *coeffs)
-    return _lift_elements(coeffs)
-
-
-_POLYS = _elements(
-    Poly,
-    lambda g, x: gcd(g, *x.num),
-    lambda x, m, g: Poly._reduced(tuple(v * m // g for v in x.num), 1),
-)._replace(lift=_lift_flat)
-
-
-def divided_difference(g: Poly) -> Poly:
-    """(x*g(x) - p*g(p)) / (x - p) in Q[x][p], exact over Fraction.
-
-    Its p^k coefficient is the tail sum_{j >= k} g_j x^{j-k}: the numerators
-    g.num[k:] over g.den.  This is the rational action of the resolvent of
-    the 0-derivative at shift parameter p on the polynomial g.
+    This is the rational action of the resolvent of the 0-derivative at
+    shift parameter p on the polynomial g.
     """
-    _need_flat("divided_difference of a Poly", g)
-    num = g.num
-    return Poly._reduced(tuple(Poly._reduced(num[k:], 1) for k in range(len(num))), g.den)
+    return tuple(Poly._make(g.num[k:], g.den) for k in range(len(g.num)))

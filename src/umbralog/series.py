@@ -8,18 +8,17 @@ that order raises ``OrderError`` instead of silently producing zero.
 A series is stored as ``Poly`` is, on the dense integer-vector core in
 ``polys``: a tuple ``num`` of integral elements over one positive
 denominator ``den``, divided by their content, so c_k = num[k] / den, and
-equal series have equal ``num`` and ``den``.  The coefficient domains are
-``fractions.Fraction``, whose elements are plain ``int``s, and ``ParamPoly``
-and ``Poly`` in one variable, whose elements are ``ParamPoly``s and
-``Poly``s over 1; there are no others.  The elements all have one type, the
-only record of the domain (``_DOMAINS``: one ``polys._Lift`` each).  The
-constructor lifts its coefficients once: it turns ``int`` into ``Fraction``,
-lifts a mixed list to the widest domain in it, and rejects any other
-coefficient (a ``float``, a ``Decimal``, a series) with a ``TypeError``, as
-it does a mix of ``ParamPoly`` and ``Poly``, which have no common domain.
-``coeffs`` and ``coefficient`` build coefficients when read, and ``czero``
-is the domain's zero; ``_need_fraction`` is the one check that rejects a
-series outside ``Fraction``.
+equal series have equal ``num`` and ``den``.  There are two coefficient
+domains: ``fractions.Fraction``, whose elements are plain ``int``s, and
+``ParamPoly``, whose elements are ``ParamPoly``s over 1.  The elements all
+have one type, the only record of the domain (``_DOMAINS``: one
+``polys._Lift`` each).  The constructor lifts its coefficients once: it
+turns ``int`` into ``Fraction``, lifts a mix of ``Fraction`` and
+``ParamPoly`` to ``ParamPoly``, and rejects any other coefficient (a
+``float``, a ``Poly``, a series) with a ``TypeError``.  ``coeffs`` and
+``coefficient`` build coefficients when read, and ``czero`` is the domain's
+zero; ``_need_fraction`` is the one check that rejects a series outside
+``Fraction``.
 
 Every operation reads and writes the lift and returns its canonical form
 (``_series``).  ``+``, ``scale``, ``derive`` and ``eval_truncated`` run the
@@ -55,8 +54,6 @@ from math import gcd, lcm
 from .parampoly import ParamPoly, lifted_values
 from .polys import (
     _INTS,
-    _POLYS,
-    Poly,
     _conv,
     _derive_vec,
     _elements,
@@ -113,7 +110,6 @@ _DOMAINS = {
         lambda g, x: gcd(g, *x.num.values()),
         lambda x, m, g: ParamPoly._reduced({k: v * m // g for k, v in x.num.items()}, 1),
     ),
-    Poly: _POLYS,
 }
 
 
@@ -123,12 +119,8 @@ def _domain(s) -> _Lift:
 
 def _join(a: _Lift, b: _Lift) -> _Lift:
     """The lift of the domain that holds a's and b's: ``Fraction`` widens to
-    either other, and ``ParamPoly`` and ``Poly`` have none in common."""
-    if a is _INTS or a is b:
-        return b
-    if b is _INTS:
-        return a
-    raise TypeError("no common coefficient domain for ParamPoly and Poly")
+    ``ParamPoly``."""
+    return b if a is _INTS else a
 
 
 def _series(var: str, vec, den: int, dom: _Lift = _INTS) -> "PowerSeries":
@@ -659,7 +651,7 @@ class PowerSeries:
 
         It runs on integer polynomials in e (``_power_polys``), and each w_n
         is evaluated at e once.  That needs integer numerators, so a g over
-        ``ParamPoly`` or ``Poly`` takes exp(e log g), the same series.
+        ``ParamPoly`` takes exp(e log g), the same series.
         """
         if self.num[0] != self.den:
             raise SeriesError("symbolic powers need constant term 1")

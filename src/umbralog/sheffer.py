@@ -110,13 +110,9 @@ def apply_T(T: list, p: Poly) -> Poly:
     return out
 
 
-def theta_apply(sf: ShefferFamily, p: Poly) -> Poly:
-    """ell(D) A_f D_f ell(D)^{-1} p  with A_f D_f = a * (f/f')(D)."""
-    return _theta(sf, p, sf.ell.inv())
-
-
-def _theta(sf: ShefferFamily, p: Poly, ell_inv: PowerSeries) -> Poly:
-    """``theta_apply`` with ell(D)^{-1} given."""
+def theta_apply(sf: ShefferFamily, p: Poly, ell_inv: PowerSeries) -> Poly:
+    """ell(D) A_f D_f ell(D)^{-1} p  with A_f D_f = a * (f/f')(D), for
+    ell_inv = ell^{-1}."""
     deg = p.degree() + 1
     need = max(deg, 1)
     ell = sf.ell
@@ -132,7 +128,7 @@ def theta_check(sf: ShefferFamily, n_max: int):
     bad = []
     ell_inv = sf.ell.inv()
     for n in range(n_max + 1):
-        if _theta(sf, sf[n], ell_inv) != sf[n] * n:
+        if theta_apply(sf, sf[n], ell_inv) != sf[n] * n:
             bad.append(n)
     return not bad, {"n_max": n_max, "failures": bad}
 

@@ -34,7 +34,7 @@ integer polynomials in the exponent.  ``falling`` is the falling product
 ``naive_tau_symbolic`` and ``p_symbolic_by_binom`` rebuild.
 ``NaivePoly`` and ``naive_divided_difference`` are ``polys.Poly`` as it was
 before it ran on integer numerators over one denominator: one normalised
-``Fraction`` (or ``NaivePoly``, in two variables) per coefficient.
+``Fraction`` per coefficient.
 ``pow_by_exp_log`` is the route ``PowerSeries.pow_param`` had before it ran
 Miller's power recurrence: exp(e log g).  ``lhs_log_by_series``,
 ``rhs_log_by_x_op`` and ``rhs_exp_by_derive`` are the sides of
@@ -70,8 +70,8 @@ from umbralog.umbral import BinomialFamily, op_L, p_symbolic, q_zero_table, rena
 
 
 class NaivePoly:
-    """Dense polynomial, ascending coefficients: Fractions, or NaivePolys
-    for a polynomial in two variables, one arithmetic operation per term."""
+    """Dense polynomial, ascending ``Fraction`` coefficients, one arithmetic
+    operation per term."""
 
     __slots__ = ("coeffs",)
 
@@ -143,18 +143,18 @@ class NaivePoly:
             acc = acc * x0 + c
         return acc
 
-    def taylor(self) -> "NaivePoly":
-        """p(x + y): the y^j coefficient is p^{(j)}(x)/j!."""
+    def taylor(self) -> tuple:
+        """p(x + y) by its y^j coefficients p^{(j)}(x)/j!."""
         out, d = [], self
         for j in range(1, len(self.coeffs) + 1):
             out.append(d)
             d = d.derive() / j
-        return NaivePoly(out)
+        return tuple(out)
 
 
-def naive_divided_difference(g: NaivePoly) -> NaivePoly:
-    """The p^k coefficient is the tail sum_{j >= k} g_j x^{j-k}."""
-    return NaivePoly([NaivePoly(g.coeffs[k:]) for k in range(len(g.coeffs))])
+def naive_divided_difference(g: NaivePoly) -> tuple:
+    """The p^k coefficients, the tails sum_{j >= k} g_j x^{j-k}."""
+    return tuple(NaivePoly(g.coeffs[k:]) for k in range(len(g.coeffs)))
 
 
 def bernoulli_numbers(n_max: int) -> list:
@@ -221,7 +221,7 @@ def pow_by_exp_log(g: PowerSeries, e) -> PowerSeries:
 def lhs_log_by_series(fam: BinomialFamily, depth: int) -> list:
     """(1/s) ln(alpha^{-s} p_s(alpha)): Q[s] coefficients of alpha^0..alpha^{-depth}."""
     lg = AsymptoticSeries(0, p_symbolic(fam, depth).coeffs).log()
-    return [lg.coefficient(k).div_exact_symbol("s") for k in range(depth + 1)]
+    return [ParamPoly(naive_terms_div_symbol(lg.coefficient(k), "s")) for k in range(depth + 1)]
 
 
 def rhs_log_by_x_op(fam: BinomialFamily, depth: int) -> list:

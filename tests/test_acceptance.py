@@ -325,7 +325,6 @@ def test_criterion_9_limit_formulas():
 
 
 def test_criterion_10_sheffer_suite():
-    from umbralog.polys import Poly
     from oracles import exp_by_partial_sums
 
     def bernoulli_ell(order):
@@ -344,11 +343,13 @@ def test_criterion_10_sheffer_suite():
     ]
     for fam, ell in presets:
         sf = tau_seq(fam, ell, 12)
-        a = Poly.x()
         phi = fam.phi.truncate(12)
-        gen = ell.truncate(12).compose(phi) * exp_by_partial_sums(phi.scale(a))
-        for n in range(13):
-            assert sf[n] == gen.coefficient(n) * factorial(n)
+        weight = ell.truncate(12).compose(phi)
+        # at a = 0..12: 13 values fix each tau_n, of degree n <= 12
+        for a in range(13):
+            gen = weight * exp_by_partial_sums(phi.scale(a))
+            for n in range(13):
+                assert sf[n].eval(a) == gen.coefficient(n) * factorial(n)
         ok, det = theta_check(sf, 8)
         assert ok, det
 

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from umbralog.series import OrderError, PowerSeries
 from umbralog.sheffer import tau_seq
-from umbralog.stirling import stirling_terms, t_n_omega
-from umbralog.umbral import build_family, p_seq, q_zero_table
+from umbralog.stirling import stirling_terms, t_n_omega, verify_log_identity
+from umbralog.umbral import build_family, p_seq, q_table, q_zero_table
 
 MORE = 6
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -63,6 +63,7 @@ def test_a_result_at_order_n_is_a_prefix_of_the_result_at_n_plus_6(chain):
         assert_prefix(lo.fprime_at_omega(k), hi.fprime_at_omega(k + 1))
     with pytest.raises(OrderError):
         lo.fprime_at_omega(n - 1)
+    assert_prefix(lo.inv_omega_prime, hi.inv_omega_prime)
 
     # p_0..p_N and the q_n at t = 0 are exact: equal at both orders
     assert tuple(p_seq(hi, n + MORE)[: n + 1].polys) == tuple(p_seq(lo, n).polys)
@@ -71,6 +72,13 @@ def test_a_result_at_order_n_is_a_prefix_of_the_result_at_n_plus_6(chain):
     assert q_zero_table(hi, n + MORE - 1)[:n] == q_zero_table(lo, n - 1)
     with pytest.raises(OrderError):
         q_zero_table(lo, n)
+
+    # the q table reads f to n_max + 1 + t_order: exact at both orders
+    n_max, t_order = n - 3, 2
+    assert q_table(hi, n_max, t_order) == q_table(lo, n_max, t_order)
+    for more in ((n_max + 1, t_order), (n_max, t_order + 1)):
+        with pytest.raises(OrderError):
+            q_table(lo, *more)
 
     # (T_n omega)(alpha) and the Stirling terms to depth 3
     for got, want in zip(t_n_omega(lo, 2), t_n_omega(hi, 2)):
@@ -81,6 +89,14 @@ def test_a_result_at_order_n_is_a_prefix_of_the_result_at_n_plus_6(chain):
     assert sorted(s_lo.g) == sorted(s_hi.g) == [2, 3]
     for k in s_lo.g:
         assert_prefix(s_lo.g[k], s_hi.g[k])
+
+    # the operator-logarithm identity reads omega (of order N - 1) to its
+    # depth + 3
+    depth = lo.omega.order - 3
+    for variant in ("log", "exp"):
+        assert verify_log_identity(hi, variant, depth) == verify_log_identity(lo, variant, depth)
+        with pytest.raises(OrderError):
+            verify_log_identity(lo, variant, depth + 1)
 
     # tau_0..tau_(N-1) for the weight ell, and their symbolic continuation
     # (which reads f to one order more than its depth)

@@ -37,8 +37,9 @@ from umbralog.operators import (
     tn_via_integral,
     word_to_diffop,
 )
+from umbralog import operators
 from umbralog.parampoly import ParamPoly
-from umbralog.polys import Poly
+from umbralog.polys import Poly, divided_difference
 from umbralog.presets import family
 from umbralog.series import OrderError, PowerSeries, SeriesError
 from umbralog.stirling import omega_in_alpha, t_n_omega
@@ -133,6 +134,19 @@ class TestDiffOperators:
         out = build_Tn(fam, 1).apply(monomial_s(2))
         expected = PowerSeries("s", [Q(0), Q(1), Q(-1)] + [Q(0)] * 6)
         assert out.prefix_equal(expected)
+
+    def test_operators_in_other_variables_are_unequal(self):
+        fam = family("exp1", 12)
+        assert build_Tn(fam, 1, var="s") != build_Tn(fam, 1, var="a")
+        assert build_Tn(fam, 1, var="a") == build_Tn(fam, 1, var="a")
+        assert DiffOperator("s", {}) != DiffOperator("a", {})
+
+    def test_an_operator_is_not_a_series(self):
+        op = DiffOperator.identity("s", 6)
+        u = PowerSeries.one("s", 6)
+        assert op != u and u != op
+        assert not (op == u) and not (u == op)
+        assert op != 1
 
     def test_Tn_kills_constants(self):
         fam = family("geom", 12)
@@ -384,10 +398,7 @@ class TestIntegerKernel:
             assert_same_outcome(d, 1, sigma)
 
 
-OTHER_DOMAINS = {
-    "ParamPoly": ParamPoly.symbol("s"),
-    "Poly": Poly.const(Q(1, 2)),
-}
+OTHER_DOMAINS = {"ParamPoly": ParamPoly.symbol("s")}
 
 
 def with_other(s: PowerSeries, domain: str) -> PowerSeries:
@@ -448,6 +459,34 @@ class TestDividedDifferenceShift:
             for m in range(1, 7):
                 ok, _ = divided_difference_shift_check(n, m)
                 assert ok, (n, m)
+
+    def test_a_faulty_taylor_fails_the_grid(self, monkeypatch):
+        # 1 added to the constant term of the top y^j coefficient of p(x + y)
+        taylor = Poly.taylor
+
+        def faulty(p):
+            *rows, top = taylor(p)
+            return (*rows, top + 1)
+
+        monkeypatch.setattr(Poly, "taylor", faulty)
+        failed = [
+            (n, m) for n in range(5) for m in range(1, 7)
+            if not divided_difference_shift_check(n, m)[0]
+        ]
+        assert failed
+
+    def test_a_faulty_divided_difference_fails_the_grid(self, monkeypatch):
+        # 1 added to the last p^k coefficient of (x g(x) - p g(p)) / (x - p)
+        def faulty(g):
+            *rows, top = divided_difference(g) or (Poly(),)
+            return (*rows, top + 1)
+
+        monkeypatch.setattr(operators, "divided_difference", faulty)
+        failed = [
+            (n, m) for n in range(5) for m in range(1, 7)
+            if not divided_difference_shift_check(n, m)[0]
+        ]
+        assert failed
 
 
 class TestIntegralForm:

@@ -20,7 +20,6 @@ from oracles import (
     naive_tau_symbolic,
     naive_terms_add,
     naive_terms_derive,
-    naive_terms_div_symbol,
     naive_terms_scale,
 )
 from umbralog.asymptotic import AsymptoticSeries
@@ -126,19 +125,6 @@ class TestKernelProperties:
     @settings(max_examples=100, deadline=None)
     def test_derive_matches_oracle(self, a, name):
         assert_terms(a.derive(name), naive_terms_derive(a, name))
-
-    @given(param_polys(), st.sampled_from(SYMBOLS))
-    @settings(max_examples=100, deadline=None)
-    def test_div_exact_symbol_matches_oracle(self, a, name):
-        x = ParamPoly.symbol(name)
-        assert_terms((a * x).div_exact_symbol(name), a.terms)
-        try:
-            want = naive_terms_div_symbol(a, name)
-        except ValueError:
-            with pytest.raises(ValueError, match="is not divisible by"):
-                a.div_exact_symbol(name)
-        else:
-            assert_terms(a.div_exact_symbol(name), want)
 
     @given(param_polys(), param_polys())
     @settings(max_examples=50, deadline=None)
@@ -256,8 +242,8 @@ class TestHash:
             (r + x) - r,
             (S + x) - S,
             S * 0 + x,
-            (S * x).div_exact_symbol("s"),
-            (S * S * x / 2).derive("s").div_exact_symbol("s"),
+            (S * x).derive("s"),
+            (S * S * x / 2).derive("s").derive("s"),
         ]
         for p in routes:
             assert_canonical(p)

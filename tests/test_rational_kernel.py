@@ -30,7 +30,6 @@ from oracles import (
 )
 from umbralog import series
 from umbralog.parampoly import ParamPoly
-from umbralog.polys import Poly
 from umbralog.presets import PRESET_NAMES, build_f, family
 from umbralog.series import OrderError, PowerSeries, SeriesError
 from umbralog.sheffer import bernoulli_weight, tau_seq
@@ -126,7 +125,7 @@ class TestProperties:
 
 
 # each rational as a constant of a coefficient domain
-LIFT = {Q: Q, ParamPoly: ParamPoly.const, Poly: Poly.const}
+LIFT = {Q: Q, ParamPoly: ParamPoly.const}
 
 SPECS = ("exp1", "geom", "nu", "poly:1,1/2,-1/3,1/5,-1/6", "poly:1,0,0,-7/3,0,1000000")
 
@@ -397,13 +396,11 @@ small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 @st.composite
 def coefficient(draw, domain):
-    """A small coefficient of the domain: a ParamPoly in s and H, a Poly of
-    degree at most 2, or a rational."""
+    """A small coefficient of the domain: a ParamPoly in s and H, or a
+    rational."""
     if domain is ParamPoly:
         keys = st.tuples(st.integers(0, 2), st.integers(0, 1), st.just(0))
         return ParamPoly(draw(st.dictionaries(keys, small_rationals, max_size=3)))
-    if domain is Poly:
-        return Poly(draw(st.lists(small_rationals, max_size=3)))
     return draw(small_rationals)
 
 
@@ -426,18 +423,16 @@ def assert_same_elements(got: PowerSeries, want: PowerSeries, domain):
 # (left, right, joined): one domain throughout, then the mixed pairs
 PAIRS = [
     (ParamPoly, ParamPoly, ParamPoly),
-    (Poly, Poly, Poly),
     (ParamPoly, Q, ParamPoly),
-    (Q, Poly, Poly),
     (Q, ParamPoly, ParamPoly),
 ]
-PAIR_IDS = ["ParamPoly", "Poly", "ParamPoly-Fraction", "Fraction-Poly", "Fraction-ParamPoly"]
+PAIR_IDS = ["ParamPoly", "ParamPoly-Fraction", "Fraction-ParamPoly"]
 
 
 @pytest.mark.parametrize("left, right, joined", PAIRS, ids=PAIR_IDS)
 class TestEveryDomainMatchesTheOracle:
-    """The kernels over ParamPoly, Poly and mixed pairs return the oracle
-    loops' values, types and canonical forms."""
+    """The kernels over ParamPoly and mixed pairs return the oracle loops'
+    values, types and canonical forms."""
 
     @given(data=st.data())
     @settings(max_examples=8, deadline=None)
@@ -466,7 +461,7 @@ class TestEveryDomainMatchesTheOracle:
         assert_same_elements(got, naive_compose(outer, inner), joined)
 
 
-@pytest.mark.parametrize("domain", [ParamPoly, Poly])
+@pytest.mark.parametrize("domain", [ParamPoly])
 @given(data=st.data())
 @settings(max_examples=8, deadline=None)
 def test_revert_over_every_domain_matches_the_oracle(domain, data):
@@ -477,7 +472,7 @@ def test_revert_over_every_domain_matches_the_oracle(domain, data):
 
 @pytest.mark.parametrize(
     "divisor, message",
-    [(Poly.x() + 1, "only degree-0 polynomials are invertible"), (S + 1, "not a constant: s")],
+    [(ParamPoly.symbol("H") + 1, "not a constant: H"), (S + 1, "not a constant: s")],
 )
 @pytest.mark.parametrize("dividend", [Q, "same"])
 def test_a_non_unit_constant_divisor_raises_its_domains_value_error(divisor, message, dividend):

@@ -25,6 +25,7 @@ from umbralog.sheffer import (
     ell_at_omega,
     sheffer_resolvent_check,
     tau_seq,
+    theta_apply,
     theta_check,
     tn_ell_trend_check,
 )
@@ -54,16 +55,16 @@ class TestTauSeq:
         assert sf[2] == Poly([Q(2, 3), Q(-2), Q(1)])
 
     def test_generating_function_oracle(self):
-        # ell(phi(x)) e^{a phi(x)} = ln(1+x)/x * (1+x)^a for the exp1 family
+        # ell(phi(x)) e^{a phi(x)} = ln(1+x)/x * (1+x)^a for the exp1 family,
+        # at a = 0..10: 11 values fix each tau_n, of degree n <= 10
         fam = family("exp1", 14)
         sf = tau_seq(fam, bernoulli_ell(14), 10)
-        a = Poly.x()
         phi = fam.phi.truncate(10)
-        gen = bernoulli_ell(14).truncate(10).compose(phi) * exp_by_partial_sums(
-            phi.scale(a)
-        )
-        for n in range(11):
-            assert sf[n] == gen.coefficient(n) * factorial(n)
+        weight = bernoulli_ell(14).truncate(10).compose(phi)
+        for a in range(11):
+            gen = weight * exp_by_partial_sums(phi.scale(a))
+            for n in range(11):
+                assert sf[n].eval(a) == gen.coefficient(n) * factorial(n)
 
     def test_classical_bernoulli_values(self):
         # f = x gives the classical Bernoulli polynomials
@@ -129,9 +130,22 @@ class TestTheta:
     def test_annihilates_constants(self):
         fam = family("exp1", 14)
         sf = tau_seq(fam, bernoulli_ell(14), 8)
-        from umbralog.sheffer import theta_apply
+        assert theta_apply(sf, Poly.const(1), sf.ell.inv()).is_zero()
 
-        assert theta_apply(sf, Poly.const(1)).is_zero()
+    def test_is_linear_with_the_index_as_eigenvalue(self):
+        fam = family("exp1", 14)
+        sf = tau_seq(fam, bernoulli_ell(14), 8)
+        p = sf[2] * Q(1, 2) - sf[5] * 3 + sf[7]
+        want = sf[2] - sf[5] * 15 + sf[7] * 7
+        assert theta_apply(sf, p, sf.ell.inv()) == want
+
+    def test_reads_the_given_inverse_weight(self):
+        # ell^{-1} for ell itself: the tau_n are no eigenvectors of the
+        # operator that conjugates with ell twice
+        fam = family("exp1", 14)
+        sf = tau_seq(fam, bernoulli_ell(14), 8)
+        assert theta_apply(sf, sf[4], sf.ell.inv()) == sf[4] * 4
+        assert theta_apply(sf, sf[4], sf.ell) != sf[4] * 4
 
     def test_weight_one_reduces_to_index_operator(self):
         fam = family("geom", 14)

@@ -1,6 +1,7 @@
 """Families, polynomial sequences, q-tables and the ratio expansion."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 from math import comb, factorial
 
@@ -12,10 +13,13 @@ from oracles import (
     abel_poly,
     falling_factorial_poly,
     naive_compose,
+    naive_p_seq,
+    naive_tau_polys,
     p_symbolic_by_binom,
     q_table_by_powers,
     q_table_by_series,
 )
+from umbralog import series, umbral, verify
 from umbralog.operators import apply_Tn
 from umbralog.parampoly import ParamPoly
 from umbralog.polys import Poly
@@ -36,6 +40,7 @@ from umbralog.umbral import (
     ratio_P_symbolic,
     tau_inverse,
 )
+from umbralog.verify import _exp_a_phi, suite_sheffer, suite_stirling, suite_umbral
 
 S = ParamPoly.symbol("s")
 H = ParamPoly.symbol("H")
@@ -242,31 +247,131 @@ class TestPSeq:
             assert seq[n] == abel_poly(n, Q(1))
 
     def test_binomial_convolution_identity(self):
-        # p_n(x + y) = sum_k C(n, k) p_k(x) p_{n-k}(y), in Q[x][y]
+        # p_n(x + y) = sum_k C(n, k) p_k(x) p_{n-k}(y), one y^j coefficient
+        # at a time: each side's is a polynomial in x
         for name in ("exp1", "geom", "nu"):
             seq = p_seq(family(name, 13), 12)
             for n in range(13):
-                rhs = Poly()
-                for k in range(n + 1):
-                    rhs = rhs + Poly(
-                        [seq[k] * c for c in seq[n - k].coeffs]
-                    ) * comb(n, k)
-                assert seq[n].taylor() == rhs
+                shift = seq[n].taylor()
+                assert len(shift) == n + 1
+                for j in range(n + 1):
+                    rhs = Poly()
+                    for k in range(n + 1):
+                        rhs = rhs + seq[k] * (comb(n, k) * seq[n - k].coefficient(j))
+                    assert shift[j] == rhs, (name, n, j)
 
     def test_generating_function_identity(self):
-        # sum p_k(a) f(x)^k / k! = exp(a x) through order 12 in x
+        # sum p_k(a) f(x)^k / k! = exp(a x) through order 12 in x, at
+        # a = 0..12: each side's x^n coefficient has degree <= 12 in a, so
+        # 13 values fix it
         for name in ("id", "exp1", "geom", "nu"):
             fam = family(name, 13)
             seq = p_seq(fam, 12)
-            a = Poly.x()
-            acc = None
-            fpow = PowerSeries.one("x", 12)
-            for k in range(13):
-                term = fpow.scale(seq[k] / Q(factorial(k)))
-                acc = term if acc is None else acc + term
-                fpow = (fpow * fam.f.truncate(12)) if k < 12 else fpow
-            expected = PowerSeries.identity("x", 12).scale(a).exp()
-            assert acc.prefix_equal(expected)
+            fpows = [PowerSeries.one("x", 12)]
+            for _ in range(12):
+                fpows.append(fpows[-1] * fam.f.truncate(12))
+            for a in range(13):
+                acc = PowerSeries.zero("x", 12)
+                for k, fpow in enumerate(fpows):
+                    acc = acc + fpow.scale(seq[k].eval(a) / Q(factorial(k)))
+                expected = PowerSeries.identity("x", 12).scale(Q(a)).exp()
+                assert acc == expected, (name, a)
+
+
+class TestVerifyOraclesStayLive:
+    """The generating-function and convolution checks of ``verify`` run on
+    one-variable data: their helper equals the oracle recurrences, and a
+    faulty p_5 or ``exp`` still fails named checks on fresh families."""
+
+    @pytest.fixture(autouse=True)
+    def fresh(self):
+        family.cache_clear()
+        yield
+        family.cache_clear()
+
+    @pytest.mark.parametrize("name", ("id", "exp1", "geom", "nu", "poly:1,1/2,-1/3"))
+    def test_the_helper_equals_the_recurrences(self, name):
+        fam = family(name, 16)
+        phi = fam.phi.truncate(12)
+        assert _exp_a_phi(phi, 12) == naive_p_seq(fam, 12)
+        for ell in (bernoulli_weight(16), PowerSeries("x", [Q(1), Q(1)] + [Q(0)] * 15)):
+            weight = ell.truncate(12).compose(phi)
+            assert _exp_a_phi(phi, 12, weight) == naive_tau_polys(fam, ell, 12)
+
+    def test_a_faulty_p5_fails_both_checks_for_every_preset(self, monkeypatch):
+        original = umbral.sheffer_polys
+
+        def faulty(*args):
+            polys = original(*args)
+            return polys[:5] + (polys[5] + Poly.x(),) + polys[6:]
+
+        monkeypatch.setattr(umbral, "sheffer_polys", faulty)
+        failed = {c.name for c in suite_umbral().checks if c.status == "fail"}
+        for name in ("id", "exp1", "geom"):
+            assert f"p_n match exp(a*phi) coefficients ({name})" in failed
+            assert f"binomial-type convolution identity ({name})" in failed
+
+    def test_a_faulty_taylor_fails_only_the_convolution_check(self, monkeypatch):
+        # 1 added to the constant term of the top y^j coefficient of p(x + y)
+        taylor = Poly.taylor
+
+        def faulty(p):
+            *rows, top = taylor(p) or (Poly(),)
+            return (*rows, top + 1)
+
+        monkeypatch.setattr(Poly, "taylor", faulty)
+        failed = {c.name for c in suite_umbral().checks if c.status == "fail"}
+        for name in ("id", "exp1", "geom"):
+            assert f"binomial-type convolution identity ({name})" in failed
+            assert f"p_n match exp(a*phi) coefficients ({name})" not in failed
+
+    def test_a_faulty_tau5_fails_the_sheffer_generating_function_checks(self, monkeypatch):
+        original = verify.tau_seq
+
+        def faulty(*args):
+            sf = original(*args)
+            polys = sf.tau_polys
+            if len(polys) <= 5:
+                return sf
+            return replace(sf, tau_polys=polys[:5] + (polys[5] + Poly.x(),) + polys[6:])
+
+        monkeypatch.setattr(verify, "tau_seq", faulty)
+        failed = {c.name for c in suite_sheffer().checks if c.status == "fail"}
+        labels = ("exp1 with the Bernoulli weight", "id with the Bernoulli weight",
+                  "geom with weight 1+x")
+        for label in labels:
+            assert f"generating-function identity to order 12 ({label})" in failed
+
+    def test_the_rewritten_checks_keep_their_records(self):
+        # name, status and details as the checks over Poly-coefficient
+        # series and Q[x][y] reported them
+        records = {c.name: c for c in suite_umbral().checks + suite_sheffer().checks}
+        want = {}
+        for name in ("id", "exp1", "geom"):
+            want[f"p_n match exp(a*phi) coefficients ({name})"] = {"n": 12}
+            want[f"binomial-type convolution identity ({name})"] = {"n": 12}
+        for label in ("exp1 with the Bernoulli weight", "id with the Bernoulli weight",
+                      "geom with weight 1+x"):
+            want[f"generating-function identity to order 12 ({label})"] = {}
+        for name, details in want.items():
+            got = records[name]
+            assert (got.status, got.exact, got.details) == ("pass", True, details), name
+
+    def test_a_faulty_exp_fails_the_round_trips_and_the_tree_family(self, monkeypatch):
+        original = series._exp_rational
+
+        def faulty(*lifted):
+            vec, den = original(*lifted)
+            if len(vec) > 3:
+                vec[3] += den  # 1 added at x^3
+            return vec, den
+
+        monkeypatch.setattr(series, "_exp_rational", faulty)
+        failed = {c.name for c in suite_umbral().checks if c.status == "fail"}
+        failed |= {c.name for c in suite_stirling().checks if c.status == "fail"}
+        for name in ("id", "exp1", "geom", "nu"):
+            assert f"tau_inverse round trip ({name})" in failed
+        assert "tree-family series: s^1 and s^0 coefficient laws (order 6)" in failed
 
 
 class TestQCoefficients:
